@@ -186,7 +186,9 @@ def cmd_analyze(args) -> int:
             )
             return 1
         graphs.append((record.timestamp, result))
-    size_hist, count_hist = ingest_mod.dataset_distributions(records, roster=roster)
+    size_hist, count_hist = ingest_mod.graph_distributions(
+        [g for _, g in graphs], roster=roster
+    )
     graph_lines = "\n".join(
         json.dumps({"t": t, "graph": g.to_json_obj()}, separators=(",", ":"))
         for t, g in graphs

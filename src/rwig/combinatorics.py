@@ -1,7 +1,7 @@
 """Exact integer combinatorics for clique-partition state spaces.
 
-Everything here is computed with arbitrary-precision integers; no value
-passes through floating point.  Set partitions are enumerated in
+Everything here is computed with exact integers; no value passes through
+floating point.  Set partitions are enumerated in
 restricted-growth-string order and always returned in canonical form
 (cells sorted by their smallest element, elements ascending within each
 cell), which makes partitions directly usable as dictionary keys.
@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Hashable, Iterable, Iterator
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -177,6 +179,33 @@ def expansion_weight(pi: SetPartition) -> int:
     for size in pi.cell_sizes:
         weight *= (-1) ** (size - 1) * math.factorial(size - 1)
     return weight
+
+
+@lru_cache(maxsize=None)
+def partition_table(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every partition of m clique indices with its weight, as arrays.
+
+    Returns ``(weights, cells)`` with one row per partition, in the order of
+    ``set_partitions(range(m))``: ``weights`` (int64, length bell(m)) holds
+    each ``expansion_weight`` and ``cells`` (int32, shape (bell(m), m)) the
+    partition's cells.  A cell is the bitmask of the clique indices it
+    holds, so it directly indexes a per-graph array with one value per
+    subset of cliques (sigma of the subset's amassed clique): one table
+    serves every graph with m cliques, whatever its walkers, and a whole
+    expansion is the gather ``weights @ values[cells].prod(axis=1)``.  Rows
+    with fewer than m cells are padded with mask 0, the empty subset, whose
+    value must be 1 (sigma of no walkers, the empty product), so padding
+    leaves every product unchanged.  The arrays are read-only because the
+    cache hands the same ones to every caller.
+    """
+    weights = np.zeros(bell(m), dtype=np.int64)
+    cells = np.zeros((bell(m), m), dtype=np.int32)
+    for row, pi in enumerate(set_partitions(range(m))):
+        weights[row] = expansion_weight(pi)
+        cells[row, : pi.n_cells] = [sum(1 << i for i in cell) for cell in pi.cells]
+    weights.setflags(write=False)
+    cells.setflags(write=False)
+    return weights, cells
 
 
 def multiplicity(q: IntegerPartition) -> int:

@@ -125,14 +125,10 @@ def dataset_distributions(
 ) -> tuple[dict[int, float], dict[int, float]]:
     """Clique-size and clique-count histograms of a validated dataset.
 
-    Sizes use min_size 2 (edge lists cannot show fewer).  Without a roster,
-    nodes absent from a bin are invisible and the count histogram covers
-    only cliques of two or more; with a roster, absent nodes enter the
-    count histogram as singleton cliques.
+    Raises ValueError on the first snapshot that is not a union of cliques;
+    the histograms are those of ``graph_distributions``.
     """
-    roster_set = frozenset(roster) if roster is not None else None
     graphs: list[ContactGraph] = []
-    count_graphs: list[ContactGraph] = []
     for record in records:
         result = validate_clique_union(record)
         if isinstance(result, CliqueUnionViolation):
@@ -143,13 +139,30 @@ def dataset_distributions(
                 f"snapshot at t={record.timestamp} is not a union of cliques: {worst}"
             )
         graphs.append(result)
-        if roster_set is None:
-            count_graphs.append(result)
-        else:
-            extra = roster_set - record.nodes
-            cells = [list(c) for c in result.cliques.cells]
-            cells.extend([n] for n in sorted(extra))
-            count_graphs.append(ContactGraph.from_cells(cells))
+    return graph_distributions(graphs, roster=roster)
+
+
+def graph_distributions(
+    graphs: Iterable[ContactGraph], roster: Iterable[str] | None = None
+) -> tuple[dict[int, float], dict[int, float]]:
+    """Clique-size and clique-count histograms of validated snapshot graphs.
+
+    Sizes use min_size 2 (edge lists cannot show fewer).  Without a roster,
+    nodes absent from a bin are invisible and the count histogram covers
+    only cliques of two or more; with a roster, absent nodes enter the
+    count histogram as singleton cliques.
+    """
+    graphs = list(graphs)
+    count_graphs = graphs
+    if roster is not None:
+        roster_set = frozenset(roster)
+        count_graphs = [
+            ContactGraph.from_cells(
+                [list(c) for c in g.cliques.cells]
+                + [[n] for n in sorted(roster_set - g.walkers)]
+            )
+            for g in graphs
+        ]
     size_hist = clique_size_distribution(graphs, min_size=2)
     count_hist = clique_count_distribution(count_graphs)
     return size_hist, count_hist

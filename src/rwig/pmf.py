@@ -8,18 +8,24 @@ Two independent evaluation routes are kept side by side:
   cliques to distinct states.
 
 The brute force is the oracle; it is slower by design and must never be
-"optimized" into the closed form.  The closed form owes its speed to the
-heavy reuse of sigma terms across partitions, so evaluations share a cache
+"optimized" into the closed form.  The closed form reads its partitions and
+their weights from ``combinatorics.partition_table``, shared by every graph
+with the same clique count, and evaluates sigma once per subset of the
+graph's cliques; sigma values are shared across graphs through a cache
 keyed by the walker subset.
+
+In the steady state a graph's probability depends only on its clique sizes
+and is a sum of non-negative occupancy terms (the monomial symmetric
+polynomial of the stationary vector), so it is evaluated by a dynamic
+program over states without the signed expansion and its cancellation.  A
+brute force over state assignments is its oracle.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import lru_cache
-from typing import Callable, Hashable, Iterable, Iterator
+from typing import Hashable, Iterable, Iterator
 
 import numpy as np
 
@@ -27,7 +33,7 @@ from .combinatorics import (
     contact_graph_count,
     integer_partitions,
     multiplicity,
-    set_partitions,
+    partition_table,
 )
 from .contact_graph import (
     ContactGraph,
@@ -55,17 +61,6 @@ def _clamp(p: float, what: str) -> float:
     return p
 
 
-# Signed weight of a cell holding c cliques: (-1)^(c-1) (c-1)!.
-_CELL_WEIGHT = [0.0, 1.0]
-
-
-def _cell_weight(c: int) -> float:
-    while len(_CELL_WEIGHT) <= c:
-        n = len(_CELL_WEIGHT)
-        _CELL_WEIGHT.append(-_CELL_WEIGHT[n - 1] * (n - 1))
-    return _CELL_WEIGHT[c]
-
-
 def sigma(subset: Iterable[Hashable], ensemble: WalkerEnsemble, k: int) -> float:
     """Probability that all walkers in ``subset`` share a state at time k.
 
@@ -90,53 +85,38 @@ def sigma_expansion_terms(
     weight * prod(sigma(amassed)) over all terms gives the probability.
     """
     cliques = [frozenset(cell) for cell in g.cliques.cells]
-    for pi in set_partitions(range(len(cliques))):
-        weight = 1
-        amassed = []
-        for cell in pi.cells:
-            weight *= (-1) ** (len(cell) - 1) * math.factorial(len(cell) - 1)
-            amassed.append(frozenset().union(*(cliques[i] for i in cell)))
-        yield weight, tuple(amassed)
+    weights, cells = partition_table(len(cliques))
+    for weight, row in zip(weights.tolist(), cells.tolist()):
+        amassed = tuple(
+            frozenset().union(*(c for i, c in enumerate(cliques) if mask >> i & 1))
+            for mask in row
+            if mask
+        )
+        yield weight, amassed
 
 
-def _expansion_sum(items: list, value_of_cell: Callable[[object, int], float],
-                   join: Callable[[object, object], object]) -> float:
-    """Sum over all partitions of ``items`` of the product of cell values.
+def _assignment_sum(weights: list[list[float]], n_states: int) -> float:
+    """Sum over ordered tuples of distinct states of prod_c weights[c][i_c].
 
-    Cells are built incrementally (each item either joins an existing cell
-    or opens a new one), so the sum runs in time proportional to the number
-    of partitions without materializing them.  ``join`` merges an item into
-    a cell's accumulated payload; ``value_of_cell(payload, count)`` is the
-    weighted factor of a finished cell.
+    The oracles' direct enumeration; no fast path may call it.
     """
-    total = 0.0
-    payloads: list = []
-    counts: list[int] = []
+    m = len(weights)
 
-    def grow(i: int) -> None:
-        nonlocal total
-        if i == len(items):
-            term = 1.0
-            for payload, count in zip(payloads, counts):
-                term *= value_of_cell(payload, count)
-            total += term
-            return
-        item = items[i]
-        for j in range(len(payloads)):
-            saved = payloads[j]
-            payloads[j] = join(saved, item)
-            counts[j] += 1
-            grow(i + 1)
-            payloads[j] = saved
-            counts[j] -= 1
-        payloads.append(item)
-        counts.append(1)
-        grow(i + 1)
-        payloads.pop()
-        counts.pop()
+    def assign(c: int, used: int, partial: float) -> float:
+        if c == m:
+            return partial
+        row = weights[c]
+        subtotal = 0.0
+        for i in range(n_states):
+            if used >> i & 1:
+                continue
+            w = row[i]
+            if w == 0.0:
+                continue
+            subtotal += assign(c + 1, used | (1 << i), partial * w)
+        return subtotal
 
-    grow(0)
-    return total
+    return assign(0, 0, 1.0)
 
 
 def _check_graph(g: ContactGraph, ensemble: WalkerEnsemble) -> None:
@@ -166,26 +146,21 @@ def pmf_closed_form(
 
     # Cliques as bit masks over walker indices; amassing is a bitwise or.
     index = ensemble.index
-    masks = []
-    for cell in g.cliques.cells:
-        mask = 0
-        for w in cell:
-            mask |= 1 << index[w]
-        masks.append(mask)
+    masks = [sum(1 << index[w] for w in cell) for cell in g.cliques.cells]
 
-    def sigma_of(mask: int) -> float:
-        value = cache.get(mask)
-        if value is None:
+    # union[s]: walkers of the cliques in subset s (bit i for clique i), and
+    # sig[s] their sigma; sig[0] = 1 is the partition table's padding.
+    union = [0]
+    for mask in masks:
+        union += [u | mask for u in union]
+    for mask in union[1:]:
+        if mask not in cache:
             rows = [i for i in range(ensemble.n_walkers) if mask >> i & 1]
-            value = float(states[rows].prod(axis=0).sum())
-            cache[mask] = value
-        return value
+            cache[mask] = float(states[rows].prod(axis=0).sum())
+    sig = np.array([1.0] + [cache[mask] for mask in union[1:]])
 
-    total = _expansion_sum(
-        masks,
-        value_of_cell=lambda mask, c: _cell_weight(c) * sigma_of(mask),
-        join=lambda a, b: a | b,
-    )
+    weights, cells = partition_table(len(masks))
+    total = float(weights @ sig[cells].prod(axis=1))
     return _clamp(total, f"closed-form probability of {g.to_json_obj()}")
 
 
@@ -211,25 +186,9 @@ def pmf_bruteforce(
         states[[index[w] for w in cell]].prod(axis=0).tolist()
         for cell in g.cliques.cells
     ]
-    m = len(weights)
-    if m > n:
+    if len(weights) > n:
         return 0.0
-
-    def assign(c: int, used: int, partial: float) -> float:
-        if c == m:
-            return partial
-        row = weights[c]
-        subtotal = 0.0
-        for i in range(n):
-            if used >> i & 1:
-                continue
-            w = row[i]
-            if w == 0.0:
-                continue
-            subtotal += assign(c + 1, used | (1 << i), partial * w)
-        return subtotal
-
-    return assign(0, 0, 1.0)
+    return _assignment_sum(weights, n)
 
 
 @dataclass
@@ -315,76 +274,42 @@ def steady_state_sigma(clique_size: int, s_tilde: StateVector) -> float:
     return float(np.sum(s_tilde.probs ** clique_size))
 
 
-@lru_cache(maxsize=None)
-def _amassed_coefficients(
-    sizes: tuple[int, ...]
-) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """Exact net weight of each amassed-size multiset in the expansion.
-
-    Summing over all partitions of cliques with the given sizes, groups the
-    signed cell weights by the multiset of amassed-clique sizes they attach
-    to.  The grouped form has at most p(M) terms, so huge cancelling weights
-    collapse into small exact integers before any floating point happens.
-    """
-    coefficients: dict[tuple[int, ...], int] = {}
-    cell_sums: list[int] = []
-    cell_counts: list[int] = []
-
-    def grow(i: int) -> None:
-        if i == len(sizes):
-            weight = 1
-            for c in cell_counts:
-                weight *= (-1) ** (c - 1) * math.factorial(c - 1)
-            key = tuple(sorted(cell_sums, reverse=True))
-            coefficients[key] = coefficients.get(key, 0) + weight
-            return
-        q = sizes[i]
-        for j in range(len(cell_sums)):
-            cell_sums[j] += q
-            cell_counts[j] += 1
-            grow(i + 1)
-            cell_sums[j] -= q
-            cell_counts[j] -= 1
-        cell_sums.append(q)
-        cell_counts.append(1)
-        grow(i + 1)
-        cell_sums.pop()
-        cell_counts.pop()
-
-    grow(0)
-    return tuple(sorted(coefficients.items()))
-
-
 def labelled_steady_state_pmf(
     clique_sizes: Iterable[int], s_tilde: StateVector
 ) -> float:
     """Steady-state probability of any labelled graph with these clique sizes.
 
-    In the steady state the sigma expansion depends only on clique sizes
-    (amassed cliques contribute the power sum of their total size), so every
-    labelling of the same size multiset has the same probability.  The
-    alternating sum is evaluated in exact rational arithmetic: at ten or
-    more walkers the cancellation between terms outruns double precision
-    while true probabilities can sit below 1e-12.
+    With every walker on the stationary vector s, a labelled graph's
+    probability is the sum over ordered tuples of distinct states of
+    prod_j s_(i_j)^(q_j), which equals prod_j c_j! times the monomial
+    symmetric polynomial m_q(s), c_j being the number of parts of size j
+    (Doubilet 1972; Stanley, EC2 section 7.7).  m_q(s) is evaluated by a
+    dynamic program over states keyed by how many parts of each distinct
+    size are already placed, each state taking at most one part.  Every
+    term is non-negative, so no cancellation occurs and the result carries
+    a relative error of a few ulps even where probabilities sit near 1e-13.
     """
     sizes = tuple(sorted((int(q) for q in clique_sizes), reverse=True))
     if not sizes or sizes[-1] < 1:
         raise ValueError("clique sizes must be positive")
     if len(sizes) > s_tilde.n_states:
         return 0.0
-    probs = [Fraction(x) for x in s_tilde.probs.tolist()]
-    power: dict[int, Fraction] = {}
-    running = list(probs)
-    for q in range(1, sum(sizes) + 1):
-        power[q] = sum(running, Fraction(0))
-        running = [r * p for r, p in zip(running, probs)]
-    total = Fraction(0)
-    for amassed_sizes, coefficient in _amassed_coefficients(sizes):
-        term = Fraction(coefficient)
-        for q in amassed_sizes:
-            term *= power[q]
-        total += term
-    return _clamp(float(total), f"steady-state probability of clique sizes {sizes}")
+    distinct = sorted(set(sizes))
+    counts = [sizes.count(q) for q in distinct]
+    powers = [s_tilde.probs ** q for q in distinct]
+    # placed[k_1, ..., k_d]: sum over the states seen so far of the products
+    # with k_j parts of the j-th distinct size placed.
+    placed = np.zeros([c + 1 for c in counts])
+    placed[(0,) * len(counts)] = 1.0
+    for i in range(s_tilde.n_states):
+        before = placed.copy()
+        for j, power in enumerate(powers):
+            lead = (slice(None),) * j
+            placed[lead + (slice(1, None),)] += (
+                before[lead + (slice(None, -1),)] * power[i]
+            )
+    total = float(placed[tuple(counts)]) * math.prod(math.factorial(c) for c in counts)
+    return _clamp(total, f"steady-state probability of clique sizes {sizes}")
 
 
 def unlabelled_steady_state_pmf(
@@ -433,29 +358,13 @@ def unlabelled_steady_state_pmf_bruteforce(
         raise ValueError(f"{len(sizes)} cliques cannot occupy {n} states")
     probs = s_tilde.probs
     weights = [(probs ** q).tolist() for q in sizes]
-    m = len(sizes)
-
-    def assign(c: int, used: int, partial: float) -> float:
-        if c == m:
-            return partial
-        row = weights[c]
-        subtotal = 0.0
-        for i in range(n):
-            if used >> i & 1:
-                continue
-            w = row[i]
-            if w == 0.0:
-                continue
-            subtotal += assign(c + 1, used | (1 << i), partial * w)
-        return subtotal
-
     counts = 1
     for j in set(sizes):
         counts *= math.factorial(sizes.count(j))
     denom = counts
     for q in sizes:
         denom *= math.factorial(q)
-    return math.factorial(u.n_walkers) / denom * assign(0, 0, 1.0)
+    return math.factorial(u.n_walkers) / denom * _assignment_sum(weights, n)
 
 
 def unlabelled_steady_state_distribution(

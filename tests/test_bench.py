@@ -64,6 +64,8 @@ def test_diagonal_regression_check():
     assert diagonal_ratio_regressions([cell(4, 2.0), cell(5, 3.0)]) == []
     [message] = diagonal_ratio_regressions([cell(4, 3.0), cell(5, 2.0)])
     assert "M=N=5" in message
+    # Grids below M=N=4 are noise-bound and never warn.
+    assert diagonal_ratio_regressions([cell(2, 0.76), cell(3, 0.74)]) == []
     # Timed-out and off-diagonal cells are ignored.
     off = BenchCell(4, 6, 9.0, 1.0, 9.0, 1.0, False)
     assert diagonal_ratio_regressions([cell(4, 3.0), off, cell(5, 2.0, True)]) == []

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+import rwig.ingest as ingest
 from rwig.bench import random_ensemble
 from rwig.cli import main
 from rwig.markov import ensemble_to_json
@@ -164,6 +165,24 @@ def test_analyze_valid_and_invalid(tmp_path, capsys):
     assert main(["analyze", "--input", str(bad)]) == 1
     err = capsys.readouterr().err
     assert "t=0" in err
+
+
+def test_analyze_validates_each_snapshot_once(tmp_path, capsys, monkeypatch):
+    validated = []
+    original = ingest.validate_clique_union
+
+    def counting(record):
+        validated.append(record.timestamp)
+        return original(record)
+
+    monkeypatch.setattr(ingest, "validate_clique_union", counting)
+    data = tmp_path / "data.txt"
+    data.write_text("0 a b\n0 a c\n0 b c\n1 a b\n2 b c\n2 b d\n2 c d\n")
+    roster = tmp_path / "roster.txt"
+    roster.write_text("a\nb\nc\nd\n")
+    assert main(["analyze", "--input", str(data), "--roster", str(roster)]) == 0
+    capsys.readouterr()
+    assert validated == [0, 1, 2]
 
 
 def test_analyze_with_roster(tmp_path, capsys):

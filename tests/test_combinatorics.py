@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +13,7 @@ from rwig.combinatorics import (
     expansion_weight,
     integer_partitions,
     multiplicity,
+    partition_table,
     set_partitions,
     stirling2,
 )
@@ -178,3 +180,19 @@ def test_set_partitions_are_partitions(labels):
         assert p not in seen
         seen.add(p)
     assert len(seen) == bell(len(labels))
+
+
+def test_partition_table_rows_are_weighted_set_partitions():
+    for m in range(1, 9):
+        weights, cells = partition_table(m)
+        assert weights.dtype == np.int64 and cells.dtype == np.int32
+        assert cells.shape == (bell(m), m)
+        partitions = list(set_partitions(range(m)))
+        assert len(partitions) == bell(m)
+        for weight, row, pi in zip(weights.tolist(), cells.tolist(), partitions):
+            assert weight == expansion_weight(pi)
+            masks = [sum(1 << i for i in cell) for cell in pi.cells]
+            assert row == masks + [0] * (m - pi.n_cells)
+        # On one state every sigma is 1, so the weights sum to the
+        # probability of m cliques there: 1 for one clique, else 0.
+        assert int(weights.sum()) == (1 if m == 1 else 0)

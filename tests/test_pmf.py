@@ -298,6 +298,18 @@ def test_unlabelled_routes_agree():
             assert abs(fast - reference) <= 1e-10
 
 
+def test_steady_state_relative_accuracy():
+    # Relative, not absolute: the smallest of these sit near 4e-13.
+    s = table3_vector("s96", 15)
+    for q in integer_partitions(11):
+        if q.n_parts > 4:
+            continue
+        u = UnlabelledContactGraph(q)
+        fast = unlabelled_steady_state_pmf(u, s)
+        reference = unlabelled_steady_state_pmf_bruteforce(u, s)
+        assert abs(fast - reference) <= 1e-12 * reference
+
+
 def test_unlabelled_distribution_matches_assignment_oracle():
     # Oracle: enumerate all N^M joint assignments of walkers sharing the
     # steady vector and bin by clique-size multiset.
