@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .markov import StateVector, TransitionMatrix, WalkerEnsemble
-from .pmf import full_distribution
+from .pmf import full_distribution, max_deviation
 
 # Diagonal cells below this M = N take milliseconds, so their speedup ratios
 # are timing noise and the soft check ignores them.
@@ -65,11 +65,6 @@ def _time_method(run, iterations: int, budget_s: float) -> tuple[float, float, b
     return sum(times) / len(times), min(times), timed_out
 
 
-def _distributions_agree(a, b, tol: float = 1e-9) -> float:
-    keys = set(a.entries) | set(b.entries)
-    return max(abs(a.probability(k) - b.probability(k)) for k in keys)
-
-
 def benchmark_grid(
     m_range: Iterable[int],
     n_range: Iterable[int],
@@ -103,7 +98,7 @@ def benchmark_grid(
             # Warm-up both routes and gate on agreement before timing.
             dist_closed = run_closed()
             dist_brute = run_brute()
-            worst = _distributions_agree(dist_closed, dist_brute)
+            worst = max_deviation(dist_closed, dist_brute)
             if worst > 1e-9:
                 raise RuntimeError(
                     f"routes disagree at M={m}, N={n}: max deviation {worst:.3e}"

@@ -11,7 +11,8 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .contact_graph import ContactGraph
-from .simulate import ContactSequence, clique_count_distribution, clique_size_distribution
+from .pmf import clique_count_histogram, clique_size_histogram
+from .simulate import ContactSequence
 
 
 class ColocationParseError(ValueError):
@@ -150,22 +151,20 @@ def graph_distributions(
     Sizes use min_size 2 (edge lists cannot show fewer).  Without a roster,
     nodes absent from a bin are invisible and the count histogram covers
     only cliques of two or more; with a roster, absent nodes enter the
-    count histogram as singleton cliques.
+    count histogram as singleton cliques, and a snapshot node missing from
+    the roster raises ValueError.
     """
     graphs = list(graphs)
-    count_graphs = graphs
+    sizes = [(g.clique_sizes, 1.0) for g in graphs]
+    count_sizes = sizes
     if roster is not None:
         roster_set = frozenset(roster)
-        count_graphs = [
-            ContactGraph.from_cells(
-                [list(c) for c in g.cliques.cells]
-                + [[n] for n in sorted(roster_set - g.walkers)]
-            )
-            for g in graphs
-        ]
-    size_hist = clique_size_distribution(graphs, min_size=2)
-    count_hist = clique_count_distribution(count_graphs)
-    return size_hist, count_hist
+        unknown = frozenset().union(*(g.walkers for g in graphs)) - roster_set
+        if unknown:
+            missing = ", ".join(sorted(unknown))
+            raise ValueError(f"snapshot nodes missing from the roster: {missing}")
+        count_sizes = [(q + (1,) * (len(roster_set) - sum(q)), w) for q, w in sizes]
+    return clique_size_histogram(sizes, min_size=2), clique_count_histogram(count_sizes)
 
 
 def load_roster(lines: Iterable[str]) -> tuple[str, ...]:

@@ -1,8 +1,8 @@
 """Walker policies, state-vector propagation and steady states.
 
 All numeric work uses 64-bit floats.  Constructors reject bad input
-(rows not summing to 1, negative probabilities) instead of silently
-repairing it; the construction tolerance on row sums is 1e-12.
+(non-finite or negative probabilities, rows not summing to 1) instead of
+silently repairing it; the construction tolerance on row sums is 1e-12.
 """
 
 from __future__ import annotations
@@ -40,6 +40,9 @@ class TransitionMatrix:
             raise ValueError("transition matrix must be square")
         if entries.shape[0] < 1:
             raise ValueError("transition matrix must be at least 1x1")
+        if not np.isfinite(entries).all():
+            i, j = np.argwhere(~np.isfinite(entries))[0]
+            raise ValueError(f"transition probability ({i}, {j}) is not finite")
         if np.any(entries < 0.0) or np.any(entries > 1.0 + ROW_SUM_TOL):
             raise ValueError("transition probabilities must lie in [0, 1]")
         row_err = np.abs(entries.sum(axis=1) - 1.0).max()
@@ -72,6 +75,9 @@ class StateVector:
         arr = _readonly(probs)
         if arr.ndim != 1 or arr.shape[0] < 1:
             raise ValueError("state vector must be a non-empty 1-D array")
+        if not np.isfinite(arr).all():
+            i = np.flatnonzero(~np.isfinite(arr))[0]
+            raise ValueError(f"state probability {i} is {arr[i]}, not finite")
         if np.any(arr < 0.0):
             raise ValueError("state probabilities must be non-negative")
         if abs(arr.sum() - 1.0) > ROW_SUM_TOL:
@@ -321,11 +327,3 @@ def load_matrix(path: str) -> TransitionMatrix:
     if path.endswith(".json"):
         return matrix_from_json(json.loads(text))
     return matrix_from_csv(text)
-
-
-def load_vector(path: str) -> StateVector:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    if path.endswith(".json"):
-        return vector_from_json(json.loads(text))
-    return vector_from_csv(text)

@@ -19,13 +19,16 @@ and is a sum of non-negative occupancy terms (the monomial symmetric
 polynomial of the stationary vector), so it is evaluated by a dynamic
 program over states without the signed expansion and its cancellation.  A
 brute force over state assignments is its oracle.
+
+No route checks itself: callers compare a distribution with its oracle's
+through ``max_deviation``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Iterator
+from typing import Hashable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -313,18 +316,13 @@ def labelled_steady_state_pmf(
 
 
 def unlabelled_steady_state_pmf(
-    u: UnlabelledContactGraph,
-    s_tilde: StateVector,
-    *,
-    cross_check: bool = False,
+    u: UnlabelledContactGraph, s_tilde: StateVector
 ) -> float:
     """Steady-state probability of an unlabelled contact graph.
 
     The labelled probability of one representative, scaled by the number of
-    labelled graphs sharing the size multiset.  With ``cross_check`` the
-    value is re-derived by direct state enumeration and a disagreement
-    beyond 1e-10 raises; the brute force explodes combinatorially, so the
-    check is opt-in and meant for small walker counts.
+    labelled graphs sharing the size multiset.
+    ``unlabelled_steady_state_pmf_bruteforce`` is its oracle.
     """
     if u.n_cliques > s_tilde.n_states:
         raise ValueError(
@@ -333,15 +331,7 @@ def unlabelled_steady_state_pmf(
     p = multiplicity(u.clique_sizes) * labelled_steady_state_pmf(
         u.clique_sizes.parts, s_tilde
     )
-    p = _clamp(p, f"unlabelled steady-state probability of {u.to_json_obj()}")
-    if cross_check:
-        reference = unlabelled_steady_state_pmf_bruteforce(u, s_tilde)
-        if abs(p - reference) > 1e-10:
-            raise ProbabilityError(
-                f"steady-state routes disagree on {u.to_json_obj()}: "
-                f"{p!r} vs {reference!r}"
-            )
-    return p
+    return _clamp(p, f"unlabelled steady-state probability of {u.to_json_obj()}")
 
 
 def unlabelled_steady_state_pmf_bruteforce(
@@ -368,7 +358,7 @@ def unlabelled_steady_state_pmf_bruteforce(
 
 
 def unlabelled_steady_state_distribution(
-    m_walkers: int, s_tilde: StateVector, *, cross_check: bool = False
+    m_walkers: int, s_tilde: StateVector
 ) -> GraphDistribution:
     """Distribution over all unlabelled graphs with at most N cliques."""
     if m_walkers < 1:
@@ -378,44 +368,70 @@ def unlabelled_steady_state_distribution(
         if q.n_parts > s_tilde.n_states:
             continue
         u = UnlabelledContactGraph(q)
-        entries[u] = unlabelled_steady_state_pmf(u, s_tilde, cross_check=cross_check)
+        entries[u] = unlabelled_steady_state_pmf(u, s_tilde)
     return GraphDistribution(entries, time=None, ensemble=None)
 
 
-def _sizes_of(key) -> tuple[int, ...]:
-    if isinstance(key, ContactGraph):
-        return key.clique_sizes
-    return key.clique_sizes.parts
+def _weighted_sizes(dist: GraphDistribution) -> Iterator[tuple[tuple[int, ...], float]]:
+    for key, p in dist.entries.items():
+        sizes = key.clique_sizes
+        yield (sizes if isinstance(key, ContactGraph) else sizes.parts), p
 
 
-def distribution_clique_size_histogram(
-    dist: GraphDistribution, min_size: int = 2
+def max_deviation(a: GraphDistribution, b: GraphDistribution) -> float:
+    """Largest absolute difference of two distributions over all their graphs."""
+    keys = a.entries.keys() | b.entries.keys()
+    return max(abs(a.probability(k) - b.probability(k)) for k in keys)
+
+
+def clique_size_histogram(
+    weighted_sizes: Iterable[tuple[Sequence[int], float]], min_size: int = 2
 ) -> dict[int, float]:
-    """Probability of observing a clique of each size under ``dist``.
+    """Probability of observing a clique of each size.
 
-    Cliques are pooled across realisations weighted by realisation
-    probability; sizes below ``min_size`` are dropped before normalization.
+    Takes one (clique sizes, weight) pair per realisation, exact or sampled;
+    sizes below ``min_size`` are dropped before normalization.
     """
     if min_size < 1:
         raise ValueError("min_size must be positive")
     pooled: dict[int, float] = {}
-    for key, p in dist.entries.items():
-        for q in _sizes_of(key):
+    for sizes, weight in weighted_sizes:
+        for q in sizes:
             if q >= min_size:
-                pooled[q] = pooled.get(q, 0.0) + p
+                pooled[q] = pooled.get(q, 0.0) + weight
     total = math.fsum(pooled.values())
     if total == 0.0:
         raise ValueError("empty histogram: no cliques at or above min_size")
     return {q: w / total for q, w in sorted(pooled.items())}
 
 
+def clique_count_histogram(
+    weighted_sizes: Iterable[tuple[Sequence[int], float]],
+    include_singletons: bool = True,
+) -> dict[int, float]:
+    """Distribution of the number of cliques per realisation.
+
+    Takes one (clique sizes, weight) pair per realisation, exact or sampled.
+    """
+    hist: dict[int, float] = {}
+    for sizes, weight in weighted_sizes:
+        count = len(sizes) if include_singletons else sum(1 for q in sizes if q > 1)
+        hist[count] = hist.get(count, 0.0) + weight
+    total = math.fsum(hist.values())
+    if total == 0.0:
+        raise ValueError("empty histogram: no realisations")
+    return {c: w / total for c, w in sorted(hist.items())}
+
+
+def distribution_clique_size_histogram(
+    dist: GraphDistribution, min_size: int = 2
+) -> dict[int, float]:
+    """Clique-size histogram of ``dist``, each graph weighted by its probability."""
+    return clique_size_histogram(_weighted_sizes(dist), min_size)
+
+
 def distribution_clique_count_histogram(
     dist: GraphDistribution, include_singletons: bool = True
 ) -> dict[int, float]:
-    """Distribution of the number of cliques per realisation under ``dist``."""
-    hist: dict[int, float] = {}
-    for key, p in dist.entries.items():
-        sizes = _sizes_of(key)
-        count = len(sizes) if include_singletons else sum(1 for q in sizes if q > 1)
-        hist[count] = hist.get(count, 0.0) + p
-    return dict(sorted(hist.items()))
+    """Clique-count histogram of ``dist``, each graph weighted by its probability."""
+    return clique_count_histogram(_weighted_sizes(dist), include_singletons)

@@ -2,7 +2,11 @@
 
 All randomness flows through numpy's seeded Generator.  Replica r of an
 estimator uses ``seed ^ r`` passed through the generator's own seeding
-function, so runs are reproducible and replicas are independent streams.
+function, so runs are reproducible and the replicas of one seed draw
+distinct streams.  Streams are not independent across seeds: seeds s and
+s' share a stream whenever s ^ s' equals r ^ r' for two replica indices
+(with 8 replicas, seeds 0 to 7 draw the same eight streams and give
+identical empirical distributions).
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ import numpy as np
 
 from .contact_graph import ContactGraph, from_assignment
 from .markov import WalkerEnsemble
-from .pmf import GraphDistribution
+from .pmf import GraphDistribution, clique_count_histogram, clique_size_histogram
 
 
 @dataclass(frozen=True)
@@ -118,17 +122,9 @@ def clique_size_distribution(source: Iterable, min_size: int = 2) -> dict[int, f
     Only cliques of at least ``min_size`` walkers are counted (size 2 keeps
     just the cliques that represent actual contacts).
     """
-    if min_size < 1:
-        raise ValueError("min_size must be positive")
-    counter: Counter[int] = Counter()
-    for g in _iter_snapshots(source):
-        for q in g.clique_sizes:
-            if q >= min_size:
-                counter[q] += 1
-    total = sum(counter.values())
-    if total == 0:
-        raise ValueError("empty histogram: no cliques at or above min_size")
-    return {q: c / total for q, c in sorted(counter.items())}
+    return clique_size_histogram(
+        ((g.clique_sizes, 1.0) for g in _iter_snapshots(source)), min_size
+    )
 
 
 def clique_count_distribution(
@@ -139,31 +135,14 @@ def clique_count_distribution(
     Singleton cliques count by default; pass include_singletons=False to
     count only cliques of two or more walkers.
     """
-    counter: Counter[int] = Counter()
-    n_snapshots = 0
-    for g in _iter_snapshots(source):
-        n_snapshots += 1
-        if include_singletons:
-            counter[g.n_cliques] += 1
-        else:
-            counter[sum(1 for q in g.clique_sizes if q > 1)] += 1
-    if n_snapshots == 0:
-        raise ValueError("no snapshots given")
-    return {c: n / n_snapshots for c, n in sorted(counter.items())}
+    return clique_count_histogram(
+        ((g.clique_sizes, 1.0) for g in _iter_snapshots(source)), include_singletons
+    )
 
 
 def mean_clique_size(source: Iterable, min_size: int = 1) -> float:
     """Average clique size pooled over all snapshots."""
-    total = 0
-    count = 0
-    for g in _iter_snapshots(source):
-        for q in g.clique_sizes:
-            if q >= min_size:
-                total += q
-                count += 1
-    if count == 0:
-        raise ValueError("no cliques to average")
-    return total / count
+    return histogram_mean(clique_size_distribution(source, min_size))
 
 
 # --- serialization ----------------------------------------------------------

@@ -79,6 +79,19 @@ def test_pmf_malformed_ensemble_exits_one(tmp_path, capsys):
     assert main(["pmf", "--ensemble", bad.as_posix(), "--time", "0"]) == 1
     assert "error" in capsys.readouterr().err
 
+    # json writes and reads NaN; the run must stop before it writes "p": NaN.
+    nan = tmp_path / "nan.json"
+    nan.write_text(json.dumps({
+        "n_states": 2,
+        "walkers": [{"label": "w1", "s0": [float("nan"), 1.0],
+                     "policy": [[0.5, 0.5], [0.5, 0.5]]}],
+    }))
+    out = tmp_path / "nan_dist.json"
+    code = main(["pmf", "--ensemble", nan.as_posix(), "--time", "0", "-o", str(out)])
+    assert code == 1
+    assert "not finite" in capsys.readouterr().err
+    assert not out.exists()
+
 
 def test_steady_from_vector_writes_outputs(tmp_path):
     vec = tmp_path / "vec.csv"
@@ -134,6 +147,43 @@ def test_steady_from_policy_and_nonconvergence(tmp_path, capsys):
     )
     assert code == 1
     assert "no steady state reached" in capsys.readouterr().err
+
+
+def test_steady_rejects_non_finite_input(tmp_path, capsys):
+    for name, text in (("nan.csv", "0.5,nan\n"), ("inf.csv", "inf,0.5\n")):
+        vec = tmp_path / name
+        vec.write_text(text)
+        assert main(["steady", "--vector", str(vec), "--walkers", "2"]) == 1
+        assert "finite" in capsys.readouterr().err
+    policy = tmp_path / "policy.csv"
+    policy.write_text("0.5,0.5\nnan,1.0\n")
+    assert main(["steady", "--policy", str(policy), "--walkers", "2"]) == 1
+    assert "(1, 0) is not finite" in capsys.readouterr().err
+
+
+def test_steady_cross_check_passes(tmp_path):
+    vec = tmp_path / "vec.csv"
+    vec.write_text("0.1,0.2,0.3,0.4\n")
+    assert main(["steady", "--vector", str(vec), "--walkers", "4", "--cross-check",
+                 "-o", str(tmp_path / "s")]) == 0
+
+
+def test_steady_cross_check_mismatch_exits_two(tmp_path, capsys, monkeypatch):
+    import rwig.cli as cli_module
+
+    real = cli_module.pmf_mod.unlabelled_steady_state_pmf_bruteforce
+
+    def skewed(u, s_tilde):
+        return real(u, s_tilde) + (1e-6 if u.n_cliques == 1 else 0.0)
+
+    monkeypatch.setattr(
+        cli_module.pmf_mod, "unlabelled_steady_state_pmf_bruteforce", skewed
+    )
+    vec = tmp_path / "vec.csv"
+    vec.write_text("0.1,0.2,0.3,0.4\n")
+    code = main(["steady", "--vector", str(vec), "--walkers", "4", "--cross-check"])
+    assert code == 2
+    assert "oracle mismatch" in capsys.readouterr().err
 
 
 def test_steady_requires_common_policy(tmp_path, capsys):
@@ -193,6 +243,12 @@ def test_analyze_with_roster(tmp_path, capsys):
     assert main(["analyze", "--input", str(data), "--roster", str(roster)]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["clique_count_histogram"] == {"2": 1.0}
+
+    # Snapshot nodes outside the roster are an input error, not extra cliques.
+    data.write_text("0 a b\n0 x y\n")
+    roster.write_text("a\nb\n")
+    assert main(["analyze", "--input", str(data), "--roster", str(roster)]) == 1
+    assert "missing from the roster: x, y" in capsys.readouterr().err
 
 
 def test_bench_csv_output(tmp_path):

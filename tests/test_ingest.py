@@ -108,6 +108,8 @@ def test_dataset_distributions_with_roster():
     _, counts = dataset_distributions(records, roster=roster)
     # c and d were absent, so they count as singleton cliques.
     assert counts == {3: 1.0}
+    with pytest.raises(ValueError, match="missing from the roster: b"):
+        dataset_distributions(records, roster=("a", "c"))
 
 
 def test_dataset_distributions_rejects_non_clique():

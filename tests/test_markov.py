@@ -44,6 +44,11 @@ def test_transition_matrix_rejects_bad_rows():
         TransitionMatrix([[1.1, -0.1], [0.5, 0.5]])  # out of range
     with pytest.raises(ValueError):
         TransitionMatrix([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])  # not square
+    # Every comparison with NaN is false, so range and row-sum checks pass it.
+    with pytest.raises(ValueError, match=r"\(0, 0\) is not finite"):
+        TransitionMatrix([[np.nan, 1.0], [0.5, 0.5]])
+    with pytest.raises(ValueError, match=r"\(1, 1\) is not finite"):
+        TransitionMatrix([[0.5, 0.5], [0.0, np.inf]])
 
 
 def test_transition_matrix_refuses_to_repair():
@@ -59,6 +64,10 @@ def test_state_vector_validation():
         StateVector([0.5, 0.6])
     with pytest.raises(ValueError):
         StateVector([-0.1, 1.1])
+    with pytest.raises(ValueError, match="1 is nan, not finite"):
+        StateVector([1.0, np.nan])
+    with pytest.raises(ValueError, match="0 is inf, not finite"):
+        StateVector([np.inf, 0.0])
     assert StateVector.basis(3, 1).probs.tolist() == [0.0, 1.0, 0.0]
 
 

@@ -320,7 +320,7 @@ def test_unlabelled_distribution_matches_assignment_oracle():
         sizes = to_unlabelled(from_assignment(dict(enumerate(assignment))))
         oracle[sizes] = oracle.get(sizes, 0.0) + p
 
-    dist = unlabelled_steady_state_distribution(4, s, cross_check=True)
+    dist = unlabelled_steady_state_distribution(4, s)
     assert dist.total() == pytest.approx(1.0, abs=1e-10)
     assert set(dist.entries) == set(oracle)
     for u, p in oracle.items():
@@ -365,3 +365,15 @@ def test_distribution_histograms():
     )
     with pytest.raises(ValueError, match="empty histogram"):
         distribution_clique_size_histogram(only_singles, min_size=2)
+    # Both histograms are normalized by the total weight, here 0.75.
+    partial = GraphDistribution(
+        {
+            UnlabelledContactGraph.from_sizes([2, 1]): 0.5,
+            UnlabelledContactGraph.from_sizes([3]): 0.25,
+        }
+    )
+    for hist in (
+        distribution_clique_size_histogram(partial, min_size=1),
+        distribution_clique_count_histogram(partial),
+    ):
+        assert math.fsum(hist.values()) == pytest.approx(1.0, abs=1e-15)
