@@ -66,6 +66,7 @@ from .ingest import (
     SnapshotRecord,
     dataset_distributions,
     parse_colocation,
+    snapshot_graphs,
     validate_clique_union,
 )
 
@@ -119,5 +120,6 @@ __all__ = [
     "SnapshotRecord",
     "dataset_distributions",
     "parse_colocation",
+    "snapshot_graphs",
     "validate_clique_union",
 ]

@@ -176,31 +176,11 @@ def cmd_analyze(args) -> int:
     if args.roster:
         with open(args.roster, "r", encoding="utf-8") as fh:
             roster = ingest_mod.load_roster(fh)
-    graphs = []
-    for record in records:
-        result = ingest_mod.validate_clique_union(record)
-        if isinstance(result, ingest_mod.CliqueUnionViolation):
-            for component in result.components:
-                print(
-                    f"t={result.timestamp}: component {list(component.nodes)} is "
-                    f"missing {component.missing_pairs} pair(s)",
-                    file=sys.stderr,
-                )
-            print(
-                f"error: snapshot at t={result.timestamp} is not a union of cliques",
-                file=sys.stderr,
-            )
-            return 1
-        graphs.append((record.timestamp, result))
-    size_hist, count_hist = ingest_mod.graph_distributions(
-        [g for _, g in graphs], roster=roster
-    )
-    graph_lines = "\n".join(
-        json.dumps({"t": t, "graph": g.to_json_obj()}, separators=(",", ":"))
-        for t, g in graphs
-    )
+    graphs = ingest_mod.snapshot_graphs(records)
+    size_hist, count_hist = ingest_mod.graph_distributions(graphs, roster=roster)
     if args.output:
-        _write(graph_lines + "\n", f"{args.output}_graphs.jsonl")
+        snapshots = zip((r.timestamp for r in records), graphs)
+        _write(simulate_mod.snapshots_to_jsonl(snapshots), f"{args.output}_graphs.jsonl")
         _write(simulate_mod.histogram_to_csv(size_hist), f"{args.output}_clique_sizes.csv")
         _write(
             simulate_mod.histogram_to_csv(count_hist), f"{args.output}_clique_counts.csv"

@@ -28,10 +28,6 @@ class SnapshotRecord:
     timestamp: int
     edges: tuple[tuple[str, str], ...]
 
-    @property
-    def nodes(self) -> frozenset[str]:
-        return frozenset(n for e in self.edges for n in e)
-
 
 @dataclass(frozen=True)
 class NonCliqueComponent:
@@ -83,42 +79,61 @@ def validate_clique_union(
 
     Every connected component of c nodes must contain all c(c-1)/2 pairs.
     Returns the induced contact graph on success, otherwise a report of the
-    incomplete components and how many pairs each is missing.
+    incomplete components, in order of their smallest node, and how many
+    pairs each is missing.
     """
-    neighbours: dict[str, set[str]] = {}
+    neighbours: dict[str, list[str]] = {}
     for i, j in record.edges:
-        neighbours.setdefault(i, set()).add(j)
-        neighbours.setdefault(j, set()).add(i)
+        neighbours.setdefault(i, []).append(j)
+        neighbours.setdefault(j, []).append(i)
 
-    components: list[tuple[str, ...]] = []
-    component_of: dict[str, int] = {}
-    for start in sorted(neighbours):
-        if start in component_of:
+    components: list[list[str]] = []
+    bad: list[NonCliqueComponent] = []
+    seen: set[str] = set()
+    for start in neighbours:
+        if start in seen:
             continue
-        stack = [start]
-        component = set()
-        while stack:
-            node = stack.pop()
-            if node in component:
-                continue
-            component.add(node)
-            stack.extend(neighbours[node] - component)
+        seen.add(start)
+        component = [start]
+        # Breadth-first: the loop also visits the nodes appended inside it.
         for node in component:
-            component_of[node] = len(components)
-        components.append(tuple(sorted(component)))
-
-    edge_counts = [0] * len(components)
-    for i, _ in record.edges:
-        edge_counts[component_of[i]] += 1
-
-    bad = []
-    for component, edges_inside in zip(components, edge_counts):
+            for other in neighbours[node]:
+                if other not in seen:
+                    seen.add(other)
+                    component.append(other)
+        edges_inside = sum(len(neighbours[node]) for node in component) // 2
         expected = len(component) * (len(component) - 1) // 2
         if edges_inside != expected:
-            bad.append(NonCliqueComponent(component, expected - edges_inside))
+            missing = expected - edges_inside
+            bad.append(NonCliqueComponent(tuple(sorted(component)), missing))
+        components.append(component)
     if bad:
+        bad.sort(key=lambda c: c.nodes)
         return CliqueUnionViolation(record.timestamp, tuple(bad))
     return ContactGraph.from_cells(components)
+
+
+def snapshot_graphs(records: Iterable[SnapshotRecord]) -> list[ContactGraph]:
+    """The contact graph of every snapshot, in order.
+
+    Raises ValueError at the first snapshot that is not a union of cliques,
+    naming its timestamp and each incomplete component with the number of
+    pairs it is missing.
+    """
+    graphs: list[ContactGraph] = []
+    for record in records:
+        result = validate_clique_union(record)
+        if isinstance(result, CliqueUnionViolation):
+            components = "; ".join(
+                f"{list(c.nodes)} missing {c.missing_pairs} pair(s)"
+                for c in result.components
+            )
+            raise ValueError(
+                f"snapshot at t={record.timestamp} is not a union of cliques: "
+                f"{components}"
+            )
+        graphs.append(result)
+    return graphs
 
 
 def dataset_distributions(
@@ -126,21 +141,10 @@ def dataset_distributions(
 ) -> tuple[dict[int, float], dict[int, float]]:
     """Clique-size and clique-count histograms of a validated dataset.
 
-    Raises ValueError on the first snapshot that is not a union of cliques;
-    the histograms are those of ``graph_distributions``.
+    Raises ValueError as ``snapshot_graphs`` does; the histograms are those
+    of ``graph_distributions``.
     """
-    graphs: list[ContactGraph] = []
-    for record in records:
-        result = validate_clique_union(record)
-        if isinstance(result, CliqueUnionViolation):
-            worst = ", ".join(
-                f"{c.nodes} missing {c.missing_pairs}" for c in result.components
-            )
-            raise ValueError(
-                f"snapshot at t={record.timestamp} is not a union of cliques: {worst}"
-            )
-        graphs.append(result)
-    return graph_distributions(graphs, roster=roster)
+    return graph_distributions(snapshot_graphs(records), roster=roster)
 
 
 def graph_distributions(

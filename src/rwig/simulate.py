@@ -46,17 +46,22 @@ def _draw(cum_rows: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.minimum(idx, cum_rows.shape[1] - 1)
 
 
-def _walk_states(
-    ensemble: WalkerEnsemble, steps: int, rng: np.random.Generator
-) -> Iterator[np.ndarray]:
-    """Yield the walkers' state indices at times 0..steps."""
-    m = ensemble.n_walkers
+def _walk_tables(ensemble: WalkerEnsemble) -> tuple[np.ndarray, np.ndarray]:
+    """Cumulative initial vectors (M x N) and policy rows (M x N x N)."""
     cum0 = np.cumsum(
         np.stack([s0.probs for _, s0, _ in ensemble.walkers]), axis=1
     )
     cum_policy = np.stack(
         [np.cumsum(policy.entries, axis=1) for _, _, policy in ensemble.walkers]
     )
+    return cum0, cum_policy
+
+
+def _walk_states(
+    cum0: np.ndarray, cum_policy: np.ndarray, steps: int, rng: np.random.Generator
+) -> Iterator[np.ndarray]:
+    """Yield the walkers' state indices at times 0..steps."""
+    m = cum0.shape[0]
     states = _draw(cum0, rng.random(m))
     yield states
     rows_index = np.arange(m)
@@ -79,7 +84,7 @@ def sample_sequence(ensemble: WalkerEnsemble, horizon: int, seed: int) -> Contac
     labels = ensemble.labels
     snapshots = [
         from_assignment(dict(zip(labels, states.tolist())))
-        for states in _walk_states(ensemble, horizon, rng)
+        for states in _walk_states(*_walk_tables(ensemble), horizon, rng)
     ]
     return ContactSequence(tuple(snapshots), seed)
 
@@ -92,10 +97,11 @@ def empirical_distribution(
         raise ValueError("replicas must be positive")
     if k < 0:
         raise ValueError("k must be non-negative")
+    tables = _walk_tables(ensemble)
     counts: Counter[tuple[int, ...]] = Counter()
     for r in range(replicas):
         rng = np.random.default_rng(replica_seed(seed, r))
-        for states in _walk_states(ensemble, k, rng):
+        for states in _walk_states(*tables, k, rng):
             pass
         counts[tuple(states.tolist())] += 1
     labels = ensemble.labels
@@ -148,13 +154,18 @@ def mean_clique_size(source: Iterable, min_size: int = 1) -> float:
 # --- serialization ----------------------------------------------------------
 
 
-def sequence_to_jsonl(seq: ContactSequence) -> str:
-    """One snapshot per line: {"t": k, "graph": [[...], ...]}."""
+def snapshots_to_jsonl(snapshots: Iterable[tuple[int, ContactGraph]]) -> str:
+    """One (t, graph) pair per line: {"t": t, "graph": [[...], ...]}."""
     lines = [
         json.dumps({"t": t, "graph": g.to_json_obj()}, separators=(",", ":"))
-        for t, g in enumerate(seq.snapshots)
+        for t, g in snapshots
     ]
     return "\n".join(lines) + "\n"
+
+
+def sequence_to_jsonl(seq: ContactSequence) -> str:
+    """A sampled sequence as JSON lines, t counting from 0."""
+    return snapshots_to_jsonl(enumerate(seq.snapshots))
 
 
 def snapshots_from_jsonl(text: str) -> list[tuple[int, ContactGraph]]:

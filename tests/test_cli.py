@@ -209,12 +209,16 @@ def test_analyze_valid_and_invalid(tmp_path, capsys):
     assert main(["analyze", "--input", str(good)]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["clique_size_histogram"] == {"3": 1.0}
+    assert main(["analyze", "--input", str(good), "-o", str(tmp_path / "r")]) == 0
+    assert (tmp_path / "r_graphs.jsonl").read_text() == '{"t":0,"graph":[["a","b","c"]]}\n'
 
     bad = tmp_path / "bad.txt"
     bad.write_text("0 a b\n0 b c\n")
     assert main(["analyze", "--input", str(bad)]) == 1
     err = capsys.readouterr().err
     assert "t=0" in err
+    assert "['a', 'b', 'c']" in err
+    assert "missing 1 pair" in err
 
 
 def test_analyze_validates_each_snapshot_once(tmp_path, capsys, monkeypatch):

@@ -74,6 +74,15 @@ def test_validate_path_reports_missing_pair():
     assert component.nodes == ("a", "b", "c")
     assert component.missing_pairs == 1
 
+    # Two incomplete components beside a triangle, reported by smallest node.
+    [record] = parse("0 c d\n0 d e\n0 e f\n0 m n\n0 n o\n0 m o\n0 a b\n0 b z\n")
+    result = validate_clique_union(record)
+    assert isinstance(result, CliqueUnionViolation)
+    assert [(c.nodes, c.missing_pairs) for c in result.components] == [
+        (("a", "b", "z"), 1),
+        (("c", "d", "e", "f"), 3),
+    ]
+
 
 def test_validate_empty_record():
     result = validate_clique_union(SnapshotRecord(0, ()))

@@ -16,6 +16,7 @@ from rwig.simulate import (
     sample_sequence,
     sequence_to_jsonl,
     snapshots_from_jsonl,
+    snapshots_to_jsonl,
 )
 
 from conftest import random_ensemble, uniform_ensemble
@@ -133,6 +134,8 @@ def test_sequence_jsonl_roundtrip():
     parsed = snapshots_from_jsonl(text)
     assert [t for t, _ in parsed] == list(range(6))
     assert tuple(g for _, g in parsed) == seq.snapshots
+    pairs = [(3, seq.snapshots[0]), (8, seq.snapshots[1])]
+    assert snapshots_from_jsonl(snapshots_to_jsonl(pairs)) == pairs
 
 
 def test_histogram_csv_roundtrip():
