@@ -9,8 +9,10 @@ single --seed flag; its absence means seed 0, never entropy.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
+from typing import Iterator, TextIO
 
 import numpy as np
 
@@ -37,12 +39,18 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _write(text: str, path: str | None) -> None:
+@contextlib.contextmanager
+def _output(path: str | None) -> Iterator[TextIO]:
     if path is None or path == "-":
-        sys.stdout.write(text)
+        yield sys.stdout
     else:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            yield fh
+
+
+def _write(text: str, path: str | None) -> None:
+    with _output(path) as fh:
+        fh.write(text)
 
 
 def _load_ensemble(path: str) -> WalkerEnsemble:
@@ -125,7 +133,8 @@ def cmd_pmf(args) -> int:
             ensemble, args.time, budget=args.budget, method="bruteforce"
         )
         _check_oracle(dist, reference, 1e-9)
-    _write(json.dumps(dist.to_json_obj(), indent=2) + "\n", args.output)
+    with _output(args.output) as fh:
+        dist.write_json(fh)
     return 0
 
 
@@ -143,10 +152,8 @@ def cmd_steady(args) -> int:
         dist, include_singletons=not args.exclude_singletons
     )
     if args.output:
-        _write(
-            json.dumps(dist.to_json_obj(), indent=2) + "\n",
-            f"{args.output}_distribution.json",
-        )
+        with _output(f"{args.output}_distribution.json") as fh:
+            dist.write_json(fh)
         _write(simulate_mod.histogram_to_csv(size_hist), f"{args.output}_clique_sizes.csv")
         _write(
             simulate_mod.histogram_to_csv(count_hist), f"{args.output}_clique_counts.csv"

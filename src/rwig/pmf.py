@@ -8,11 +8,11 @@ Two independent evaluation routes are kept side by side:
   cliques to distinct states.
 
 The brute force is the oracle; it is slower by design and must never be
-"optimized" into the closed form.  The closed form reads its partitions and
-their weights from ``combinatorics.partition_table``, shared by every graph
-with the same clique count, and evaluates sigma once per subset of the
-graph's cliques; sigma values are shared across graphs through a cache
-keyed by the walker subset.
+"optimized" into the closed form.  The closed form is evaluated in batches
+of graphs with the same clique count m: the walker sets of every subset of
+each graph's cliques come from one integer product, sigma is computed once
+per distinct walker set in one numpy product and cached across batches, and
+the expansion is a gather through ``combinatorics.partition_table(m)``.
 
 In the steady state a graph's probability depends only on its clique sizes
 and is a sum of non-negative occupancy terms (the monomial symmetric
@@ -26,9 +26,11 @@ through ``max_deviation``.
 
 from __future__ import annotations
 
+import functools
+import json
 import math
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Iterator, Sequence
+from typing import IO, Callable, Hashable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -47,19 +49,25 @@ from .markov import StateVector, WalkerEnsemble
 
 NEGATIVE_DUST = 1e-10
 
+# Most elements one chunk of a batched expansion gathers (8 MB of floats), so
+# working memory stays fixed however many graphs share a clique count.  A
+# chunk holds at least one graph, whose gather has bell(m) * m elements.
+_GATHER_CAP = 1 << 20
+
 
 class ProbabilityError(RuntimeError):
     """A computed probability left [0, 1] by more than numerical dust."""
 
 
-def _clamp(p: float, what: str) -> float:
+def _clamp(p: float, what: Callable[[], str]) -> float:
+    """Clamp numerical dust into [0, 1]; ``what()`` names p if it is worse."""
     if p < 0.0:
         if p < -NEGATIVE_DUST:
-            raise ProbabilityError(f"{what} evaluated to {p!r}, well below zero")
+            raise ProbabilityError(f"{what()} evaluated to {p!r}, well below zero")
         return 0.0
     if p > 1.0:
         if p > 1.0 + NEGATIVE_DUST:
-            raise ProbabilityError(f"{what} evaluated to {p!r}, well above one")
+            raise ProbabilityError(f"{what()} evaluated to {p!r}, well above one")
         return 1.0
     return p
 
@@ -127,6 +135,77 @@ def _check_graph(g: ContactGraph, ensemble: WalkerEnsemble) -> None:
         raise ValueError("graph does not partition the ensemble's walker set")
 
 
+def _mask_dtype(n_walkers: int):
+    # A walker mask has a bit per walker; int64 holds 63 of them.
+    return np.int64 if n_walkers < 64 else object
+
+
+def _sigmas(masks: list[int], states: np.ndarray) -> np.ndarray:
+    """Sigma of each walker mask (bit i for walker i), all in one product.
+
+    Walkers outside a mask contribute a factor 1.0, so each value is the
+    product of its walkers' rows summed over states, as ``sigma`` computes it.
+    """
+    walkers = np.arange(states.shape[0]).astype(_mask_dtype(states.shape[0]))
+    step = max(1, _GATHER_CAP // states.size)
+    chunks = []
+    for lo in range(0, len(masks), step):
+        block = np.array(masks[lo : lo + step], dtype=walkers.dtype)
+        member = (block[:, None] >> walkers & 1).astype(bool)
+        chunks.append(np.where(member[:, :, None], states, 1.0).prod(axis=1).sum(axis=1))
+    return np.concatenate(chunks)
+
+
+def _closed_form_batch(
+    graphs: Sequence[ContactGraph],
+    ensemble: WalkerEnsemble,
+    states: np.ndarray,
+    cache: dict,
+) -> np.ndarray:
+    """Closed-form probabilities of graphs that all have the same m cliques.
+
+    Per chunk of graphs, ``unions[g, s]`` is the walker mask of the cliques
+    in subset s (bit i for clique i) of graph g; cliques are disjoint, so
+    it is one integer product of the clique masks with the subset bits.
+    Sigma is computed once per distinct mask missing from ``cache`` (walker
+    mask -> sigma; mask 0, the empty subset, is the table's padding and
+    reads 1) and the expansion is a gather through ``partition_table(m)``.
+    """
+    m = graphs[0].n_cliques
+    dtype = _mask_dtype(ensemble.n_walkers)
+    index = ensemble.index
+
+    @functools.cache
+    def cell_mask(cell: tuple) -> int:
+        return sum(1 << index[w] for w in cell)
+
+    masks = np.array([list(map(cell_mask, g.cliques.cells)) for g in graphs], dtype=dtype)
+    subsets = (np.arange(2**m) >> np.arange(m)[:, None] & 1).astype(dtype)
+    weights, cells = partition_table(m)
+    step = max(1, _GATHER_CAP // cells.size)
+    probs = np.empty(len(graphs))
+    for lo in range(0, len(graphs), step):
+        unions = masks[lo : lo + step] @ subsets
+        distinct, inverse = np.unique(unions, return_inverse=True)
+        keys = distinct.tolist()[1:]  # distinct[0] is mask 0
+        new = [u for u in keys if u not in cache]
+        if new:
+            cache.update(zip(new, _sigmas(new, states).tolist()))
+        sig = np.array([1.0] + [cache[u] for u in keys])[inverse].reshape(unions.shape)
+        # take() lays the gather out row by row, so each graph's sum below
+        # runs in the same order whatever the chunk size.
+        terms = np.take(sig, cells, axis=1).prod(axis=2)
+        terms *= weights
+        probs[lo : lo + step] = terms.sum(axis=1)
+    bad = np.flatnonzero((probs < -NEGATIVE_DUST) | (probs > 1.0 + NEGATIVE_DUST))
+    if bad.size:
+        i = bad[0]
+        _clamp(
+            float(probs[i]), lambda: f"closed-form probability of {graphs[i].to_json_obj()}"
+        )
+    return np.clip(probs, 0.0, 1.0, out=probs)
+
+
 def pmf_closed_form(
     g: ContactGraph,
     ensemble: WalkerEnsemble,
@@ -138,33 +217,16 @@ def pmf_closed_form(
     """Probability of contact graph ``g`` at time k, by sigma expansion.
 
     Graphs with more cliques than states have probability 0 and are not
-    evaluated.  ``_states`` and ``_sigma_cache`` let a caller evaluating
-    many graphs at one time step share propagation work and sigma terms.
+    evaluated.  ``_states`` and ``_sigma_cache`` (walker mask -> sigma) let
+    a caller evaluating many graphs at one time step share propagation work
+    and sigma terms.
     """
     _check_graph(g, ensemble)
     if g.n_cliques > ensemble.n_states:
         return 0.0
     states = ensemble.state_matrix(k) if _states is None else _states
     cache = {} if _sigma_cache is None else _sigma_cache
-
-    # Cliques as bit masks over walker indices; amassing is a bitwise or.
-    index = ensemble.index
-    masks = [sum(1 << index[w] for w in cell) for cell in g.cliques.cells]
-
-    # union[s]: walkers of the cliques in subset s (bit i for clique i), and
-    # sig[s] their sigma; sig[0] = 1 is the partition table's padding.
-    union = [0]
-    for mask in masks:
-        union += [u | mask for u in union]
-    for mask in union[1:]:
-        if mask not in cache:
-            rows = [i for i in range(ensemble.n_walkers) if mask >> i & 1]
-            cache[mask] = float(states[rows].prod(axis=0).sum())
-    sig = np.array([1.0] + [cache[mask] for mask in union[1:]])
-
-    weights, cells = partition_table(len(masks))
-    total = float(weights @ sig[cells].prod(axis=1))
-    return _clamp(total, f"closed-form probability of {g.to_json_obj()}")
+    return float(_closed_form_batch([g], ensemble, states, cache)[0])
 
 
 def pmf_bruteforce(
@@ -226,6 +288,37 @@ class GraphDistribution:
             {"graph": key.to_json_obj(), "p": p} for key, p in self.sorted_items()
         ]
 
+    def write_json(self, fh: IO[str]) -> None:
+        """Write ``json.dumps(self.to_json_obj(), indent=2)`` and a newline.
+
+        The text is streamed one entry at a time and never held whole; each
+        distinct clique is encoded once and each probability is written with
+        ``float.__repr__``, as the json module does.
+        """
+        items = self.sorted_items()
+        if not items:
+            fh.write("[]\n")
+            return
+
+        @functools.cache
+        def clique(cell: tuple) -> str:
+            labels = ",\n".join(f"        {json.dumps(w)}" for w in cell)
+            return f"      [\n{labels}\n      ]"
+
+        fh.write("[\n")
+        for n, (key, p) in enumerate(items):
+            if isinstance(key, ContactGraph):
+                rows = map(clique, key.cliques.cells)
+            else:
+                rows = (f"      {q}" for q in key.clique_sizes.parts)
+            fh.write(
+                (",\n" if n else "")
+                + '  {\n    "graph": [\n'
+                + ",\n".join(rows)
+                + f'\n    ],\n    "p": {float.__repr__(p)}\n  }}'
+            )
+        fh.write("\n]\n")
+
 
 def full_distribution(
     ensemble: WalkerEnsemble,
@@ -251,15 +344,18 @@ def full_distribution(
     if method not in ("closed_form", "bruteforce"):
         raise ValueError(f"unknown method {method!r}")
     states = ensemble.state_matrix(k)
+    graphs = list(enumerate_graphs(m, n, labels=ensemble.labels))
+    if method == "bruteforce":
+        entries = {g: pmf_bruteforce(g, ensemble, k, _states=states) for g in graphs}
+        return GraphDistribution(entries, time=k, ensemble=ensemble)
+    by_count: dict[int, list[ContactGraph]] = {}
+    for g in graphs:
+        by_count.setdefault(g.n_cliques, []).append(g)
+    entries = dict.fromkeys(graphs, 0.0)
     cache: dict = {}
-    entries = {}
-    for g in enumerate_graphs(m, n, labels=ensemble.labels):
-        if method == "closed_form":
-            entries[g] = pmf_closed_form(
-                g, ensemble, k, _states=states, _sigma_cache=cache
-            )
-        else:
-            entries[g] = pmf_bruteforce(g, ensemble, k, _states=states)
+    for group in by_count.values():
+        probs = _closed_form_batch(group, ensemble, states, cache)
+        entries.update(zip(group, probs.tolist()))
     return GraphDistribution(entries, time=k, ensemble=ensemble)
 
 
@@ -312,7 +408,7 @@ def labelled_steady_state_pmf(
                 before[lead + (slice(None, -1),)] * power[i]
             )
     total = float(placed[tuple(counts)]) * math.prod(math.factorial(c) for c in counts)
-    return _clamp(total, f"steady-state probability of clique sizes {sizes}")
+    return _clamp(total, lambda: f"steady-state probability of clique sizes {sizes}")
 
 
 def unlabelled_steady_state_pmf(
@@ -331,7 +427,9 @@ def unlabelled_steady_state_pmf(
     p = multiplicity(u.clique_sizes) * labelled_steady_state_pmf(
         u.clique_sizes.parts, s_tilde
     )
-    return _clamp(p, f"unlabelled steady-state probability of {u.to_json_obj()}")
+    return _clamp(
+        p, lambda: f"unlabelled steady-state probability of {u.to_json_obj()}"
+    )
 
 
 def unlabelled_steady_state_pmf_bruteforce(

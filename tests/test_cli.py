@@ -6,7 +6,9 @@ import pytest
 import rwig.ingest as ingest
 from rwig.bench import random_ensemble
 from rwig.cli import main
-from rwig.markov import ensemble_to_json
+from rwig.contact_graph import ContactGraph
+from rwig.markov import ensemble_from_json, ensemble_to_json
+from rwig.pmf import full_distribution
 from rwig.simulate import histogram_from_csv, histogram_mean
 
 from conftest import uniform_ensemble
@@ -48,8 +50,15 @@ def test_pmf_two_uniform_walkers(uniform2, tmp_path, capsys):
 
 def test_pmf_oracle_passes_on_random_ensemble(tmp_path):
     path = write_ensemble(tmp_path / "e.json", random_ensemble(4, 4, seed=12))
+    out = tmp_path / "d.json"
     assert main(["pmf", "--ensemble", path, "--time", "2", "--oracle", "-o",
-                 str(tmp_path / "d.json")]) == 0
+                 str(out)]) == 0
+    with open(path, encoding="utf-8") as fh:
+        expected = full_distribution(ensemble_from_json(json.load(fh)), 2)
+    written = json.loads(out.read_text(encoding="utf-8"))
+    assert {ContactGraph.from_json_obj(e["graph"]): e["p"] for e in written} == (
+        expected.entries
+    )
 
 
 def test_pmf_oracle_mismatch_exits_two(tmp_path, capsys, monkeypatch):

@@ -1,9 +1,12 @@
+import io
 import itertools
+import json
 import math
 
 import numpy as np
 import pytest
 
+import rwig.pmf as pmf_module
 from rwig.combinatorics import integer_partitions
 from rwig.contact_graph import (
     ContactGraph,
@@ -16,6 +19,7 @@ from rwig.contact_graph import (
 from rwig.markov import StateVector, TransitionMatrix, WalkerEnsemble
 from rwig.pmf import (
     GraphDistribution,
+    ProbabilityError,
     distribution_clique_count_histogram,
     distribution_clique_size_histogram,
     full_distribution,
@@ -136,12 +140,14 @@ def test_routes_agree_on_random_ensembles():
             for k in (0, 1, 3):
                 states = ens.state_matrix(k)
                 cache = {}
+                batched = full_distribution(ens, k)
                 for g in enumerate_graphs(m, n, labels=ens.labels):
                     closed = pmf_closed_form(
                         g, ens, k, _states=states, _sigma_cache=cache
                     )
                     brute = pmf_bruteforce(g, ens, k, _states=states)
                     assert closed == pytest.approx(brute, abs=1e-10)
+                    assert abs(batched.entries[g] - closed) <= 1e-15
 
 
 def test_closed_form_matches_assignment_oracle():
@@ -221,6 +227,72 @@ def test_full_distribution_three_uniform_walkers():
 def test_full_distribution_single_walker():
     dist = full_distribution(uniform_ensemble(1, 5), 3)
     assert dist.entries == {ContactGraph.from_cells([["w1"]]): pytest.approx(1.0)}
+
+
+def test_full_distribution_is_independent_of_the_chunk_cap(monkeypatch):
+    ens = random_ensemble(6, 5, seed=3)
+    whole = full_distribution(ens, 2).entries
+    for cap in (1, 100):
+        monkeypatch.setattr(pmf_module, "_GATHER_CAP", cap)
+        assert full_distribution(ens, 2).entries == whole
+
+
+def test_full_distribution_many_walkers_on_one_state():
+    # One graph, evaluated without a table over the 2^M walker subsets; 70
+    # walkers overflow 64-bit walker masks.
+    for m in (40, 70):
+        ens = uniform_ensemble(m, 1)
+        dist = full_distribution(ens, 3)
+        assert dist.entries == {ContactGraph.from_cells([ens.labels]): 1.0}
+
+
+def test_batched_range_check_names_the_first_offending_graph(monkeypatch):
+    # k = 0: the complete graph has probability 0, the two-clique graphs
+    # ([w1, w3], [w2]) 0.6 and ([w1], [w2, w3]) 0.4, so scaling the weights
+    # by 3 or -1 pushes both out of [0, 1] in the same batch.
+    ens = WalkerEnsemble.common_policy(
+        ["w1", "w2", "w3"],
+        [StateVector(np.array(s0)) for s0 in ([1.0, 0.0], [0.0, 1.0], [0.6, 0.4])],
+        TransitionMatrix(np.eye(2)),
+    )
+    real = pmf_module.partition_table
+    for factor, where in ((3, "well above one"), (-1, "well below zero")):
+        monkeypatch.setattr(
+            pmf_module, "partition_table", lambda m: (factor * real(m)[0], real(m)[1])
+        )
+        with pytest.raises(ProbabilityError) as err:
+            full_distribution(ens, 0)
+        message = str(err.value)
+        assert "closed-form probability of [['w1', 'w3'], ['w2']]" in message
+        assert where in message
+    # Dust below zero is clamped, not raised.
+    monkeypatch.setattr(
+        pmf_module, "partition_table", lambda m: (-1e-12 * real(m)[0], real(m)[1])
+    )
+    assert set(full_distribution(ens, 0).entries.values()) == {0.0}
+
+
+def test_write_json_matches_json_dumps():
+    quoted = ['say "hi"', "back\\slash", "\u00e9t\u00e9", "\u96ea"]
+    labelled = GraphDistribution(
+        {
+            ContactGraph.from_cells([quoted[:2], quoted[2:]]): 1e-300,
+            ContactGraph.from_cells([quoted]): 1.0,
+            ContactGraph.from_cells([[q] for q in quoted]): 0.0,
+        }
+    )
+    integers = GraphDistribution(
+        {
+            ContactGraph.from_cells([[1, 2], [3]]): 0.75,
+            ContactGraph.from_cells([[1], [2], [3]]): 0.25,
+        }
+    )
+    steady = unlabelled_steady_state_distribution(6, table3_vector("s33", 4))
+    computed = full_distribution(random_ensemble(4, 3, seed=8), 2)
+    for dist in (labelled, integers, steady, computed, GraphDistribution({})):
+        buf = io.StringIO()
+        dist.write_json(buf)
+        assert buf.getvalue() == json.dumps(dist.to_json_obj(), indent=2) + "\n"
 
 
 def test_full_distribution_budget():
