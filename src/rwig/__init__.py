@@ -48,7 +48,6 @@ from .pmf import (
     pmf_closed_form,
     sigma,
     sigma_expansion_terms,
-    steady_state_sigma,
     unlabelled_steady_state_distribution,
     unlabelled_steady_state_pmf,
     unlabelled_steady_state_pmf_bruteforce,
@@ -106,7 +105,6 @@ __all__ = [
     "pmf_closed_form",
     "sigma",
     "sigma_expansion_terms",
-    "steady_state_sigma",
     "unlabelled_steady_state_distribution",
     "unlabelled_steady_state_pmf",
     "unlabelled_steady_state_pmf_bruteforce",

@@ -168,44 +168,51 @@ def integer_partitions(total: int) -> Iterator[IntegerPartition]:
     yield from grow(total, total)
 
 
+def cell_weight(q: int) -> int:
+    """Signed inclusion-exclusion weight of one cell of q cliques: (-1)^(q-1) (q-1)!."""
+    return (-1) ** (q - 1) * math.factorial(q - 1)
+
+
 def expansion_weight(pi: SetPartition) -> int:
     """Signed inclusion-exclusion weight of a partition of cliques.
 
-    The product over cells C of (-1)^(|C|-1) (|C|-1)!.  Returned as an exact
+    The product of ``cell_weight`` over its cells.  Returned as an exact
     integer so the only rounding in a probability expansion happens in the
     sigma products.
     """
-    weight = 1
-    for size in pi.cell_sizes:
-        weight *= (-1) ** (size - 1) * math.factorial(size - 1)
-    return weight
+    return math.prod(cell_weight(size) for size in pi.cell_sizes)
 
 
 @lru_cache(maxsize=None)
-def partition_table(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Every partition of m clique indices with its weight, as arrays.
+def subset_expansion(m: int) -> tuple[tuple[np.ndarray, ...], ...]:
+    """The sum over partitions of m cliques as a recursion over clique subsets.
 
-    Returns ``(weights, cells)`` with one row per partition, in the order of
-    ``set_partitions(range(m))``: ``weights`` (int64, length bell(m)) holds
-    each ``expansion_weight`` and ``cells`` (int32, shape (bell(m), m)) the
-    partition's cells.  A cell is the bitmask of the clique indices it
-    holds, so it directly indexes a per-graph array with one value per
-    subset of cliques (sigma of the subset's amassed clique): one table
-    serves every graph with m cliques, whatever its walkers, and a whole
-    expansion is the gather ``weights @ values[cells].prod(axis=1)``.  Rows
-    with fewer than m cells are padded with mask 0, the empty subset, whose
-    value must be 1 (sigma of no walkers, the empty product), so padding
-    leaves every product unchanged.  The arrays are read-only because the
-    cache hands the same ones to every caller.
+    Subsets are bitmasks (bit i for clique i).  A partition of S is the cell
+    B holding S's lowest clique plus a partition of S - B, so with F(0) = 1,
+    F(S) = sum over such B of cell_weight(|B|) x[B] F(S - B), and F(all m
+    cliques) = sum over partitions pi of expansion_weight(pi) prod x[cell]
+    (Björklund, Husfeldt, Kaski and Koivisto, STOC 2007).  Returns one level
+    per subset size, smallest first, of read-only int64 arrays: the subsets,
+    then each term's B, S - B and weight, grouped by subset from the offsets.
     """
-    weights = np.zeros(bell(m), dtype=np.int64)
-    cells = np.zeros((bell(m), m), dtype=np.int32)
-    for row, pi in enumerate(set_partitions(range(m))):
-        weights[row] = expansion_weight(pi)
-        cells[row, : pi.n_cells] = [sum(1 << i for i in cell) for cell in pi.cells]
-    weights.setflags(write=False)
-    cells.setflags(write=False)
-    return weights, cells
+    full = (1 << m) - 1
+    reached = [*range(2, full, 2), full]  # the full set and all it recurses to
+    levels = []
+    for size in range(1, m + 1):
+        subsets = [s for s in reached if s.bit_count() == size]
+        terms, offsets = [], []
+        for s in subsets:
+            offsets.append(len(terms))
+            low = s & -s
+            rest = t = s ^ low
+            for _ in range(1 << rest.bit_count()):  # every submask t of rest
+                terms.append((low | t, rest ^ t, cell_weight(t.bit_count() + 1)))
+                t = (t - 1) & rest
+        level = (subsets, *zip(*terms), offsets)
+        levels.append(tuple(np.array(a, dtype=np.int64) for a in level))
+        for a in levels[-1]:
+            a.setflags(write=False)
+    return tuple(levels)
 
 
 def multiplicity(q: IntegerPartition) -> int:

@@ -143,12 +143,7 @@ def amass(g: ContactGraph, pi: SetPartition) -> ContactGraph:
     cliques = g.cliques.cells
     if pi.labels != frozenset(range(len(cliques))):
         raise ValueError("pi must partition the clique indices 0..m-1")
-    merged = []
-    for cell in pi.cells:
-        amassed: list = []
-        for idx in cell:
-            amassed.extend(cliques[idx])
-        merged.append(amassed)
+    merged = ([w for i in cell for w in cliques[i]] for cell in pi.cells)
     return ContactGraph.from_cells(merged)
 
 

@@ -290,15 +290,26 @@ def vector_from_csv(text: str) -> StateVector:
 
 
 def ensemble_from_json(obj: dict) -> WalkerEnsemble:
-    """Parse an ensemble document, enforcing the adjacency support rule."""
+    """Parse an ensemble document, enforcing the adjacency support rule.
+
+    Labels must be all strings or all integers, so that they sort.
+    """
+    if not isinstance(obj, dict) or not isinstance(obj.get("walkers"), list):
+        raise ValueError('an ensemble must be a JSON object with a "walkers" list')
     n = obj["n_states"]
     walkers = []
-    for w in obj["walkers"]:
+    for i, w in enumerate(obj["walkers"]):
+        label = w.get("label") if isinstance(w, dict) else None
+        mixed = walkers and type(label) is not type(walkers[0][0])
+        if type(label) not in (str, int) or mixed:
+            raise ValueError(
+                f"walker {i} has label {label!r}: labels must be all strings or all integers"
+            )
         s0 = StateVector(w["s0"])
         policy = TransitionMatrix(w["policy"])
         if s0.n_states != n or policy.n_states != n:
-            raise ValueError(f'walker {w["label"]!r} does not match n_states={n}')
-        walkers.append((w["label"], s0, policy))
+            raise ValueError(f"walker {label!r} does not match n_states={n}")
+        walkers.append((label, s0, policy))
     ensemble = WalkerEnsemble(walkers)
     if "adjacency" in obj:
         for label, _, policy in ensemble.walkers:

@@ -12,7 +12,9 @@ The brute force is the oracle; it is slower by design and must never be
 of graphs with the same clique count m: the walker sets of every subset of
 each graph's cliques come from one integer product, sigma is computed once
 per distinct walker set in one numpy product and cached across batches, and
-the expansion is a gather through ``combinatorics.partition_table(m)``.
+the sum over partitions is evaluated as a recursion over subsets of cliques
+(``combinatorics.subset_expansion(m)``), about 3^(m-1)/2 terms per graph
+instead of one per partition.
 
 In the steady state a graph's probability depends only on its clique sizes
 and is a sum of non-negative occupancy terms (the monomial symmetric
@@ -36,22 +38,22 @@ import numpy as np
 
 from .combinatorics import (
     contact_graph_count,
+    expansion_weight,
     integer_partitions,
     multiplicity,
-    partition_table,
+    set_partitions,
+    subset_expansion,
 )
-from .contact_graph import (
-    ContactGraph,
-    UnlabelledContactGraph,
-    enumerate_graphs,
-)
+from .contact_graph import ContactGraph, UnlabelledContactGraph, amass, enumerate_graphs
 from .markov import StateVector, WalkerEnsemble
 
 NEGATIVE_DUST = 1e-10
 
-# Most elements one chunk of a batched expansion gathers (8 MB of floats), so
-# working memory stays fixed however many graphs share a clique count.  A
-# chunk holds at least one graph, whose gather has bell(m) * m elements.
+# Most elements one chunk of a batched expansion holds in its working arrays
+# (8 MB of floats), so working memory stays fixed however many graphs share a
+# clique count.  A chunk holds at least one graph, which needs about eight
+# 2^m-wide arrays (the unions, np.unique's work arrays and inverse, sigma, the
+# recursion's values) and three as wide as the widest recursion level.
 _GATHER_CAP = 1 << 20
 
 
@@ -95,15 +97,8 @@ def sigma_expansion_terms(
     clique is the union of the cliques grouped into one cell.  Summing
     weight * prod(sigma(amassed)) over all terms gives the probability.
     """
-    cliques = [frozenset(cell) for cell in g.cliques.cells]
-    weights, cells = partition_table(len(cliques))
-    for weight, row in zip(weights.tolist(), cells.tolist()):
-        amassed = tuple(
-            frozenset().union(*(c for i, c in enumerate(cliques) if mask >> i & 1))
-            for mask in row
-            if mask
-        )
-        yield weight, amassed
+    for pi in set_partitions(range(g.n_cliques)):
+        yield expansion_weight(pi), tuple(map(frozenset, amass(g, pi).cliques.cells))
 
 
 def _assignment_sum(weights: list[list[float]], n_states: int) -> float:
@@ -168,8 +163,8 @@ def _closed_form_batch(
     in subset s (bit i for clique i) of graph g; cliques are disjoint, so
     it is one integer product of the clique masks with the subset bits.
     Sigma is computed once per distinct mask missing from ``cache`` (walker
-    mask -> sigma; mask 0, the empty subset, is the table's padding and
-    reads 1) and the expansion is a gather through ``partition_table(m)``.
+    mask -> sigma; mask 0, the empty subset, reads 1) and the expansion is
+    the recursion ``subset_expansion(m)`` over the (G, 2^m) sigma array.
     """
     m = graphs[0].n_cliques
     dtype = _mask_dtype(ensemble.n_walkers)
@@ -180,23 +175,27 @@ def _closed_form_batch(
         return sum(1 << index[w] for w in cell)
 
     masks = np.array([list(map(cell_mask, g.cliques.cells)) for g in graphs], dtype=dtype)
-    subsets = (np.arange(2**m) >> np.arange(m)[:, None] & 1).astype(dtype)
-    weights, cells = partition_table(m)
-    step = max(1, _GATHER_CAP // cells.size)
+    bits = (np.arange(2**m) >> np.arange(m)[:, None] & 1).astype(dtype)
+    levels = subset_expansion(m)
+    step = max(1, _GATHER_CAP // (8 * 2**m + 3 * max(len(level[1]) for level in levels)))
     probs = np.empty(len(graphs))
     for lo in range(0, len(graphs), step):
-        unions = masks[lo : lo + step] @ subsets
+        unions = masks[lo : lo + step] @ bits
         distinct, inverse = np.unique(unions, return_inverse=True)
         keys = distinct.tolist()[1:]  # distinct[0] is mask 0
         new = [u for u in keys if u not in cache]
         if new:
             cache.update(zip(new, _sigmas(new, states).tolist()))
         sig = np.array([1.0] + [cache[u] for u in keys])[inverse].reshape(unions.shape)
-        # take() lays the gather out row by row, so each graph's sum below
-        # runs in the same order whatever the chunk size.
-        terms = np.take(sig, cells, axis=1).prod(axis=2)
-        terms *= weights
-        probs[lo : lo + step] = terms.sum(axis=1)
+        expansion = np.empty_like(sig)
+        expansion[:, 0] = 1.0
+        for subsets, blocks, rests, weights, offsets in levels:
+            terms = sig.take(blocks, axis=1) * expansion.take(rests, axis=1)
+            terms *= weights
+            # Each row is summed on its own, so a graph's value does not
+            # depend on the chunk size.
+            expansion[:, subsets] = np.add.reduceat(terms, offsets, axis=1)
+        probs[lo : lo + step] = expansion[:, -1]
     bad = np.flatnonzero((probs < -NEGATIVE_DUST) | (probs > 1.0 + NEGATIVE_DUST))
     if bad.size:
         i = bad[0]
@@ -360,17 +359,6 @@ def full_distribution(
 
 
 # --- steady state -----------------------------------------------------------
-
-
-def steady_state_sigma(clique_size: int, s_tilde: StateVector) -> float:
-    """Co-location probability of a q-walker clique in the steady state.
-
-    With every walker sharing the stationary vector, sigma collapses to the
-    power sum of its entries: sum_i (s_i)^q.
-    """
-    if clique_size < 1:
-        raise ValueError("clique_size must be positive")
-    return float(np.sum(s_tilde.probs ** clique_size))
 
 
 def labelled_steady_state_pmf(

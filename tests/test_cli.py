@@ -101,6 +101,25 @@ def test_pmf_malformed_ensemble_exits_one(tmp_path, capsys):
     assert "not finite" in capsys.readouterr().err
     assert not out.exists()
 
+    walker = {"s0": [0.5, 0.5], "policy": [[0.5, 0.5], [0.5, 0.5]]}
+    for doc, named in (
+        ({"n_states": 2, "walkers": [{"label": "a", **walker}, {"label": 1, **walker}]},
+         "walker 1 has label 1"),
+        ({"n_states": 2, "walkers": [{"label": ["a"], **walker}]}, "walker 0 has label ['a']"),
+        ({"n_states": 2, "walkers": [5]}, "walker 0"),
+        ({"n_states": 2, "walkers": 5}, '"walkers" list'),
+        ([{"label": "a", **walker}], '"walkers" list'),
+    ):
+        bad.write_text(json.dumps(doc))
+        assert main(["pmf", "--ensemble", bad.as_posix(), "--time", "0"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err
+    # Integer labels are accepted.
+    bad.write_text(json.dumps({
+        "n_states": 2, "walkers": [{"label": 2, **walker}, {"label": 1, **walker}],
+    }))
+    assert main(["pmf", "--ensemble", bad.as_posix(), "--time", "0"]) == 0
+
 
 def test_steady_from_vector_writes_outputs(tmp_path):
     vec = tmp_path / "vec.csv"

@@ -13,9 +13,9 @@ from rwig.combinatorics import (
     expansion_weight,
     integer_partitions,
     multiplicity,
-    partition_table,
     set_partitions,
     stirling2,
+    subset_expansion,
 )
 
 from conftest import as_cell_sets, reference_partitions
@@ -182,17 +182,26 @@ def test_set_partitions_are_partitions(labels):
     assert len(seen) == bell(len(labels))
 
 
-def test_partition_table_rows_are_weighted_set_partitions():
+def test_subset_expansion_is_the_weighted_partition_sum():
+    def recursion(m, x):
+        values = np.zeros(2**m, dtype=np.int64)
+        values[0] = 1
+        for subsets, blocks, rests, weights, offsets in subset_expansion(m):
+            assert weights.dtype == np.int64
+            terms = x[blocks] * values[rests] * weights
+            values[subsets] = np.add.reduceat(terms, offsets)
+        return int(values[-1])
+
+    # Integer values per subset keep every product exact, so the recursion
+    # must equal the sum over partitions exactly.
+    rng = np.random.default_rng(7)
     for m in range(1, 9):
-        weights, cells = partition_table(m)
-        assert weights.dtype == np.int64 and cells.dtype == np.int32
-        assert cells.shape == (bell(m), m)
-        partitions = list(set_partitions(range(m)))
-        assert len(partitions) == bell(m)
-        for weight, row, pi in zip(weights.tolist(), cells.tolist(), partitions):
-            assert weight == expansion_weight(pi)
-            masks = [sum(1 << i for i in cell) for cell in pi.cells]
-            assert row == masks + [0] * (m - pi.n_cells)
+        x = rng.integers(-9, 10, size=2**m)
+        expected = sum(
+            expansion_weight(pi) * math.prod(int(x[sum(1 << i for i in c)]) for c in pi.cells)
+            for pi in set_partitions(range(m))
+        )
+        assert recursion(m, x) == expected
         # On one state every sigma is 1, so the weights sum to the
         # probability of m cliques there: 1 for one clique, else 0.
-        assert int(weights.sum()) == (1 if m == 1 else 0)
+        assert recursion(m, np.ones(2**m, dtype=np.int64)) == (1 if m == 1 else 0)

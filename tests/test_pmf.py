@@ -28,7 +28,6 @@ from rwig.pmf import (
     pmf_closed_form,
     sigma,
     sigma_expansion_terms,
-    steady_state_sigma,
     unlabelled_steady_state_distribution,
     unlabelled_steady_state_pmf,
     unlabelled_steady_state_pmf_bruteforce,
@@ -246,6 +245,15 @@ def test_full_distribution_many_walkers_on_one_state():
         assert dist.entries == {ContactGraph.from_cells([ens.labels]): 1.0}
 
 
+def test_closed_form_many_singleton_cliques():
+    # 12 cliques: 4.2 million partitions, evaluated as a recursion over the
+    # 4,096 subsets of cliques.
+    ens = uniform_ensemble(12, 12)
+    g = ContactGraph.from_cells([[w] for w in ens.labels])
+    expected = math.factorial(12) / 12**12
+    assert abs(pmf_closed_form(g, ens, 0) - expected) <= 1e-10 * expected
+
+
 def test_batched_range_check_names_the_first_offending_graph(monkeypatch):
     # k = 0: the complete graph has probability 0, the two-clique graphs
     # ([w1, w3], [w2]) 0.6 and ([w1], [w2, w3]) 0.4, so scaling the weights
@@ -255,20 +263,26 @@ def test_batched_range_check_names_the_first_offending_graph(monkeypatch):
         [StateVector(np.array(s0)) for s0 in ([1.0, 0.0], [0.0, 1.0], [0.6, 0.4])],
         TransitionMatrix(np.eye(2)),
     )
-    real = pmf_module.partition_table
+    real = pmf_module.subset_expansion
+
+    def scaled(factor):
+        # The last level holds only the full set of cliques, so scaling its
+        # weights scales every probability exactly.
+        def expansion(m):
+            *lower, (subsets, blocks, rests, weights, offsets) = real(m)
+            return (*lower, (subsets, blocks, rests, factor * weights, offsets))
+
+        return expansion
+
     for factor, where in ((3, "well above one"), (-1, "well below zero")):
-        monkeypatch.setattr(
-            pmf_module, "partition_table", lambda m: (factor * real(m)[0], real(m)[1])
-        )
+        monkeypatch.setattr(pmf_module, "subset_expansion", scaled(factor))
         with pytest.raises(ProbabilityError) as err:
             full_distribution(ens, 0)
         message = str(err.value)
         assert "closed-form probability of [['w1', 'w3'], ['w2']]" in message
         assert where in message
     # Dust below zero is clamped, not raised.
-    monkeypatch.setattr(
-        pmf_module, "partition_table", lambda m: (-1e-12 * real(m)[0], real(m)[1])
-    )
+    monkeypatch.setattr(pmf_module, "subset_expansion", scaled(-1e-12))
     assert set(full_distribution(ens, 0).entries.values()) == {0.0}
 
 
@@ -329,15 +343,6 @@ def test_distribution_serialization_sorted():
 
 
 # --- steady state -----------------------------------------------------------------
-
-
-def test_steady_state_sigma_values():
-    assert steady_state_sigma(1, StateVector([0.3, 0.7])) == pytest.approx(1.0)
-    assert steady_state_sigma(2, StateVector([0.5, 0.5])) == pytest.approx(0.5)
-    s = StateVector([0.1, 0.1, 0.1, 0.7])
-    assert steady_state_sigma(4, s) == pytest.approx(0.2404, abs=1e-12)
-    with pytest.raises(ValueError):
-        steady_state_sigma(0, s)
 
 
 def test_unlabelled_trivial_cases():
