@@ -58,12 +58,21 @@ def _load_ensemble(path: str) -> WalkerEnsemble:
         return ensemble_from_json(json.load(fh))
 
 
-def _parse_range(text: str) -> list[int]:
-    """Grid axis: "4:7" (inclusive), "4,5,6", or a single integer."""
-    if ":" in text:
-        lo, hi = text.split(":", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(x) for x in text.split(",")]
+def _parse_range(text: str, flag: str) -> list[int]:
+    """Grid axis: "4:7" (inclusive), "4,5,6", or a single integer, all >= 1."""
+    try:
+        if ":" in text:
+            lo, hi = text.split(":", 1)
+            values = list(range(int(lo), int(hi) + 1))
+        else:
+            values = [int(x) for x in text.split(",")]
+    except ValueError:
+        raise ValueError(f"{flag} {text!r}: expected integers, as LO:HI, A,B or N") from None
+    if not values:
+        raise ValueError(f"{flag} {text!r} is an empty range")
+    if min(values) < 1:
+        raise ValueError(f"{flag} {text!r}: values must be at least 1")
+    return values
 
 
 def _steady_vector_from_args(args) -> StateVector:
@@ -204,8 +213,8 @@ def cmd_analyze(args) -> int:
 
 def cmd_bench(args) -> int:
     cells = bench_mod.benchmark_grid(
-        _parse_range(args.m_range),
-        _parse_range(args.n_range),
+        _parse_range(args.m_range, "--m-range"),
+        _parse_range(args.n_range, "--n-range"),
         iterations=args.iterations,
         seed=args.seed,
         budget_s=args.budget_seconds,

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Hashable, Iterable, Iterator
+from typing import Hashable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -106,14 +106,66 @@ def bell(m: int) -> int:
     return sum(math.comb(n, k) * bell(k) for k in range(n + 1))
 
 
+# Most rows one block of restricted growth strings holds.
+_RGS_ROWS = 1 << 16
+
+
+def restricted_growth_strings(n: int, max_blocks: int) -> Iterator[np.ndarray]:
+    """Yield every restricted growth string of length n with at most
+    ``max_blocks`` blocks, in lexicographic order, as (rows, n) integer arrays.
+
+    A restricted growth string has a[0] = 0 and a[i] <= 1 + max(a[:i]); it
+    is the set partition putting element i in cell a[i] (Knuth, TAOCP 4A,
+    section 7.2.1.5).  Rows grow one column at a time with ``np.repeat``; a
+    block whose next column would pass ``_RGS_ROWS`` rows is split first,
+    so no block holds more.
+    """
+    if n < 1 or max_blocks < 1:
+        raise ValueError("n and max_blocks must be positive")
+    dtype = np.min_scalar_type(max_blocks)
+
+    def grow(block: np.ndarray, opened: np.ndarray) -> Iterator[np.ndarray]:
+        if block.shape[1] == n:
+            yield block
+            return
+        # Each row may join any opened cell or, below the bound, open the next.
+        width = np.minimum(opened + 1, max_blocks)
+        ends = np.cumsum(width)
+        if ends[-1] > _RGS_ROWS and len(block) > 1:
+            half = len(block) // 2
+            yield from grow(block[:half], opened[:half])
+            yield from grow(block[half:], opened[half:])
+            return
+        column = np.arange(ends[-1]) - np.repeat(ends - width, width)
+        opened = np.maximum(np.repeat(opened, width), column + 1)
+        grown = np.column_stack([np.repeat(block, width, axis=0), column.astype(dtype)])
+        yield from grow(grown, opened)
+
+    yield from grow(np.zeros((1, 1), dtype=dtype), np.ones(1, dtype=np.intp))
+
+
+def rgs_partition(row: Sequence[int], ordered: Sequence[Hashable]) -> SetPartition:
+    """The partition of ``ordered`` whose element i lies in cell ``row[i]``.
+
+    With ``ordered`` sorted and ``row`` a restricted growth string, cells
+    open in order of their smallest element, so the result is canonical.
+    """
+    cells: list[list[Hashable]] = [[] for _ in range(max(row) + 1)]
+    for label, cell in zip(ordered, row):
+        cells[cell].append(label)
+    return SetPartition(tuple(map(tuple, cells)))
+
+
 def set_partitions(
     labels: Iterable[Hashable], max_cells: int | None = None
 ) -> Iterator[SetPartition]:
     """Yield every partition of ``labels`` exactly once, canonically ordered.
 
-    With ``max_cells`` given, partitions with more cells are pruned during
-    generation (not filtered afterwards), so bounded enumeration stays
-    proportional to the number of partitions actually yielded.
+    Partitions come in the lexicographic order of their restricted growth
+    strings over ``sorted(labels)``, one row of ``restricted_growth_strings``
+    each.  With ``max_cells`` given, partitions with more cells are pruned
+    during generation (not filtered afterwards), so bounded enumeration
+    stays proportional to the number of partitions actually yielded.
     """
     ordered = sorted(labels)
     n = len(ordered)
@@ -124,26 +176,9 @@ def set_partitions(
     if max_cells is not None and max_cells < 1:
         raise ValueError("max_cells must be positive")
     bound = n if max_cells is None else min(max_cells, n)
-
-    # Restricted growth strings: element i joins cell a[i], where a[i] may be
-    # any existing cell index or open the next one.  Because labels are sorted,
-    # cell order by first occurrence equals order by minimum element.
-    cells: list[list[Hashable]] = []
-
-    def grow(i: int) -> Iterator[SetPartition]:
-        if i == n:
-            yield SetPartition(tuple(tuple(c) for c in cells))
-            return
-        for cell in cells:
-            cell.append(ordered[i])
-            yield from grow(i + 1)
-            cell.pop()
-        if len(cells) < bound:
-            cells.append([ordered[i]])
-            yield from grow(i + 1)
-            cells.pop()
-
-    yield from grow(0)
+    for block in restricted_growth_strings(n, bound):
+        for row in block.tolist():
+            yield rgs_partition(row, ordered)
 
 
 def integer_partitions(total: int) -> Iterator[IntegerPartition]:
@@ -196,20 +231,25 @@ def subset_expansion(m: int) -> tuple[tuple[np.ndarray, ...], ...]:
     then each term's B, S - B and weight, grouped by subset from the offsets.
     """
     full = (1 << m) - 1
-    reached = [*range(2, full, 2), full]  # the full set and all it recurses to
+    reached = np.append(np.arange(2, full, 2), full)  # the full set and all it recurses to
+    popcounts = np.bitwise_count(reached)
+    weights = np.array([0] + [cell_weight(q) for q in range(1, m + 1)], dtype=np.int64)
     levels = []
     for size in range(1, m + 1):
-        subsets = [s for s in reached if s.bit_count() == size]
-        terms, offsets = [], []
-        for s in subsets:
-            offsets.append(len(terms))
-            low = s & -s
-            rest = t = s ^ low
-            for _ in range(1 << rest.bit_count()):  # every submask t of rest
-                terms.append((low | t, rest ^ t, cell_weight(t.bit_count() + 1)))
-                t = (t - 1) & rest
-        level = (subsets, *zip(*terms), offsets)
-        levels.append(tuple(np.array(a, dtype=np.int64) for a in level))
+        subsets = reached[popcounts == size]
+        low = subsets & -subsets
+        rest = subsets ^ low
+        # Every submask t of rest, in descending order: the bits of
+        # j = 2^(size-1) - 1, ..., 0 deposited on rest's bit positions.
+        places = np.nonzero(rest[:, None] >> np.arange(m) & 1)[1]
+        places = places.reshape(len(subsets), size - 1)
+        j = np.arange((1 << (size - 1)) - 1, -1, -1)
+        t = np.zeros((len(subsets), len(j)), dtype=np.int64)
+        for b in range(size - 1):
+            t |= (j >> b & 1) << places[:, b, None]
+        offsets = np.arange(len(subsets)) * len(j)
+        terms = (low[:, None] | t, rest[:, None] ^ t, weights[np.bitwise_count(t) + 1])
+        levels.append((subsets, *(a.ravel() for a in terms), offsets))
         for a in levels[-1]:
             a.setflags(write=False)
     return tuple(levels)

@@ -8,13 +8,17 @@ Two independent evaluation routes are kept side by side:
   cliques to distinct states.
 
 The brute force is the oracle; it is slower by design and must never be
-"optimized" into the closed form.  The closed form is evaluated in batches
-of graphs with the same clique count m: the walker sets of every subset of
-each graph's cliques come from one integer product, sigma is computed once
-per distinct walker set in one numpy product and cached across batches, and
-the sum over partitions is evaluated as a recursion over subsets of cliques
+"optimized" into the closed form.  The closed form never builds a graph
+object: ``full_distribution`` enumerates graphs as blocks of restricted
+growth strings (``combinatorics.restricted_growth_strings``) and takes each
+graph's clique walker masks from its row.  It evaluates batches of graphs
+with the same clique count m: the walker sets of every subset of each
+graph's cliques come from one integer product, sigma is computed once per
+distinct walker set in one numpy product and cached across batches, and the
+sum over partitions is evaluated as a recursion over subsets of cliques
 (``combinatorics.subset_expansion(m)``), about 3^(m-1)/2 terms per graph
-instead of one per partition.
+instead of one per partition.  The resulting distribution keeps the rows
+and sorts and writes from them.
 
 In the steady state a graph's probability depends only on its clique sizes
 and is a sum of non-negative occupancy terms (the monomial symmetric
@@ -31,7 +35,6 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass
 from typing import IO, Callable, Hashable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -41,6 +44,8 @@ from .combinatorics import (
     expansion_weight,
     integer_partitions,
     multiplicity,
+    restricted_growth_strings,
+    rgs_partition,
     set_partitions,
     subset_expansion,
 )
@@ -55,6 +60,9 @@ NEGATIVE_DUST = 1e-10
 # 2^m-wide arrays (the unions, np.unique's work arrays and inverse, sigma, the
 # recursion's values) and three as wide as the widest recursion level.
 _GATHER_CAP = 1 << 20
+
+# Entries one step of sorting or writing a distribution formats at a time.
+_WRITE_ROWS = 4096
 
 
 class ProbabilityError(RuntimeError):
@@ -151,35 +159,42 @@ def _sigmas(masks: list[int], states: np.ndarray) -> np.ndarray:
     return np.concatenate(chunks)
 
 
+def _walker_masks(rows: np.ndarray, walkers: Sequence[int], m: int, dtype) -> np.ndarray:
+    """(G, m) clique masks of restricted growth strings with m blocks.
+
+    Clique c of row g holds the positions i with ``rows[g, i] == c``, and
+    position i is walker ``walkers[i]`` (bit ``walkers[i]`` of the mask).
+    """
+    bits = np.array([1 << w for w in walkers], dtype=dtype)
+    masks = np.empty((len(rows), m), dtype=dtype)
+    for c in range(m):
+        masks[:, c] = np.where(rows == c, bits, 0).sum(axis=1)
+    return masks
+
+
 def _closed_form_batch(
-    graphs: Sequence[ContactGraph],
-    ensemble: WalkerEnsemble,
+    masks: np.ndarray,
     states: np.ndarray,
     cache: dict,
+    describe: Callable[[int], list],
 ) -> np.ndarray:
     """Closed-form probabilities of graphs that all have the same m cliques.
 
-    Per chunk of graphs, ``unions[g, s]`` is the walker mask of the cliques
-    in subset s (bit i for clique i) of graph g; cliques are disjoint, so
-    it is one integer product of the clique masks with the subset bits.
-    Sigma is computed once per distinct mask missing from ``cache`` (walker
-    mask -> sigma; mask 0, the empty subset, reads 1) and the expansion is
-    the recursion ``subset_expansion(m)`` over the (G, 2^m) sigma array.
+    ``masks[g, c]`` is the walker mask of clique c of graph g (bit i for
+    walker i).  Per chunk of graphs, ``unions[g, s]`` is the walker mask of
+    the cliques in subset s (bit i for clique i) of graph g; cliques are
+    disjoint, so it is one integer product of the clique masks with the
+    subset bits.  Sigma is computed once per distinct mask missing from
+    ``cache`` (walker mask -> sigma; mask 0, the empty subset, reads 1) and
+    the expansion is the recursion ``subset_expansion(m)`` over the (G, 2^m)
+    sigma array.  ``describe(g)`` names graph g if its value is out of range.
     """
-    m = graphs[0].n_cliques
-    dtype = _mask_dtype(ensemble.n_walkers)
-    index = ensemble.index
-
-    @functools.cache
-    def cell_mask(cell: tuple) -> int:
-        return sum(1 << index[w] for w in cell)
-
-    masks = np.array([list(map(cell_mask, g.cliques.cells)) for g in graphs], dtype=dtype)
-    bits = (np.arange(2**m) >> np.arange(m)[:, None] & 1).astype(dtype)
+    n_graphs, m = masks.shape
+    bits = (np.arange(2**m) >> np.arange(m)[:, None] & 1).astype(masks.dtype)
     levels = subset_expansion(m)
     step = max(1, _GATHER_CAP // (8 * 2**m + 3 * max(len(level[1]) for level in levels)))
-    probs = np.empty(len(graphs))
-    for lo in range(0, len(graphs), step):
+    probs = np.empty(n_graphs)
+    for lo in range(0, n_graphs, step):
         unions = masks[lo : lo + step] @ bits
         distinct, inverse = np.unique(unions, return_inverse=True)
         keys = distinct.tolist()[1:]  # distinct[0] is mask 0
@@ -199,9 +214,7 @@ def _closed_form_batch(
     bad = np.flatnonzero((probs < -NEGATIVE_DUST) | (probs > 1.0 + NEGATIVE_DUST))
     if bad.size:
         i = bad[0]
-        _clamp(
-            float(probs[i]), lambda: f"closed-form probability of {graphs[i].to_json_obj()}"
-        )
+        _clamp(float(probs[i]), lambda: f"closed-form probability of {describe(i)}")
     return np.clip(probs, 0.0, 1.0, out=probs)
 
 
@@ -225,7 +238,12 @@ def pmf_closed_form(
         return 0.0
     states = ensemble.state_matrix(k) if _states is None else _states
     cache = {} if _sigma_cache is None else _sigma_cache
-    return float(_closed_form_batch([g], ensemble, states, cache)[0])
+    index = ensemble.index
+    masks = np.array(
+        [[sum(1 << index[w] for w in cell) for cell in g.cliques.cells]],
+        dtype=_mask_dtype(ensemble.n_walkers),
+    )
+    return float(_closed_form_batch(masks, states, cache, lambda _: g.to_json_obj())[0])
 
 
 def pmf_bruteforce(
@@ -255,13 +273,41 @@ def pmf_bruteforce(
     return _assignment_sum(weights, n)
 
 
-@dataclass
-class GraphDistribution:
-    """A probability map over contact graphs (labelled or unlabelled)."""
+def _clique_json(labels: Iterable[Hashable]) -> str:
+    """One clique as ``json.dumps(..., indent=2)`` writes it inside an entry."""
+    rows = ",\n".join(f"        {json.dumps(w)}" for w in labels)
+    return f"      [\n{rows}\n      ]"
 
-    entries: dict
-    time: int | None = None
-    ensemble: WalkerEnsemble | None = None
+
+class GraphDistribution:
+    """A probability map over contact graphs (labelled or unlabelled).
+
+    ``entries`` maps each graph to its probability.  A distribution from
+    ``full_distribution`` holds its graphs as restricted growth strings over
+    the sorted walker labels instead, one row per graph in ``set_partitions``
+    order, beside an array of their probabilities.  It builds ``entries``
+    on first read, in that order, and from then on keeps only the dict, so
+    a caller's edits show in everything derived from it.  Until then,
+    ``sorted_items`` sorts the arrays and ``write_json`` formats from them
+    without building any ``ContactGraph``.
+    """
+
+    def __init__(
+        self, entries: dict, time: int | None = None, ensemble: WalkerEnsemble | None = None
+    ):
+        self._entries = entries
+        self.time = time
+        self.ensemble = ensemble
+        self._rows = self._probs = self._labels = None
+
+    @property
+    def entries(self) -> dict:
+        if self._entries is None:
+            labels = self._labels
+            graphs = (ContactGraph(rgs_partition(r, labels)) for r in self._rows.tolist())
+            self._entries = dict(zip(graphs, self._probs.tolist()))
+            self._rows = self._probs = self._labels = None
+        return self._entries
 
     def total(self) -> float:
         return math.fsum(self.entries.values())
@@ -272,8 +318,35 @@ class GraphDistribution:
     def argmax(self):
         return max(self.entries, key=lambda g: self.entries[g])
 
+    def _sorted_rows(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """The rows and probabilities in ``sorted_items`` order, in chunks.
+
+        One ``np.lexsort`` on (-p, clique count, cells key).  The cells key
+        lists each cell's positions in the sorted labels, cell by cell, each
+        cell followed by a terminator below every position, so a cell that
+        is a prefix of another sorts first, as in ``ContactGraph.sort_key``.
+        """
+        rows = self._rows
+        n_graphs, width = rows.shape
+        counts = rows.max(axis=1).astype(np.intp) + 1
+        positions = np.argsort(rows, axis=1, kind="stable")
+        # Each position lands after one terminator per cell before its own.
+        slots = np.arange(width) + np.take_along_axis(rows, positions, axis=1)
+        key = np.full((n_graphs, width + counts.max()), -1, np.min_scalar_type(-width))
+        np.put_along_axis(key, slots, positions, axis=1)
+        order = np.lexsort((*key.T[::-1], counts, -self._probs))
+        for lo in range(0, n_graphs, _WRITE_ROWS):
+            chunk = order[lo : lo + _WRITE_ROWS]
+            yield rows[chunk], self._probs[chunk]
+
     def sorted_items(self) -> list:
         """Entries by descending probability, ties in canonical graph order."""
+        if self._entries is None:
+            return [
+                (ContactGraph(rgs_partition(row, self._labels)), p)
+                for rows, probs in self._sorted_rows()
+                for row, p in zip(rows.tolist(), probs.tolist())
+            ]
 
         def tie_break(key):
             if isinstance(key, ContactGraph):
@@ -287,36 +360,50 @@ class GraphDistribution:
             {"graph": key.to_json_obj(), "p": p} for key, p in self.sorted_items()
         ]
 
+    def _json_chunks(self) -> Iterator[tuple[list[str], list[float]]]:
+        """The sorted entries in chunks: each graph's rows as ``write_json``
+        indents them, joined, and each probability."""
+        if self._entries is None:
+            labels = self._labels
+
+            @functools.cache
+            def clique(mask: int) -> str:
+                return _clique_json(w for i, w in enumerate(labels) if mask >> i & 1)
+
+            dtype = _mask_dtype(len(labels))
+            for rows, probs in self._sorted_rows():
+                counts = (rows.max(axis=1) + 1).tolist()
+                masks = _walker_masks(rows, range(len(labels)), max(counts), dtype)
+                distinct, inverse = np.unique(masks, return_inverse=True)
+                texts = np.array([clique(u) for u in distinct.tolist()], dtype=object)
+                graphs = texts[inverse.reshape(masks.shape)].tolist()
+                yield [",\n".join(g[:m]) for g, m in zip(graphs, counts)], probs.tolist()
+            return
+        clique = functools.cache(_clique_json)
+
+        def graph(key) -> str:
+            if isinstance(key, ContactGraph):
+                return ",\n".join(map(clique, key.cliques.cells))
+            return ",\n".join(f"      {q}" for q in key.clique_sizes.parts)
+
+        items = self.sorted_items()
+        for lo in range(0, len(items), _WRITE_ROWS):
+            chunk = items[lo : lo + _WRITE_ROWS]
+            yield [graph(key) for key, _ in chunk], [p for _, p in chunk]
+
     def write_json(self, fh: IO[str]) -> None:
         """Write ``json.dumps(self.to_json_obj(), indent=2)`` and a newline.
 
-        The text is streamed one entry at a time and never held whole; each
-        distinct clique is encoded once and each probability is written with
-        ``float.__repr__``, as the json module does.
+        The text is written ``_WRITE_ROWS`` entries at a time and never held
+        whole; each distinct clique is encoded once and each probability is
+        written with ``float.__repr__``, as the json module does.
         """
-        items = self.sorted_items()
-        if not items:
-            fh.write("[]\n")
-            return
-
-        @functools.cache
-        def clique(cell: tuple) -> str:
-            labels = ",\n".join(f"        {json.dumps(w)}" for w in cell)
-            return f"      [\n{labels}\n      ]"
-
-        fh.write("[\n")
-        for n, (key, p) in enumerate(items):
-            if isinstance(key, ContactGraph):
-                rows = map(clique, key.cliques.cells)
-            else:
-                rows = (f"      {q}" for q in key.clique_sizes.parts)
-            fh.write(
-                (",\n" if n else "")
-                + '  {\n    "graph": [\n'
-                + ",\n".join(rows)
-                + f'\n    ],\n    "p": {float.__repr__(p)}\n  }}'
-            )
-        fh.write("\n]\n")
+        entry = '  {{\n    "graph": [\n{}\n    ],\n    "p": {}\n  }}'.format
+        separator = "[\n"
+        for graphs, probs in self._json_chunks():
+            fh.write(separator + ",\n".join(map(entry, graphs, map(float.__repr__, probs))))
+            separator = ",\n"
+        fh.write("[]\n" if separator == "[\n" else "\n]\n")
 
 
 def full_distribution(
@@ -331,7 +418,10 @@ def full_distribution(
     Refuses state spaces larger than ``budget`` graphs; for many walkers on
     few states the unlabelled steady-state route is the tractable one.
     ``method`` selects the evaluation path ("closed_form" or "bruteforce"),
-    which the benchmark harness times against each other.
+    which the benchmark harness times against each other.  The closed form
+    enumerates graphs as restricted growth strings over the sorted labels
+    and evaluates one batch per clique count from their walker masks; the
+    brute force evaluates one ``ContactGraph`` at a time.
     """
     m, n = ensemble.n_walkers, ensemble.n_states
     size = contact_graph_count(m, n)
@@ -343,19 +433,27 @@ def full_distribution(
     if method not in ("closed_form", "bruteforce"):
         raise ValueError(f"unknown method {method!r}")
     states = ensemble.state_matrix(k)
-    graphs = list(enumerate_graphs(m, n, labels=ensemble.labels))
     if method == "bruteforce":
+        graphs = enumerate_graphs(m, n, labels=ensemble.labels)
         entries = {g: pmf_bruteforce(g, ensemble, k, _states=states) for g in graphs}
         return GraphDistribution(entries, time=k, ensemble=ensemble)
-    by_count: dict[int, list[ContactGraph]] = {}
-    for g in graphs:
-        by_count.setdefault(g.n_cliques, []).append(g)
-    entries = dict.fromkeys(graphs, 0.0)
+    ordered = tuple(sorted(ensemble.labels))
+    walkers = [ensemble.index[w] for w in ordered]
+    rows = np.concatenate(list(restricted_growth_strings(m, min(m, n))))
+    top = rows.max(axis=1)  # clique count - 1
+    probs = np.empty(len(rows))
     cache: dict = {}
-    for group in by_count.values():
-        probs = _closed_form_batch(group, ensemble, states, cache)
-        entries.update(zip(group, probs.tolist()))
-    return GraphDistribution(entries, time=k, ensemble=ensemble)
+
+    def graph_at(row: int) -> list:
+        return ContactGraph(rgs_partition(rows[row].tolist(), ordered)).to_json_obj()
+
+    for c in np.unique(top).tolist():
+        at = np.flatnonzero(top == c)
+        masks = _walker_masks(rows[at], walkers, c + 1, _mask_dtype(m))
+        probs[at] = _closed_form_batch(masks, states, cache, lambda i: graph_at(at[i]))
+    dist = GraphDistribution(None, time=k, ensemble=ensemble)
+    dist._rows, dist._probs, dist._labels = rows, probs, ordered
+    return dist
 
 
 # --- steady state -----------------------------------------------------------

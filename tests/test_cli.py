@@ -283,7 +283,7 @@ def test_analyze_with_roster(tmp_path, capsys):
     assert "missing from the roster: x, y" in capsys.readouterr().err
 
 
-def test_bench_csv_output(tmp_path):
+def test_bench_csv_output(tmp_path, capsys):
     prefix = tmp_path / "bench"
     code = main(
         ["bench", "--m-range", "2", "--n-range", "2:3", "--iterations", "3",
@@ -295,6 +295,23 @@ def test_bench_csv_output(tmp_path):
     assert len(csv_lines) == 3
     grid = json.loads((tmp_path / "bench.json").read_text())
     assert grid["n_values"] == [2, 3]
+
+    # Empty ranges, values below 1 and non-integers are input errors that
+    # name their flag, not an empty grid or an error from deeper down.
+    for flag, text, reason in (
+        ("--m-range", "3:2", "empty range"),
+        ("--n-range", "0", "at least 1"),
+        ("--n-range", "2,-1", "at least 1"),
+        ("--m-range", "a:b", "integers"),
+        ("--n-range", "2,x", "integers"),
+    ):
+        ranges = {"--m-range": "2", "--n-range": "2", flag: text}
+        argv = ["bench", "--iterations", "3"]
+        for name, value in ranges.items():
+            argv += [name, value]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert f"{flag} {text!r}" in err and reason in err
 
 
 def test_help_exits_zero(capsys):

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -13,11 +14,13 @@ from rwig.combinatorics import (
     expansion_weight,
     integer_partitions,
     multiplicity,
+    restricted_growth_strings,
     set_partitions,
     stirling2,
     subset_expansion,
 )
 
+import rwig.combinatorics as combinatorics_module
 from conftest import as_cell_sets, reference_partitions
 
 
@@ -75,6 +78,25 @@ def test_set_partitions_max_cells_counts():
 @given(st.integers(min_value=1, max_value=7))
 def test_bell_counts_partitions(m):
     assert bell(m) == sum(1 for _ in set_partitions(range(m)))
+
+
+def test_restricted_growth_strings_in_blocks(monkeypatch):
+    # Every string a[0] = 0, a[i] <= 1 + max(a[:i]) with at most n blocks,
+    # lexicographically, against a filter of all of range(n)^m; splitting
+    # the blocks under a small row cap keeps the sequence.
+    for m, n in ((1, 1), (5, 5), (7, 3), (6, 1)):
+        expected = [
+            a
+            for a in itertools.product(range(n), repeat=m)
+            if all(a[i] <= 1 + max(a[:i], default=-1) for i in range(m))
+        ]
+        for cap in (combinatorics_module._RGS_ROWS, 4):
+            monkeypatch.setattr(combinatorics_module, "_RGS_ROWS", cap)
+            blocks = list(restricted_growth_strings(m, n))
+            assert all(len(b) <= max(cap, n) for b in blocks)
+            assert [tuple(r) for b in blocks for r in b.tolist()] == expected
+    with pytest.raises(ValueError):
+        next(restricted_growth_strings(0, 3))
 
 
 def test_set_partitions_rejects_bad_input():

@@ -309,6 +309,70 @@ def test_write_json_matches_json_dumps():
         assert buf.getvalue() == json.dumps(dist.to_json_obj(), indent=2) + "\n"
 
 
+def test_write_json_breaks_ties_in_graph_order():
+    # Computed distributions sort from arrays; they must match a plain-dict
+    # copy sorted by (-p, ContactGraph.sort_key) entry for entry.
+    uniform = StateVector(np.full(3, 1 / 3))
+    concentrated = WalkerEnsemble.common_policy(
+        ["a", "b", "c", "d", "e"],
+        [StateVector.basis(3, 0)] * 3 + [uniform] * 2,
+        TransitionMatrix(np.eye(3)),
+    )
+    integers = WalkerEnsemble.common_policy(
+        [10, 2, 33, 1, 4], [uniform] * 5, TransitionMatrix(np.full((3, 3), 1 / 3))
+    )
+    cases = (
+        (uniform_ensemble(6, 4), 187),  # heavy ties
+        (concentrated, 41),  # exact zeros
+        (uniform_ensemble(10, 2), 512),  # "w10" sorts before "w2"
+        (integers, 41),
+    )
+    for ens, size in cases:
+        copy = GraphDistribution(dict(full_distribution(ens, 1).entries))
+        ranked = sorted(copy.entries.items(), key=lambda kv: (-kv[1], kv[0].sort_key()))
+        expected = [{"graph": g.to_json_obj(), "p": p} for g, p in ranked]
+        assert len(expected) == size
+        assert len({e["p"] for e in expected}) < size / 4
+        assert copy.to_json_obj() == expected
+        assert full_distribution(ens, 1).to_json_obj() == expected
+        assert full_distribution(ens, 1).sorted_items() == ranked
+        buf = io.StringIO()
+        full_distribution(ens, 1).write_json(buf)
+        assert buf.getvalue() == json.dumps(expected, indent=2) + "\n"
+    assert copy.probability(ContactGraph.from_cells([[1, 2], [4, 10, 33]])) > 0.0
+    zeros = full_distribution(concentrated, 1).entries.values()
+    assert sum(p == 0.0 for p in zeros) > 1
+
+
+def test_full_distribution_writes_without_building_graphs(monkeypatch):
+    ens = random_ensemble(5, 4, seed=4)
+    expected = io.StringIO()
+    GraphDistribution(dict(full_distribution(ens, 2).entries)).write_json(expected)
+    built = []
+    real_init = ContactGraph.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ContactGraph, "__init__", counting_init)
+    dist = full_distribution(ens, 2)
+    buf = io.StringIO()
+    dist.write_json(buf)
+    assert built == []
+    assert buf.getvalue() == expected.getvalue()
+    # Reading entries builds each graph once; later edits are what is written.
+    entries = dist.entries
+    assert len(built) == len(entries) == 51
+    last = list(entries)[-1]
+    before = entries[last]
+    entries[last] = 2.0
+    buf = io.StringIO()
+    dist.write_json(buf)
+    assert json.loads(buf.getvalue())[0] == {"graph": last.to_json_obj(), "p": 2.0}
+    assert dist.total() == pytest.approx(3.0 - before, abs=1e-12)
+
+
 def test_full_distribution_budget():
     ens = uniform_ensemble(5, 5)
     with pytest.raises(ValueError, match="unlabelled"):
