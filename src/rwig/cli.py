@@ -27,6 +27,7 @@ from .markov import (
     SteadyStateError,
     WalkerEnsemble,
     ensemble_from_json,
+    json_field,
     load_matrix,
     steady_state,
 )
@@ -80,7 +81,8 @@ def _steady_vector_from_args(args) -> StateVector:
         with open(args.vector, "r", encoding="utf-8") as fh:
             text = fh.read()
         if args.vector.endswith(".json"):
-            values = np.asarray(json.loads(text)["probs"], dtype=float)
+            probs = json_field(json.loads(text), "probs", "steady vector JSON")
+            values = np.asarray(probs, dtype=float)
         else:
             values = np.asarray(
                 [float(x) for x in text.replace(",", " ").split()], dtype=float
@@ -124,11 +126,11 @@ def cmd_enumerate(args) -> int:
     count = contact_graph_count(args.walkers, args.states)
     print(count)
     if args.stream:
-        lines = [
-            json.dumps(g.to_json_obj(), separators=(",", ":"))
-            for g in enumerate_graphs(args.walkers, args.states)
-        ]
-        _write("\n".join(lines) + "\n", args.output)
+        with _output(args.output) as fh:
+            fh.writelines(
+                json.dumps(g.to_json_obj(), separators=(",", ":")) + "\n"
+                for g in enumerate_graphs(args.walkers, args.states)
+            )
     return 0
 
 

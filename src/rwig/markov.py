@@ -258,10 +258,18 @@ class WalkerEnsemble:
 #            "adjacency": [[...]] (optional, enforces the support rule)}.
 
 
+def json_field(obj, key: str, where: str):
+    """``obj[key]``, or a ValueError naming the field and where it was expected."""
+    if not isinstance(obj, dict) or key not in obj:
+        raise ValueError(f'{where} has no "{key}"')
+    return obj[key]
+
+
 def matrix_from_json(obj: dict) -> TransitionMatrix:
-    rows = obj["rows"]
-    if len(rows) != obj["n"]:
-        raise ValueError(f'matrix declares n={obj["n"]} but has {len(rows)} rows')
+    n = json_field(obj, "n", "transition matrix JSON")
+    rows = json_field(obj, "rows", "transition matrix JSON")
+    if len(rows) != n:
+        raise ValueError(f"matrix declares n={n} but has {len(rows)} rows")
     return TransitionMatrix(rows)
 
 
@@ -270,7 +278,7 @@ def matrix_to_json(matrix: TransitionMatrix) -> dict:
 
 
 def vector_from_json(obj: dict) -> StateVector:
-    return StateVector(obj["probs"])
+    return StateVector(json_field(obj, "probs", "state vector JSON"))
 
 
 def vector_to_json(vector: StateVector) -> dict:
@@ -296,7 +304,7 @@ def ensemble_from_json(obj: dict) -> WalkerEnsemble:
     """
     if not isinstance(obj, dict) or not isinstance(obj.get("walkers"), list):
         raise ValueError('an ensemble must be a JSON object with a "walkers" list')
-    n = obj["n_states"]
+    n = json_field(obj, "n_states", "ensemble")
     walkers = []
     for i, w in enumerate(obj["walkers"]):
         label = w.get("label") if isinstance(w, dict) else None
@@ -305,8 +313,9 @@ def ensemble_from_json(obj: dict) -> WalkerEnsemble:
             raise ValueError(
                 f"walker {i} has label {label!r}: labels must be all strings or all integers"
             )
-        s0 = StateVector(w["s0"])
-        policy = TransitionMatrix(w["policy"])
+        where = f"walker {i} ({label!r})"
+        s0 = StateVector(json_field(w, "s0", where))
+        policy = TransitionMatrix(json_field(w, "policy", where))
         if s0.n_states != n or policy.n_states != n:
             raise ValueError(f"walker {label!r} does not match n_states={n}")
         walkers.append((label, s0, policy))

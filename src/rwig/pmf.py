@@ -8,17 +8,20 @@ Two independent evaluation routes are kept side by side:
   cliques to distinct states.
 
 The brute force is the oracle; it is slower by design and must never be
-"optimized" into the closed form.  The closed form never builds a graph
-object: ``full_distribution`` enumerates graphs as blocks of restricted
-growth strings (``combinatorics.restricted_growth_strings``) and takes each
-graph's clique walker masks from its row.  It evaluates batches of graphs
-with the same clique count m: the walker sets of every subset of each
-graph's cliques come from one integer product, sigma is computed once per
-distinct walker set in one numpy product and cached across batches, and the
-sum over partitions is evaluated as a recursion over subsets of cliques
+"optimized" into the closed form.  ``full_distribution`` enumerates graphs
+once, as blocks of restricted growth strings
+(``combinatorics.restricted_growth_strings``), for either route.  The brute
+force evaluates each row through the ``ContactGraph`` it describes.  The
+closed form never builds a graph object: it takes each graph's clique
+walker masks from its row and evaluates batches of graphs with the same
+clique count m.  The walker sets of every subset of each graph's cliques
+come from one integer product, sigma is computed once per distinct walker
+set in one numpy product and cached across batches, and the sum over
+partitions is evaluated as a recursion over subsets of cliques
 (``combinatorics.subset_expansion(m)``), about 3^(m-1)/2 terms per graph
-instead of one per partition.  The resulting distribution keeps the rows
-and sorts and writes from them.
+instead of one per partition.  Either way the resulting distribution keeps
+the rows: it sorts and writes from them, and two such distributions are
+compared as aligned probability arrays.
 
 In the steady state a graph's probability depends only on its clique sizes
 and is a sum of non-negative occupancy terms (the monomial symmetric
@@ -49,7 +52,7 @@ from .combinatorics import (
     set_partitions,
     subset_expansion,
 )
-from .contact_graph import ContactGraph, UnlabelledContactGraph, amass, enumerate_graphs
+from .contact_graph import ContactGraph, UnlabelledContactGraph, amass
 from .markov import StateVector, WalkerEnsemble
 
 NEGATIVE_DUST = 1e-10
@@ -61,7 +64,7 @@ NEGATIVE_DUST = 1e-10
 # recursion's values) and three as wide as the widest recursion level.
 _GATHER_CAP = 1 << 20
 
-# Entries one step of sorting or writing a distribution formats at a time.
+# Entries one step of writing a distribution formats at a time.
 _WRITE_ROWS = 4096
 
 
@@ -273,23 +276,17 @@ def pmf_bruteforce(
     return _assignment_sum(weights, n)
 
 
-def _clique_json(labels: Iterable[Hashable]) -> str:
-    """One clique as ``json.dumps(..., indent=2)`` writes it inside an entry."""
-    rows = ",\n".join(f"        {json.dumps(w)}" for w in labels)
-    return f"      [\n{rows}\n      ]"
-
-
 class GraphDistribution:
     """A probability map over contact graphs (labelled or unlabelled).
 
     ``entries`` maps each graph to its probability.  A distribution from
-    ``full_distribution`` holds its graphs as restricted growth strings over
-    the sorted walker labels instead, one row per graph in ``set_partitions``
-    order, beside an array of their probabilities.  It builds ``entries``
-    on first read, in that order, and from then on keeps only the dict, so
-    a caller's edits show in everything derived from it.  Until then,
-    ``sorted_items`` sorts the arrays and ``write_json`` formats from them
-    without building any ``ContactGraph``.
+    ``full_distribution`` (either method) holds its graphs as restricted
+    growth strings over the sorted walker labels instead, one row per graph
+    in ``set_partitions`` order, beside an array of their probabilities.  It
+    builds ``entries`` on first read, in that order, and from then on keeps
+    only the dict, so a caller's edits show in everything derived from it.
+    Until then ``write_json`` sorts and formats from the arrays and
+    ``max_deviation`` compares them, without building any ``ContactGraph``.
     """
 
     def __init__(
@@ -318,35 +315,8 @@ class GraphDistribution:
     def argmax(self):
         return max(self.entries, key=lambda g: self.entries[g])
 
-    def _sorted_rows(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """The rows and probabilities in ``sorted_items`` order, in chunks.
-
-        One ``np.lexsort`` on (-p, clique count, cells key).  The cells key
-        lists each cell's positions in the sorted labels, cell by cell, each
-        cell followed by a terminator below every position, so a cell that
-        is a prefix of another sorts first, as in ``ContactGraph.sort_key``.
-        """
-        rows = self._rows
-        n_graphs, width = rows.shape
-        counts = rows.max(axis=1).astype(np.intp) + 1
-        positions = np.argsort(rows, axis=1, kind="stable")
-        # Each position lands after one terminator per cell before its own.
-        slots = np.arange(width) + np.take_along_axis(rows, positions, axis=1)
-        key = np.full((n_graphs, width + counts.max()), -1, np.min_scalar_type(-width))
-        np.put_along_axis(key, slots, positions, axis=1)
-        order = np.lexsort((*key.T[::-1], counts, -self._probs))
-        for lo in range(0, n_graphs, _WRITE_ROWS):
-            chunk = order[lo : lo + _WRITE_ROWS]
-            yield rows[chunk], self._probs[chunk]
-
     def sorted_items(self) -> list:
         """Entries by descending probability, ties in canonical graph order."""
-        if self._entries is None:
-            return [
-                (ContactGraph(rgs_partition(row, self._labels)), p)
-                for rows, probs in self._sorted_rows()
-                for row, p in zip(rows.tolist(), probs.tolist())
-            ]
 
         def tie_break(key):
             if isinstance(key, ContactGraph):
@@ -360,50 +330,53 @@ class GraphDistribution:
             {"graph": key.to_json_obj(), "p": p} for key, p in self.sorted_items()
         ]
 
-    def _json_chunks(self) -> Iterator[tuple[list[str], list[float]]]:
-        """The sorted entries in chunks: each graph's rows as ``write_json``
-        indents them, joined, and each probability."""
-        if self._entries is None:
-            labels = self._labels
-
-            @functools.cache
-            def clique(mask: int) -> str:
-                return _clique_json(w for i, w in enumerate(labels) if mask >> i & 1)
-
-            dtype = _mask_dtype(len(labels))
-            for rows, probs in self._sorted_rows():
-                counts = (rows.max(axis=1) + 1).tolist()
-                masks = _walker_masks(rows, range(len(labels)), max(counts), dtype)
-                distinct, inverse = np.unique(masks, return_inverse=True)
-                texts = np.array([clique(u) for u in distinct.tolist()], dtype=object)
-                graphs = texts[inverse.reshape(masks.shape)].tolist()
-                yield [",\n".join(g[:m]) for g, m in zip(graphs, counts)], probs.tolist()
-            return
-        clique = functools.cache(_clique_json)
-
-        def graph(key) -> str:
-            if isinstance(key, ContactGraph):
-                return ",\n".join(map(clique, key.cliques.cells))
-            return ",\n".join(f"      {q}" for q in key.clique_sizes.parts)
-
-        items = self.sorted_items()
-        for lo in range(0, len(items), _WRITE_ROWS):
-            chunk = items[lo : lo + _WRITE_ROWS]
-            yield [graph(key) for key, _ in chunk], [p for _, p in chunk]
-
     def write_json(self, fh: IO[str]) -> None:
         """Write ``json.dumps(self.to_json_obj(), indent=2)`` and a newline.
 
-        The text is written ``_WRITE_ROWS`` entries at a time and never held
-        whole; each distinct clique is encoded once and each probability is
-        written with ``float.__repr__``, as the json module does.
+        A dict is written by the json module.  Rows are streamed
+        ``_WRITE_ROWS`` entries at a time, in the order of one ``np.lexsort``
+        on (-p, clique count, cells key).  The cells key lists each cell's
+        positions in the sorted labels, each cell followed by a terminator
+        below every position, so a cell that is a prefix of another sorts
+        first, as in ``ContactGraph.sort_key``.  Each distinct clique is
+        encoded once and each probability written with ``float.__repr__``,
+        as the json module does.
         """
+        if self._entries is not None:
+            fh.write(json.dumps(self.to_json_obj(), indent=2) + "\n")
+            return
+        rows, labels = self._rows, self._labels
+        n_graphs, width = rows.shape
+        counts = rows.max(axis=1).astype(np.intp) + 1
+        positions = np.argsort(rows, axis=1, kind="stable")
+        # Each position lands after one terminator per cell before its own.
+        slots = np.arange(width) + np.take_along_axis(rows, positions, axis=1)
+        key = np.full((n_graphs, width + counts.max()), -1, np.min_scalar_type(-width))
+        np.put_along_axis(key, slots, positions, axis=1)
+        order = np.lexsort((*key.T[::-1], counts, -self._probs))
+
+        @functools.cache
+        def clique(mask: int) -> str:
+            cell = ",\n".join(
+                f"        {json.dumps(w)}" for i, w in enumerate(labels) if mask >> i & 1
+            )
+            return f"      [\n{cell}\n      ]"
+
         entry = '  {{\n    "graph": [\n{}\n    ],\n    "p": {}\n  }}'.format
+        dtype = _mask_dtype(len(labels))
         separator = "[\n"
-        for graphs, probs in self._json_chunks():
-            fh.write(separator + ",\n".join(map(entry, graphs, map(float.__repr__, probs))))
+        for lo in range(0, n_graphs, _WRITE_ROWS):
+            chunk = order[lo : lo + _WRITE_ROWS]
+            sizes = counts[chunk].tolist()
+            masks = _walker_masks(rows[chunk], range(len(labels)), max(sizes), dtype)
+            distinct, inverse = np.unique(masks, return_inverse=True)
+            texts = np.array([clique(u) for u in distinct.tolist()], dtype=object)
+            cliques = texts[inverse.reshape(masks.shape)].tolist()
+            graphs = [",\n".join(g[:m]) for g, m in zip(cliques, sizes)]
+            probs = map(float.__repr__, self._probs[chunk].tolist())
+            fh.write(separator + ",\n".join(map(entry, graphs, probs)))
             separator = ",\n"
-        fh.write("[]\n" if separator == "[\n" else "\n]\n")
+        fh.write("\n]\n")
 
 
 def full_distribution(
@@ -417,11 +390,12 @@ def full_distribution(
 
     Refuses state spaces larger than ``budget`` graphs; for many walkers on
     few states the unlabelled steady-state route is the tractable one.
-    ``method`` selects the evaluation path ("closed_form" or "bruteforce"),
-    which the benchmark harness times against each other.  The closed form
-    enumerates graphs as restricted growth strings over the sorted labels
-    and evaluates one batch per clique count from their walker masks; the
-    brute force evaluates one ``ContactGraph`` at a time.
+    The graphs are enumerated once as restricted growth strings over the
+    sorted labels, and the distribution holds those rows.  ``method``
+    ("closed_form" or "bruteforce", which the benchmark harness times
+    against each other) selects only how they are evaluated: the closed
+    form in one batch per clique count from their walker masks, the brute
+    force one row at a time, through the ``ContactGraph`` it describes.
     """
     m, n = ensemble.n_walkers, ensemble.n_states
     size = contact_graph_count(m, n)
@@ -433,24 +407,26 @@ def full_distribution(
     if method not in ("closed_form", "bruteforce"):
         raise ValueError(f"unknown method {method!r}")
     states = ensemble.state_matrix(k)
-    if method == "bruteforce":
-        graphs = enumerate_graphs(m, n, labels=ensemble.labels)
-        entries = {g: pmf_bruteforce(g, ensemble, k, _states=states) for g in graphs}
-        return GraphDistribution(entries, time=k, ensemble=ensemble)
     ordered = tuple(sorted(ensemble.labels))
-    walkers = [ensemble.index[w] for w in ordered]
     rows = np.concatenate(list(restricted_growth_strings(m, min(m, n))))
-    top = rows.max(axis=1)  # clique count - 1
     probs = np.empty(len(rows))
-    cache: dict = {}
 
-    def graph_at(row: int) -> list:
-        return ContactGraph(rgs_partition(rows[row].tolist(), ordered)).to_json_obj()
+    def graph_at(row: int) -> ContactGraph:
+        return ContactGraph(rgs_partition(rows[row].tolist(), ordered))
 
-    for c in np.unique(top).tolist():
-        at = np.flatnonzero(top == c)
-        masks = _walker_masks(rows[at], walkers, c + 1, _mask_dtype(m))
-        probs[at] = _closed_form_batch(masks, states, cache, lambda i: graph_at(at[i]))
+    if method == "bruteforce":
+        for row in range(len(rows)):
+            probs[row] = pmf_bruteforce(graph_at(row), ensemble, k, _states=states)
+    else:
+        walkers = [ensemble.index[w] for w in ordered]
+        top = rows.max(axis=1)  # clique count - 1
+        cache: dict = {}
+        for c in np.unique(top).tolist():
+            at = np.flatnonzero(top == c)
+            masks = _walker_masks(rows[at], walkers, c + 1, _mask_dtype(m))
+            probs[at] = _closed_form_batch(
+                masks, states, cache, lambda i: graph_at(at[i]).to_json_obj()
+            )
     dist = GraphDistribution(None, time=k, ensemble=ensemble)
     dist._rows, dist._probs, dist._labels = rows, probs, ordered
     return dist
@@ -563,9 +539,17 @@ def _weighted_sizes(dist: GraphDistribution) -> Iterator[tuple[tuple[int, ...], 
 
 
 def max_deviation(a: GraphDistribution, b: GraphDistribution) -> float:
-    """Largest absolute difference of two distributions over all their graphs."""
+    """Largest absolute difference of two distributions over all their graphs.
+
+    A graph missing from one side counts as 0 there.  Two sides that still
+    hold the same rows over the same labels are compared as aligned
+    probability arrays, without building any graph.
+    """
+    aligned = a._rows is not None and b._rows is not None and a._labels == b._labels
+    if aligned and np.array_equal(a._rows, b._rows):
+        return float(np.abs(a._probs - b._probs).max(initial=0.0))
     keys = a.entries.keys() | b.entries.keys()
-    return max(abs(a.probability(k) - b.probability(k)) for k in keys)
+    return max((abs(a.probability(k) - b.probability(k)) for k in keys), default=0.0)
 
 
 def clique_size_histogram(

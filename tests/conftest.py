@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from rwig.bench import random_ensemble
+from rwig.contact_graph import ContactGraph
 from rwig.markov import StateVector, TransitionMatrix, WalkerEnsemble
 
 
@@ -83,3 +84,17 @@ __all__ = [
     "table3_vector",
     "uniform_ensemble",
 ]
+
+
+@pytest.fixture
+def built_graphs(monkeypatch) -> list:
+    """Every ``ContactGraph`` constructed during the test, in order."""
+    built = []
+    real_init = ContactGraph.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ContactGraph, "__init__", counting_init)
+    return built

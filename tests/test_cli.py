@@ -3,10 +3,11 @@ import math
 
 import pytest
 
+import rwig.combinatorics as combinatorics
 import rwig.ingest as ingest
 from rwig.bench import random_ensemble
 from rwig.cli import main
-from rwig.contact_graph import ContactGraph
+from rwig.contact_graph import ContactGraph, enumerate_graphs
 from rwig.markov import ensemble_from_json, ensemble_to_json
 from rwig.pmf import full_distribution
 from rwig.simulate import histogram_from_csv, histogram_mean
@@ -29,7 +30,7 @@ def test_enumerate_prints_count(capsys):
     assert capsys.readouterr().out.strip() == "41"
 
 
-def test_enumerate_stream(tmp_path, capsys):
+def test_enumerate_stream(tmp_path, capsys, monkeypatch):
     out = tmp_path / "graphs.jsonl"
     code = main(
         ["enumerate", "--walkers", "3", "--states", "3", "--stream", "-o", str(out)]
@@ -39,6 +40,19 @@ def test_enumerate_stream(tmp_path, capsys):
     lines = out.read_text().strip().splitlines()
     assert len(lines) == 5
     assert json.loads(lines[0]) == [["w1", "w2", "w3"]]
+    # With small blocks the graphs arrive in many pieces; the file is the same.
+    expected = "".join(
+        json.dumps(g.to_json_obj(), separators=(",", ":")) + "\n"
+        for g in enumerate_graphs(6, 4)
+    )
+    monkeypatch.setattr(combinatorics, "_RGS_ROWS", 8)
+    assert len(list(combinatorics.restricted_growth_strings(6, 4))) > 1
+    code = main(
+        ["enumerate", "--walkers", "6", "--states", "4", "--stream", "-o", str(out)]
+    )
+    assert code == 0
+    assert capsys.readouterr().out.strip() == "187"
+    assert out.read_text() == expected
 
 
 def test_pmf_two_uniform_walkers(uniform2, tmp_path, capsys):
@@ -59,6 +73,17 @@ def test_pmf_oracle_passes_on_random_ensemble(tmp_path):
     assert {ContactGraph.from_json_obj(e["graph"]): e["p"] for e in written} == (
         expected.entries
     )
+
+
+def test_pmf_oracle_builds_each_graph_once(tmp_path, built_graphs):
+    path = write_ensemble(tmp_path / "e.json", random_ensemble(5, 5, seed=3))
+    plain, checked = tmp_path / "plain.json", tmp_path / "checked.json"
+    assert main(["pmf", "--ensemble", path, "--time", "2", "-o", str(plain)]) == 0
+    assert built_graphs == []
+    argv = ["pmf", "--ensemble", path, "--time", "2", "--oracle", "-o", str(checked)]
+    assert main(argv) == 0
+    assert len(built_graphs) == len(set(built_graphs)) == 52
+    assert checked.read_bytes() == plain.read_bytes()
 
 
 def test_pmf_oracle_mismatch_exits_two(tmp_path, capsys, monkeypatch):
@@ -109,6 +134,9 @@ def test_pmf_malformed_ensemble_exits_one(tmp_path, capsys):
         ({"n_states": 2, "walkers": [5]}, "walker 0"),
         ({"n_states": 2, "walkers": 5}, '"walkers" list'),
         ([{"label": "a", **walker}], '"walkers" list'),
+        ({"walkers": [{"label": "a", **walker}]}, 'ensemble has no "n_states"'),
+        ({"n_states": 2, "walkers": [{"label": "a", "policy": walker["policy"]}]},
+         'walker 0 (\'a\') has no "s0"'),
     ):
         bad.write_text(json.dumps(doc))
         assert main(["pmf", "--ensemble", bad.as_posix(), "--time", "0"]) == 1
@@ -187,6 +215,15 @@ def test_steady_rejects_non_finite_input(tmp_path, capsys):
     policy.write_text("0.5,0.5\nnan,1.0\n")
     assert main(["steady", "--policy", str(policy), "--walkers", "2"]) == 1
     assert "(1, 0) is not finite" in capsys.readouterr().err
+    # A JSON input missing a field is named with where it was expected.
+    for flag, doc, named in (
+        ("--policy", {"rows": [[0.5, 0.5], [0.5, 0.5]]}, 'transition matrix JSON has no "n"'),
+        ("--vector", {"p": [0.5, 0.5]}, 'steady vector JSON has no "probs"'),
+    ):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(doc))
+        assert main(["steady", flag, str(path), "--walkers", "2"]) == 1
+        assert capsys.readouterr().err == f"error: {named}\n"
 
 
 def test_steady_cross_check_passes(tmp_path):

@@ -24,6 +24,7 @@ from rwig.pmf import (
     distribution_clique_size_histogram,
     full_distribution,
     labelled_steady_state_pmf,
+    max_deviation,
     pmf_bruteforce,
     pmf_closed_form,
     sigma,
@@ -344,26 +345,19 @@ def test_write_json_breaks_ties_in_graph_order():
     assert sum(p == 0.0 for p in zeros) > 1
 
 
-def test_full_distribution_writes_without_building_graphs(monkeypatch):
+def test_full_distribution_writes_without_building_graphs(built_graphs):
     ens = random_ensemble(5, 4, seed=4)
     expected = io.StringIO()
     GraphDistribution(dict(full_distribution(ens, 2).entries)).write_json(expected)
-    built = []
-    real_init = ContactGraph.__init__
-
-    def counting_init(self, *args, **kwargs):
-        built.append(self)
-        real_init(self, *args, **kwargs)
-
-    monkeypatch.setattr(ContactGraph, "__init__", counting_init)
+    built_graphs.clear()
     dist = full_distribution(ens, 2)
     buf = io.StringIO()
     dist.write_json(buf)
-    assert built == []
+    assert built_graphs == []
     assert buf.getvalue() == expected.getvalue()
     # Reading entries builds each graph once; later edits are what is written.
     entries = dist.entries
-    assert len(built) == len(entries) == 51
+    assert len(built_graphs) == len(entries) == 51
     last = list(entries)[-1]
     before = entries[last]
     entries[last] = 2.0
@@ -385,8 +379,37 @@ def test_full_distribution_bruteforce_method():
     brute = full_distribution(ens, 1, method="bruteforce")
     for g in closed.entries:
         assert closed.probability(g) == pytest.approx(brute.probability(g), abs=1e-12)
+    # The brute force holds rows too, and streams what the json module writes.
+    buf = io.StringIO()
+    full_distribution(ens, 1, method="bruteforce").write_json(buf)
+    copy = GraphDistribution(dict(brute.entries))
+    assert buf.getvalue() == json.dumps(copy.to_json_obj(), indent=2) + "\n"
     with pytest.raises(ValueError):
         full_distribution(ens, 1, method="magic")
+
+
+def test_max_deviation(built_graphs):
+    assert max_deviation(GraphDistribution({}), GraphDistribution({})) == 0.0
+    # Two computed distributions over the same rows compare aligned arrays,
+    # building no graph, and agree with the comparison of their dict copies.
+    a, b = (full_distribution(random_ensemble(4, 3, seed=s), 2) for s in (1, 2))
+    aligned = max_deviation(a, b)
+    assert built_graphs == []
+    copies = [GraphDistribution(dict(d.entries)) for d in (a, b)]
+    assert aligned > 0.0 and aligned == max_deviation(*copies)
+    # Different graph sets: a graph missing from one side counts as 0 there.
+    pair = ContactGraph.from_cells([["a", "b"]])
+    split = ContactGraph.from_cells([["a"], ["b"]])
+    both = GraphDistribution({pair: 0.5, split: 0.5})
+    one = GraphDistribution({pair: 0.875})
+    assert max_deviation(both, one) == max_deviation(one, both) == 0.5
+    # Computed distributions over different rows fall back to the same rule.
+    three, two = (full_distribution(uniform_ensemble(3, n), 0) for n in (3, 2))
+    expected = max_deviation(
+        GraphDistribution(dict(full_distribution(uniform_ensemble(3, 3), 0).entries)),
+        GraphDistribution(dict(full_distribution(uniform_ensemble(3, 2), 0).entries)),
+    )
+    assert max_deviation(three, two) == expected == pytest.approx(2 / 9)
 
 
 def test_distribution_serialization_sorted():
