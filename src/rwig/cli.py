@@ -27,8 +27,8 @@ from .markov import (
     SteadyStateError,
     WalkerEnsemble,
     ensemble_from_json,
-    json_field,
     load_matrix,
+    load_vector,
     steady_state,
 )
 
@@ -78,25 +78,7 @@ def _parse_range(text: str, flag: str) -> list[int]:
 
 def _steady_vector_from_args(args) -> StateVector:
     if args.vector is not None:
-        with open(args.vector, "r", encoding="utf-8") as fh:
-            text = fh.read()
-        if args.vector.endswith(".json"):
-            probs = json_field(json.loads(text), "probs", "steady vector JSON")
-            values = np.asarray(probs, dtype=float)
-        else:
-            values = np.asarray(
-                [float(x) for x in text.replace(",", " ").split()], dtype=float
-            )
-        if values.ndim != 1 or values.size == 0 or not np.all(np.isfinite(values)):
-            raise ValueError("steady vector must be non-empty and finite")
-        if np.any(values < 0):
-            raise ValueError("steady vector must be non-negative")
-        total = values.sum()
-        if total <= 0:
-            raise ValueError("steady vector must have positive mass")
-        # Explicit vectors are treated as weights and normalized; published
-        # tables are often rounded and miss exact unit mass.
-        return StateVector(values / total)
+        return load_vector(args.vector)
     if args.policy is not None:
         policy = load_matrix(args.policy)
         return steady_state(policy, tol=args.tol, max_iters=args.max_iters)
@@ -304,10 +286,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except SteadyStateError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
+    except (SteadyStateError, ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except RuntimeError as exc:

@@ -144,16 +144,17 @@ def restricted_growth_strings(n: int, max_blocks: int) -> Iterator[np.ndarray]:
     yield from grow(np.zeros((1, 1), dtype=dtype), np.ones(1, dtype=np.intp))
 
 
-def rgs_partition(row: Sequence[int], ordered: Sequence[Hashable]) -> SetPartition:
-    """The partition of ``ordered`` whose element i lies in cell ``row[i]``.
+def labelling_partition(row: Sequence, ordered: Sequence[Hashable]) -> SetPartition:
+    """The partition of ``ordered`` whose element i lies in the cell named ``row[i]``.
 
-    With ``ordered`` sorted and ``row`` a restricted growth string, cells
-    open in order of their smallest element, so the result is canonical.
+    Cells open in order of first appearance, so with ``ordered`` sorted the
+    result is canonical for any labelling, such as the walkers' states.  A
+    restricted growth string is one whose cell names count 0, 1, ... in turn.
     """
-    cells: list[list[Hashable]] = [[] for _ in range(max(row) + 1)]
-    for label, cell in zip(ordered, row):
-        cells[cell].append(label)
-    return SetPartition(tuple(map(tuple, cells)))
+    cells: dict[Hashable, list] = {}
+    for label, name in zip(ordered, row):
+        cells.setdefault(name, []).append(label)
+    return SetPartition(tuple(map(tuple, cells.values())))
 
 
 def set_partitions(
@@ -178,7 +179,7 @@ def set_partitions(
     bound = n if max_cells is None else min(max_cells, n)
     for block in restricted_growth_strings(n, bound):
         for row in block.tolist():
-            yield rgs_partition(row, ordered)
+            yield labelling_partition(row, ordered)
 
 
 def integer_partitions(total: int) -> Iterator[IntegerPartition]:

@@ -5,7 +5,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Iterator, Mapping, Sequence
 
-from .combinatorics import IntegerPartition, SetPartition, set_partitions
+from .combinatorics import (
+    IntegerPartition,
+    SetPartition,
+    labelling_partition,
+    set_partitions,
+)
 
 
 @dataclass(frozen=True)
@@ -78,14 +83,13 @@ def from_assignment(assignment: Mapping[Hashable, int]) -> ContactGraph:
     """Contact graph induced by a walker -> state assignment.
 
     Walkers mapped to the same state are connected, so each occupied state
-    contributes one clique.
+    contributes one clique: the partition of the sorted walkers labelled by
+    their states.
     """
     if not assignment:
         raise ValueError("assignment must cover at least one walker")
-    by_state: dict[int, list] = {}
-    for walker, state in assignment.items():
-        by_state.setdefault(state, []).append(walker)
-    return ContactGraph.from_cells(by_state.values())
+    walkers = sorted(assignment)
+    return ContactGraph(labelling_partition([assignment[w] for w in walkers], walkers))
 
 
 def enumerate_graphs(

@@ -253,7 +253,7 @@ class WalkerEnsemble:
 # --- file formats -----------------------------------------------------------
 #
 # Matrices: JSON {"n": N, "rows": [[...], ...]} or CSV with one row per line.
-# Vectors:  JSON {"probs": [...]} or a single CSV line.
+# Vectors:  JSON {"probs": [...]} or numbers split by commas or whitespace.
 # Ensembles: JSON {"n_states": N, "walkers": [{"label", "s0", "policy"}...],
 #            "adjacency": [[...]] (optional, enforces the support rule)}.
 
@@ -277,10 +277,6 @@ def matrix_to_json(matrix: TransitionMatrix) -> dict:
     return {"n": matrix.n_states, "rows": matrix.entries.tolist()}
 
 
-def vector_from_json(obj: dict) -> StateVector:
-    return StateVector(json_field(obj, "probs", "state vector JSON"))
-
-
 def vector_to_json(vector: StateVector) -> dict:
     return {"probs": vector.probs.tolist()}
 
@@ -288,13 +284,6 @@ def vector_to_json(vector: StateVector) -> dict:
 def matrix_from_csv(text: str) -> TransitionMatrix:
     rows = [[float(x) for x in row] for row in csv.reader(io.StringIO(text)) if row]
     return TransitionMatrix(rows)
-
-
-def vector_from_csv(text: str) -> StateVector:
-    rows = [row for row in csv.reader(io.StringIO(text)) if row]
-    if len(rows) != 1:
-        raise ValueError("vector CSV must contain exactly one row")
-    return StateVector([float(x) for x in rows[0]])
 
 
 def ensemble_from_json(obj: dict) -> WalkerEnsemble:
@@ -347,3 +336,27 @@ def load_matrix(path: str) -> TransitionMatrix:
     if path.endswith(".json"):
         return matrix_from_json(json.loads(text))
     return matrix_from_csv(text)
+
+
+def load_vector(path: str) -> StateVector:
+    """A steady-state vector file read as weights, normalized to unit mass.
+
+    Published tables are often rounded and miss exact unit mass.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
+    if path.endswith(".json"):
+        probs = json_field(json.loads(text), "probs", "steady vector JSON")
+        values = np.asarray(probs, dtype=float)
+    else:
+        values = np.asarray(
+            [float(x) for x in text.replace(",", " ").split()], dtype=float
+        )
+    if values.ndim != 1 or values.size == 0 or not np.all(np.isfinite(values)):
+        raise ValueError("steady vector must be non-empty and finite")
+    if np.any(values < 0):
+        raise ValueError("steady vector must be non-negative")
+    total = values.sum()
+    if total <= 0:
+        raise ValueError("steady vector must have positive mass")
+    return StateVector(values / total)

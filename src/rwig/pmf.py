@@ -20,8 +20,8 @@ set in one numpy product and cached across batches, and the sum over
 partitions is evaluated as a recursion over subsets of cliques
 (``combinatorics.subset_expansion(m)``), about 3^(m-1)/2 terms per graph
 instead of one per partition.  Either way the resulting distribution keeps
-the rows: it sorts and writes from them, and two such distributions are
-compared as aligned probability arrays.
+the rows for its whole life: it sorts and writes from them, and two such
+distributions are compared as aligned probability arrays.
 
 In the steady state a graph's probability depends only on its clique sizes
 and is a sum of non-negative occupancy terms (the monomial symmetric
@@ -38,7 +38,8 @@ from __future__ import annotations
 import functools
 import json
 import math
-from typing import IO, Callable, Hashable, Iterable, Iterator, Sequence
+from types import MappingProxyType
+from typing import IO, Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -46,9 +47,9 @@ from .combinatorics import (
     contact_graph_count,
     expansion_weight,
     integer_partitions,
+    labelling_partition,
     multiplicity,
     restricted_growth_strings,
-    rgs_partition,
     set_partitions,
     subset_expansion,
 )
@@ -277,34 +278,33 @@ def pmf_bruteforce(
 
 
 class GraphDistribution:
-    """A probability map over contact graphs (labelled or unlabelled).
+    """An immutable probability map over contact graphs (labelled or unlabelled).
 
-    ``entries`` maps each graph to its probability.  A distribution from
+    ``entries`` is a read-only mapping from each graph to its probability;
+    one built from a dict holds a copy.  A distribution from
     ``full_distribution`` (either method) holds its graphs as restricted
     growth strings over the sorted walker labels instead, one row per graph
-    in ``set_partitions`` order, beside an array of their probabilities.  It
-    builds ``entries`` on first read, in that order, and from then on keeps
-    only the dict, so a caller's edits show in everything derived from it.
-    Until then ``write_json`` sorts and formats from the arrays and
-    ``max_deviation`` compares them, without building any ``ContactGraph``.
+    in ``set_partitions`` order, beside an array of their probabilities,
+    for its whole life.  It builds ``entries`` once, on first read, in that
+    order; before and after, ``write_json`` sorts and formats from the
+    arrays and ``max_deviation`` compares them, building no ``ContactGraph``.
     """
 
     def __init__(
         self, entries: dict, time: int | None = None, ensemble: WalkerEnsemble | None = None
     ):
-        self._entries = entries
+        self._entries = None if entries is None else dict(entries)
         self.time = time
         self.ensemble = ensemble
         self._rows = self._probs = self._labels = None
 
-    @property
-    def entries(self) -> dict:
-        if self._entries is None:
-            labels = self._labels
-            graphs = (ContactGraph(rgs_partition(r, labels)) for r in self._rows.tolist())
-            self._entries = dict(zip(graphs, self._probs.tolist()))
-            self._rows = self._probs = self._labels = None
-        return self._entries
+    @functools.cached_property
+    def entries(self) -> Mapping:
+        if self._rows is None:
+            return MappingProxyType(self._entries)
+        labels = self._labels
+        graphs = (ContactGraph(labelling_partition(r, labels)) for r in self._rows.tolist())
+        return MappingProxyType(dict(zip(graphs, self._probs.tolist())))
 
     def total(self) -> float:
         return math.fsum(self.entries.values())
@@ -342,7 +342,7 @@ class GraphDistribution:
         encoded once and each probability written with ``float.__repr__``,
         as the json module does.
         """
-        if self._entries is not None:
+        if self._rows is None:
             fh.write(json.dumps(self.to_json_obj(), indent=2) + "\n")
             return
         rows, labels = self._rows, self._labels
@@ -412,7 +412,7 @@ def full_distribution(
     probs = np.empty(len(rows))
 
     def graph_at(row: int) -> ContactGraph:
-        return ContactGraph(rgs_partition(rows[row].tolist(), ordered))
+        return ContactGraph(labelling_partition(rows[row].tolist(), ordered))
 
     if method == "bruteforce":
         for row in range(len(rows)):

@@ -92,23 +92,24 @@ def sample_sequence(ensemble: WalkerEnsemble, horizon: int, seed: int) -> Contac
 def empirical_distribution(
     ensemble: WalkerEnsemble, k: int, replicas: int, seed: int
 ) -> GraphDistribution:
-    """Contact-graph frequencies at step k over independent replicas."""
+    """Contact-graph frequencies at step k over independent replicas.
+
+    Each is a graph's integer count over ``replicas``, so equal counts tie
+    exactly and are written in canonical graph order.
+    """
     if replicas < 1:
         raise ValueError("replicas must be positive")
     if k < 0:
         raise ValueError("k must be non-negative")
     tables = _walk_tables(ensemble)
-    counts: Counter[tuple[int, ...]] = Counter()
+    labels = ensemble.labels
+    counts: Counter[ContactGraph] = Counter()
     for r in range(replicas):
         rng = np.random.default_rng(replica_seed(seed, r))
         for states in _walk_states(*tables, k, rng):
             pass
-        counts[tuple(states.tolist())] += 1
-    labels = ensemble.labels
-    entries: dict[ContactGraph, float] = {}
-    for assignment, c in counts.items():
-        g = from_assignment(dict(zip(labels, assignment)))
-        entries[g] = entries.get(g, 0.0) + c / replicas
+        counts[from_assignment(dict(zip(labels, states.tolist())))] += 1
+    entries = {g: c / replicas for g, c in counts.items()}
     return GraphDistribution(entries, time=k, ensemble=ensemble)
 
 

@@ -89,16 +89,12 @@ def test_pmf_oracle_builds_each_graph_once(tmp_path, built_graphs):
 def test_pmf_oracle_mismatch_exits_two(tmp_path, capsys, monkeypatch):
     import rwig.cli as cli_module
 
-    real = cli_module.pmf_mod.full_distribution
+    real = cli_module.pmf_mod.pmf_bruteforce
 
-    def skewed(ensemble, k, *, budget=10**6, method="closed_form"):
-        dist = real(ensemble, k, budget=budget, method=method)
-        if method == "bruteforce":
-            first = next(iter(dist.entries))
-            dist.entries[first] += 1e-6
-        return dist
+    def skewed(g, ensemble, k, **kwargs):
+        return real(g, ensemble, k, **kwargs) + (1e-6 if g.n_cliques == 1 else 0.0)
 
-    monkeypatch.setattr(cli_module.pmf_mod, "full_distribution", skewed)
+    monkeypatch.setattr(cli_module.pmf_mod, "pmf_bruteforce", skewed)
     path = write_ensemble(tmp_path / "e.json", uniform_ensemble(2, 2))
     assert main(["pmf", "--ensemble", path, "--time", "1", "--oracle"]) == 2
     assert "oracle mismatch" in capsys.readouterr().err

@@ -12,6 +12,7 @@ from rwig.markov import (
     WalkerEnsemble,
     ensemble_from_json,
     ensemble_to_json,
+    load_vector,
     matrix_from_csv,
     matrix_from_json,
     matrix_to_json,
@@ -19,8 +20,6 @@ from rwig.markov import (
     steady_state,
     uniform_policy,
     validate_policy,
-    vector_from_csv,
-    vector_from_json,
     vector_to_json,
 )
 
@@ -255,12 +254,22 @@ def test_matrix_json_roundtrip():
         matrix_from_json({"n": 3, "rows": [[1.0]]})
 
 
-def test_vector_formats():
+def test_vector_formats(tmp_path):
     v = StateVector([0.25, 0.75])
-    assert vector_from_json(vector_to_json(v)) == v
-    assert vector_from_csv("0.25,0.75\n") == v
-    with pytest.raises(ValueError):
-        vector_from_csv("0.25,0.75\n0.5,0.5\n")
+    as_json, as_csv = tmp_path / "v.json", tmp_path / "v.csv"
+    as_json.write_text(json.dumps(vector_to_json(v)))
+    assert load_vector(str(as_json)) == v
+    as_csv.write_text("0.25,0.75\n")
+    assert load_vector(str(as_csv)) == v
+    # Weights separated by commas or whitespace, normalized.
+    as_csv.write_text("1\n 3\n")
+    assert load_vector(str(as_csv)) == v
+    as_csv.write_text("0.25,-0.75\n")
+    with pytest.raises(ValueError, match="non-negative"):
+        load_vector(str(as_csv))
+    as_json.write_text(json.dumps({"p": [1.0]}))
+    with pytest.raises(ValueError, match='steady vector JSON has no "probs"'):
+        load_vector(str(as_json))
 
 
 def test_matrix_csv():

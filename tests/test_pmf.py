@@ -345,26 +345,44 @@ def test_write_json_breaks_ties_in_graph_order():
     assert sum(p == 0.0 for p in zeros) > 1
 
 
-def test_full_distribution_writes_without_building_graphs(built_graphs):
+def test_full_distribution_writes_without_building_graphs(built_graphs, monkeypatch):
     ens = random_ensemble(5, 4, seed=4)
     expected = io.StringIO()
     GraphDistribution(dict(full_distribution(ens, 2).entries)).write_json(expected)
+    twin = full_distribution(ens, 2, method="bruteforce")
+    assert len(twin.entries) == 51
     built_graphs.clear()
     dist = full_distribution(ens, 2)
     buf = io.StringIO()
     dist.write_json(buf)
     assert built_graphs == []
     assert buf.getvalue() == expected.getvalue()
-    # Reading entries builds each graph once; later edits are what is written.
-    entries = dist.entries
-    assert len(built_graphs) == len(entries) == 51
-    last = list(entries)[-1]
-    before = entries[last]
-    entries[last] = 2.0
+    # Reading entries builds each graph once and keeps the rows, so writing
+    # and comparing still run on the arrays, not through the entries.
+    assert len(dist.entries) == len(built_graphs) == 51
+
+    def refuse(*args):
+        raise AssertionError("read through the entries")
+
+    monkeypatch.setattr(GraphDistribution, "sorted_items", refuse)
+    monkeypatch.setattr(GraphDistribution, "probability", refuse)
     buf = io.StringIO()
     dist.write_json(buf)
-    assert json.loads(buf.getvalue())[0] == {"graph": last.to_json_obj(), "p": 2.0}
-    assert dist.total() == pytest.approx(3.0 - before, abs=1e-12)
+    assert buf.getvalue() == expected.getvalue()
+    assert max_deviation(dist, twin) == max_deviation(twin, dist) < 1e-12
+
+
+def test_entries_are_read_only():
+    source = {ContactGraph.from_cells([["a", "b"]]): 1.0}
+    given = GraphDistribution(source)
+    computed = full_distribution(random_ensemble(3, 2, seed=1), 1)
+    for dist in (given, computed):
+        first = next(iter(dist.entries))
+        with pytest.raises(TypeError):
+            dist.entries[first] = 0.5
+    # A distribution holds a copy of the dict it was built from.
+    source.clear()
+    assert given.total() == 1.0
 
 
 def test_full_distribution_budget():

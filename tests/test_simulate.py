@@ -87,6 +87,15 @@ def test_empirical_matches_full_distribution():
         assert abs(emp.probability(g) - p) <= bound
 
 
+def test_empirical_frequencies_are_exact_counts():
+    replicas = 3000
+    dist = empirical_distribution(random_ensemble(4, 3, seed=7), 2, replicas, seed=1)
+    assert all(p == round(p * replicas) / replicas for p in dist.entries.values())
+    # Graphs seen equally often come in canonical order.
+    written = [(-round(p * replicas), g.sort_key()) for g, p in dist.sorted_items()]
+    assert written == sorted(written)
+
+
 def test_clique_size_distribution():
     snap = ContactGraph.from_cells([["a", "b"], ["c"]])
     assert clique_size_distribution([snap], min_size=2) == {2: 1.0}
