@@ -20,8 +20,8 @@ from . import bench as bench_mod
 from . import ingest as ingest_mod
 from . import pmf as pmf_mod
 from . import simulate as simulate_mod
-from .combinatorics import contact_graph_count
-from .contact_graph import enumerate_graphs
+from .combinatorics import contact_graph_count, restricted_growth_strings
+from .contact_graph import compact_json, default_labels
 from .markov import (
     StateVector,
     SteadyStateError,
@@ -108,11 +108,11 @@ def cmd_enumerate(args) -> int:
     count = contact_graph_count(args.walkers, args.states)
     print(count)
     if args.stream:
+        labels = sorted(default_labels(args.walkers))
+        blocks = restricted_growth_strings(args.walkers, min(args.walkers, args.states))
         with _output(args.output) as fh:
-            fh.writelines(
-                json.dumps(g.to_json_obj(), separators=(",", ":")) + "\n"
-                for g in enumerate_graphs(args.walkers, args.states)
-            )
+            for block in blocks:
+                fh.writelines(f"{g}\n" for g in compact_json(block, labels))
     return 0
 
 
@@ -171,23 +171,25 @@ def cmd_sample(args) -> int:
 
 def cmd_analyze(args) -> int:
     with open(args.input, "r", encoding="utf-8") as fh:
-        records = ingest_mod.parse_colocation(fh)
+        table = ingest_mod.read_colocation(fh)
     roster = None
     if args.roster:
         with open(args.roster, "r", encoding="utf-8") as fh:
             roster = ingest_mod.load_roster(fh)
-    graphs = ingest_mod.snapshot_graphs(records)
-    size_hist, count_hist = ingest_mod.graph_distributions(graphs, roster=roster)
+    rows = ingest_mod.clique_rows(table)
+    size_hist, count_hist = ingest_mod.row_distributions(rows, table.nodes, roster=roster)
     if args.output:
-        snapshots = zip((r.timestamp for r in records), graphs)
-        _write(simulate_mod.snapshots_to_jsonl(snapshots), f"{args.output}_graphs.jsonl")
+        _write(
+            simulate_mod.rows_to_jsonl(table.times, rows, table.nodes),
+            f"{args.output}_graphs.jsonl",
+        )
         _write(simulate_mod.histogram_to_csv(size_hist), f"{args.output}_clique_sizes.csv")
         _write(
             simulate_mod.histogram_to_csv(count_hist), f"{args.output}_clique_counts.csv"
         )
     else:
         document = {
-            "snapshots": len(records),
+            "snapshots": len(table.times),
             "clique_size_histogram": size_hist,
             "clique_count_histogram": count_hist,
         }

@@ -157,6 +157,34 @@ def labelling_partition(row: Sequence, ordered: Sequence[Hashable]) -> SetPartit
     return SetPartition(tuple(map(tuple, cells.values())))
 
 
+def first_appearance_rows(labellings: np.ndarray) -> np.ndarray:
+    """Rename the cells of every row 0, 1, ... in order of first appearance.
+
+    Row r names the cell of element i with a non-negative integer
+    ``labellings[r, i]`` (a walker's state, say), or marks element i absent
+    with a negative one.  With the columns in sorted-label order each result
+    row is, on its present elements, the restricted growth string of the
+    partition ``labelling_partition`` builds, with -1 at the absent ones.
+    All rows are renamed at once, through one stable sort of each row.
+    """
+    width = labellings.shape[1]
+    dtype = np.min_scalar_type(-width - 1)
+    columns = np.arange(width, dtype=dtype)
+    positions = np.argsort(labellings, axis=1, kind="stable").astype(dtype)
+    names = np.take_along_axis(labellings, positions, axis=1)
+    # In sorted order each name's run starts at its first position.
+    starts = np.ones(names.shape, bool)
+    starts[:, 1:] = names[:, 1:] != names[:, :-1]
+    run_start = np.maximum.accumulate(np.where(starts, columns, 0), axis=1)
+    first = np.empty_like(positions)
+    np.put_along_axis(first, positions, np.take_along_axis(positions, run_start, axis=1), axis=1)
+    # A present name's cell counts the names that appeared before it.
+    opened = np.cumsum((first == columns) & (labellings >= 0), axis=1, dtype=dtype) - 1
+    out = np.take_along_axis(opened, first, axis=1)
+    out[labellings < 0] = -1
+    return out
+
+
 def set_partitions(
     labels: Iterable[Hashable], max_cells: int | None = None
 ) -> Iterator[SetPartition]:

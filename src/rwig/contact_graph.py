@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Iterator, Mapping, Sequence
+
+import numpy as np
 
 from .combinatorics import (
     IntegerPartition,
@@ -90,6 +93,49 @@ def from_assignment(assignment: Mapping[Hashable, int]) -> ContactGraph:
         raise ValueError("assignment must cover at least one walker")
     walkers = sorted(assignment)
     return ContactGraph(labelling_partition([assignment[w] for w in walkers], walkers))
+
+
+def row_graph(row: np.ndarray, labels: Sequence[Hashable]) -> ContactGraph:
+    """The graph of one row of ``first_appearance_rows`` over the sorted
+    ``labels``: its present elements, each in the cell the row names."""
+    at = np.flatnonzero(row >= 0).tolist()
+    return ContactGraph(labelling_partition(row[at].tolist(), [labels[i] for i in at]))
+
+
+# Most rows ``compact_json`` formats at once.
+_JSON_ROWS = 4096
+
+
+def compact_json(rows: np.ndarray, labels: Sequence[Hashable]) -> Iterator[str]:
+    """Yield ``json.dumps(g.to_json_obj(), separators=(",", ":"))`` for the
+    graph g of each row, as ``row_graph`` reads it.
+
+    Each label is encoded once.  A row is joined from one piece per label,
+    taken in cell order: the label after "[" when it opens the first cell,
+    "],[" when it opens a later one and "," inside a cell, or nothing when
+    it is absent.  Rows are formatted ``_JSON_ROWS`` at a time.
+    """
+    width = rows.shape[1]
+    codes = [json.dumps(w, separators=(",", ":")) for w in labels]
+    pieces = np.array(
+        [""] * width + [f"[{c}" for c in codes] + [f"],[{c}" for c in codes]
+        + [f",{c}" for c in codes],
+        dtype=object,
+    )
+    for lo in range(0, len(rows), _JSON_ROWS):
+        chunk = rows[lo : lo + _JSON_ROWS]
+        positions = np.argsort(chunk, axis=1, kind="stable")
+        cells = np.take_along_axis(chunk, positions, axis=1).astype(np.intp)
+        previous = np.full_like(cells, -1)
+        previous[:, 1:] = cells[:, :-1]
+        kind = np.where(
+            cells < 0, 0, np.where(cells == previous, 3, np.where(cells == 0, 1, 2))
+        )
+        parts = np.empty((len(chunk), width + 2), dtype=object)
+        parts[:, 0] = "["
+        parts[:, 1:-1] = pieces[kind * width + positions]
+        parts[:, -1] = np.where((cells >= 0).any(axis=1), "]]", "]")
+        yield from map("".join, parts.tolist())
 
 
 def enumerate_graphs(

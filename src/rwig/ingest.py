@@ -3,14 +3,27 @@
 Input is the plain-text edge-list convention of public co-location
 releases: one "t i j" triple per line, meaning nodes i and j shared a
 location during time bin t.  Node ids are opaque strings.
+
+Edges stay integer arrays from the parse on (``EdgeTable``): each is a
+bin and two nodes, named by their positions in the sorted node ids.  One
+batch validation (``validate_table``) finds the connected components of
+every bin at once, and a valid dataset becomes one row of
+``combinatorics.first_appearance_rows`` per bin, -1 at the nodes absent
+from it, which ``simulate.rows_to_jsonl`` writes and ``row_distributions``
+counts.  ``SnapshotRecord`` and ``ContactGraph`` objects are built only for
+callers that ask for them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable
 
-from .contact_graph import ContactGraph
+import numpy as np
+
+from .combinatorics import first_appearance_rows
+from .contact_graph import ContactGraph, row_graph
 from .pmf import clique_count_histogram, clique_size_histogram
 from .simulate import ContactSequence
 
@@ -43,97 +56,226 @@ class CliqueUnionViolation:
     components: tuple[NonCliqueComponent, ...]
 
 
-def parse_colocation(lines: Iterable[str]) -> list[SnapshotRecord]:
-    """Parse "t i j" lines into per-bin records, ascending in t.
+@dataclass(frozen=True, eq=False)
+class EdgeTable:
+    """The edges of many time bins as integer arrays.
+
+    Edge e joins ``nodes[lo[e]]`` and ``nodes[hi[e]]`` (lo <= hi) in bin
+    ``bins[e]``, whose timestamp is ``times[bins[e]]``.  ``nodes`` is
+    sorted, so positions compare as the ids do.
+    """
+
+    nodes: tuple[str, ...]
+    times: tuple[int, ...]
+    bins: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+
+    @classmethod
+    def of_records(cls, records: Iterable[SnapshotRecord]) -> "EdgeTable":
+        """One bin per record, in order, holding its edges as listed."""
+        records = list(records)
+        pairs = [pair for record in records for pair in record.edges]
+        nodes = tuple(sorted({w for pair in pairs for w in pair}))
+        index = {w: i for i, w in enumerate(nodes)}
+        ends = np.array([[index[i], index[j]] for i, j in pairs], np.intp).reshape(-1, 2)
+        bins = np.repeat(np.arange(len(records)), [len(r.edges) for r in records])
+        times = tuple(record.timestamp for record in records)
+        return cls(nodes, times, bins, ends.min(axis=1), ends.max(axis=1))
+
+    def records(self) -> list[SnapshotRecord]:
+        """One record per bin, its edges as (id, id) pairs in table order."""
+        names = np.array(self.nodes, dtype=object)
+        pairs = list(zip(names[self.lo].tolist(), names[self.hi].tolist()))
+        cuts = np.searchsorted(self.bins, np.arange(len(self.times) + 1)).tolist()
+        return [
+            SnapshotRecord(t, tuple(pairs[a:b]))
+            for t, a, b in zip(self.times, cuts, cuts[1:])
+        ]
+
+
+# Most lines split as one block.
+_PARSE_LINES = 1 << 12
+
+
+def _number(words: list[str], ids: dict[str, int]) -> tuple[np.ndarray, list[str]]:
+    """The id of each word, and the words new to ``ids``, which get the
+    next ids in turn."""
+    new = [word for word in dict.fromkeys(words) if word not in ids]
+    ids.update(zip(new, range(len(ids), len(ids) + len(new))))
+    return np.fromiter(map(ids.__getitem__, words), np.intp, len(words)), new
+
+
+def _timestamp(text: str) -> int | None:
+    try:
+        return int(text)
+    except ValueError:
+        return None
+
+
+def read_colocation(lines: Iterable[str]) -> EdgeTable:
+    """Parse "t i j" lines into one bin per distinct t, ascending.
 
     Blank lines are skipped; duplicate (t, i, j) observations collapse to
-    one edge.  Malformed lines and self contacts raise with the line number.
+    one edge, and the edges are sorted by (bin, lo, hi).  Malformed lines
+    and self contacts raise with the line number.  Lines are split
+    ``_PARSE_LINES`` at a time; node ids and timestamp texts are numbered
+    as they first appear and ranked once at the end.
     """
-    bins: dict[int, set[tuple[str, str]]] = {}
-    for line_no, raw in enumerate(lines, start=1):
-        text = raw.strip()
-        if not text:
-            continue
-        fields = text.split()
-        if len(fields) != 3:
+    node_ids: dict[str, int] = {}
+    time_ids: dict[str, int] = {}
+    values: list[int | None] = []  # per timestamp text
+    parts = []
+    lines = iter(lines)
+    offset = 0
+    while block := list(islice(lines, _PARSE_LINES)):
+        counts = np.fromiter(map(len, map(str.split, block)), np.intp, len(block))
+        wrong = np.flatnonzero((counts != 3) & (counts != 0))
+        stop = int(wrong[0]) if len(wrong) else len(block)
+        # The lines before ``stop`` hold three fields each or none.  One
+        # split per block gives their fields; the spaces keep lines apart.
+        lines_at = np.flatnonzero(counts[:stop])
+        words = " ".join(block).split()[: 3 * len(lines_at)]
+        t_ids, new_texts = _number(words[0::3], time_ids)
+        values += map(_timestamp, new_texts)
+        ends = _number(words[1::3] + words[2::3], node_ids)[0].reshape(2, -1)
+        # The first line at fault, by its first fault as the line is read.
+        faults = []
+        if None in values[len(values) - len(new_texts) :]:
+            k = next(k for k, t in enumerate(t_ids.tolist()) if values[t] is None)
+            faults.append((k, 0, f"bad timestamp {words[3 * k]!r}"))
+        selfs = np.flatnonzero(ends[0] == ends[1])
+        if len(selfs):
+            k = int(selfs[0])
+            faults.append((k, 1, f"self contact on node {words[3 * k + 1]!r}"))
+        if faults:
+            k, _, message = min(faults)
+            raise ColocationParseError(offset + int(lines_at[k]) + 1, message)
+        if stop < len(block):
             raise ColocationParseError(
-                line_no, f"expected 't i j', got {len(fields)} fields"
+                offset + stop + 1, f"expected 't i j', got {counts[stop]} fields"
             )
-        t_text, i, j = fields
-        try:
-            t = int(t_text)
-        except ValueError:
-            raise ColocationParseError(line_no, f"bad timestamp {t_text!r}") from None
-        if i == j:
-            raise ColocationParseError(line_no, f"self contact on node {i!r}")
-        bins.setdefault(t, set()).add((i, j) if i < j else (j, i))
-    return [
-        SnapshotRecord(t, tuple(sorted(bins[t]))) for t in sorted(bins)
-    ]
+        parts.append((t_ids, ends))
+        offset += len(block)
+
+    nodes = tuple(sorted(node_ids))
+    rank = np.empty(len(nodes), np.intp)
+    rank[[node_ids[w] for w in nodes]] = np.arange(len(nodes))
+    times = tuple(sorted(set(values)))
+    bin_at = {t: b for b, t in enumerate(times)}
+    bin_of = np.array([bin_at[t] for t in values], np.intp)
+    t_ids = np.concatenate([np.empty(0, np.intp)] + [t for t, _ in parts])
+    ends = np.concatenate([np.empty((2, 0), np.intp)] + [e for _, e in parts], axis=1)
+    ends = rank[ends]
+    bins, lo, hi = bin_of[t_ids], ends.min(axis=0), ends.max(axis=0)
+    order = np.lexsort((hi, lo, bins))
+    bins, lo, hi = bins[order], lo[order], hi[order]
+    keep = np.ones(len(bins), bool)
+    keep[1:] = (np.diff(bins) != 0) | (np.diff(lo) != 0) | (np.diff(hi) != 0)
+    return EdgeTable(nodes, times, bins[keep], lo[keep], hi[keep])
+
+
+def parse_colocation(lines: Iterable[str]) -> list[SnapshotRecord]:
+    """Parse "t i j" lines into per-bin records, ascending in t, as
+    ``read_colocation`` does; each record's edges are sorted pairs."""
+    return read_colocation(lines).records()
+
+
+def _components(table: EdgeTable) -> tuple[np.ndarray, ...]:
+    """Connected components of every bin at once, by min-label propagation
+    over the (bin, node) slots that edges touch.
+
+    Returns each slot's bin, node and label, slots in (bin, node) order,
+    and each edge's slot on the lo side.  A component's slots end labelled
+    with its smallest one, which holds its bin's smallest node.
+    """
+    width, n_edges = len(table.nodes), len(table.bins)
+    keys = np.tile(table.bins, 2) * width + np.concatenate([table.lo, table.hi])
+    order = np.argsort(keys)
+    ordered = keys[order]
+    opens = np.ones(len(keys), bool)
+    opens[1:] = ordered[1:] != ordered[:-1]
+    slot_bin, slot_node = np.divmod(ordered[opens], width)
+    slot = np.empty(len(keys), np.intp)
+    slot[order] = np.cumsum(opens) - 1
+    u, v = slot[:n_edges], slot[n_edges:]
+    starts, edge_at = np.flatnonzero(opens), order % n_edges
+    label = np.arange(len(slot_bin))
+    while True:
+        # Each slot takes the least label over its edges, then jumps once.
+        least = np.minimum(label[u], label[v])[edge_at]
+        new = np.minimum(label, np.minimum.reduceat(least, starts))
+        new = new[new]
+        if np.array_equal(new, label):
+            return slot_bin, slot_node, label, u
+        label = new
+
+
+def validate_table(table: EdgeTable) -> np.ndarray | CliqueUnionViolation:
+    """Check that every bin is a disjoint union of cliques.
+
+    Every connected component of c nodes must hold c(c-1)/2 of the listed
+    edges.  The components of all bins are found at once (``_components``).
+    Returns one ``first_appearance_rows`` row over ``table.nodes`` per bin,
+    -1 at the nodes absent from it; otherwise a report on the first bin
+    that fails: its incomplete components in order of their smallest node,
+    with how many pairs each is missing.
+    """
+    rows = np.full((len(table.times), len(table.nodes)), -1, np.intp)
+    if len(table.bins):
+        slot_bin, slot_node, label, edge_slot = _components(table)
+        roots = np.flatnonzero(label == np.arange(len(label)))
+        size = np.bincount(label, minlength=len(label))[roots]
+        listed = np.bincount(label[edge_slot], minlength=len(label))[roots]
+        missing = size * (size - 1) // 2 - listed
+        if missing.any():
+            first = slot_bin[roots[missing != 0]].min()
+            bad = (missing != 0) & (slot_bin[roots] == first)
+            components = tuple(
+                NonCliqueComponent(
+                    tuple(table.nodes[i] for i in slot_node[label == root].tolist()),
+                    short,
+                )
+                for root, short in zip(roots[bad].tolist(), missing[bad].tolist())
+            )
+            return CliqueUnionViolation(table.times[first], components)
+        rows[slot_bin, slot_node] = slot_node[label]
+    return first_appearance_rows(rows)
+
+
+def clique_rows(table: EdgeTable) -> np.ndarray:
+    """The rows of ``validate_table``.
+
+    Raises ValueError at the first bin that is not a union of cliques,
+    naming its timestamp and each incomplete component with the number of
+    pairs it is missing.
+    """
+    result = validate_table(table)
+    if isinstance(result, CliqueUnionViolation):
+        components = "; ".join(
+            f"{list(c.nodes)} missing {c.missing_pairs} pair(s)" for c in result.components
+        )
+        raise ValueError(
+            f"snapshot at t={result.timestamp} is not a union of cliques: {components}"
+        )
+    return result
 
 
 def validate_clique_union(
     record: SnapshotRecord,
 ) -> ContactGraph | CliqueUnionViolation:
-    """Check that a snapshot is a disjoint union of cliques.
-
-    Every connected component of c nodes must contain all c(c-1)/2 pairs.
-    Returns the induced contact graph on success, otherwise a report of the
-    incomplete components, in order of their smallest node, and how many
-    pairs each is missing.
-    """
-    neighbours: dict[str, list[str]] = {}
-    for i, j in record.edges:
-        neighbours.setdefault(i, []).append(j)
-        neighbours.setdefault(j, []).append(i)
-
-    components: list[list[str]] = []
-    bad: list[NonCliqueComponent] = []
-    seen: set[str] = set()
-    for start in neighbours:
-        if start in seen:
-            continue
-        seen.add(start)
-        component = [start]
-        # Breadth-first: the loop also visits the nodes appended inside it.
-        for node in component:
-            for other in neighbours[node]:
-                if other not in seen:
-                    seen.add(other)
-                    component.append(other)
-        edges_inside = sum(len(neighbours[node]) for node in component) // 2
-        expected = len(component) * (len(component) - 1) // 2
-        if edges_inside != expected:
-            missing = expected - edges_inside
-            bad.append(NonCliqueComponent(tuple(sorted(component)), missing))
-        components.append(component)
-    if bad:
-        bad.sort(key=lambda c: c.nodes)
-        return CliqueUnionViolation(record.timestamp, tuple(bad))
-    return ContactGraph.from_cells(components)
+    """``validate_table`` on one snapshot: its contact graph, or the report."""
+    table = EdgeTable.of_records([record])
+    result = validate_table(table)
+    if isinstance(result, CliqueUnionViolation):
+        return result
+    return row_graph(result[0], table.nodes)
 
 
 def snapshot_graphs(records: Iterable[SnapshotRecord]) -> list[ContactGraph]:
-    """The contact graph of every snapshot, in order.
-
-    Raises ValueError at the first snapshot that is not a union of cliques,
-    naming its timestamp and each incomplete component with the number of
-    pairs it is missing.
-    """
-    graphs: list[ContactGraph] = []
-    for record in records:
-        result = validate_clique_union(record)
-        if isinstance(result, CliqueUnionViolation):
-            components = "; ".join(
-                f"{list(c.nodes)} missing {c.missing_pairs} pair(s)"
-                for c in result.components
-            )
-            raise ValueError(
-                f"snapshot at t={record.timestamp} is not a union of cliques: "
-                f"{components}"
-            )
-        graphs.append(result)
-    return graphs
+    """The contact graph of every snapshot, in order; raises as ``clique_rows``."""
+    table = EdgeTable.of_records(records)
+    return [row_graph(row, table.nodes) for row in clique_rows(table)]
 
 
 def dataset_distributions(
@@ -141,16 +283,18 @@ def dataset_distributions(
 ) -> tuple[dict[int, float], dict[int, float]]:
     """Clique-size and clique-count histograms of a validated dataset.
 
-    Raises ValueError as ``snapshot_graphs`` does; the histograms are those
-    of ``graph_distributions``.
+    Raises ValueError as ``clique_rows`` does; the histograms are those
+    of ``row_distributions``.
     """
-    return graph_distributions(snapshot_graphs(records), roster=roster)
+    table = EdgeTable.of_records(records)
+    return row_distributions(clique_rows(table), table.nodes, roster=roster)
 
 
-def graph_distributions(
-    graphs: Iterable[ContactGraph], roster: Iterable[str] | None = None
+def row_distributions(
+    rows: np.ndarray, nodes: tuple[str, ...], roster: Iterable[str] | None = None
 ) -> tuple[dict[int, float], dict[int, float]]:
-    """Clique-size and clique-count histograms of validated snapshot graphs.
+    """Clique-size and clique-count histograms of validated snapshot rows
+    over ``nodes``, as ``clique_rows`` returns them.
 
     Sizes use min_size 2 (edge lists cannot show fewer).  Without a roster,
     nodes absent from a bin are invisible and the count histogram covers
@@ -158,12 +302,16 @@ def graph_distributions(
     count histogram as singleton cliques, and a snapshot node missing from
     the roster raises ValueError.
     """
-    graphs = list(graphs)
-    sizes = [(g.clique_sizes, 1.0) for g in graphs]
+    n_rows, width = rows.shape
+    # counts[r, c]: nodes in cell c of row r; cells are numbered from 0 up.
+    slots = np.arange(n_rows)[:, None] * (width + 1) + rows.astype(np.intp) + 1
+    counts = np.bincount(slots.ravel(), minlength=n_rows * (width + 1))
+    counts = counts.reshape(n_rows, width + 1)[:, 1:].tolist()
+    sizes = [(tuple(filter(None, c)), 1.0) for c in counts]
     count_sizes = sizes
     if roster is not None:
         roster_set = frozenset(roster)
-        unknown = frozenset().union(*(g.walkers for g in graphs)) - roster_set
+        unknown = frozenset(nodes) - roster_set
         if unknown:
             missing = ", ".join(sorted(unknown))
             raise ValueError(f"snapshot nodes missing from the roster: {missing}")

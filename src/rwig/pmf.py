@@ -307,6 +307,8 @@ class GraphDistribution:
         return MappingProxyType(dict(zip(graphs, self._probs.tolist())))
 
     def total(self) -> float:
+        if self._rows is not None:
+            return math.fsum(self._probs.tolist())
         return math.fsum(self.entries.values())
 
     def probability(self, key) -> float:

@@ -7,32 +7,67 @@ distinct streams.  Streams are not independent across seeds: seeds s and
 s' share a stream whenever s ^ s' equals r ^ r' for two replica indices
 (with 8 replicas, seeds 0 to 7 draw the same eight streams and give
 identical empirical distributions).
+
+A sampled sequence stays an array from the walk to its JSON lines: the
+walkers' states at every step, renamed into one restricted growth string
+per snapshot by ``combinatorics.first_appearance_rows``.  Its
+``ContactGraph`` snapshots are built only when a caller reads them.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Hashable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .contact_graph import ContactGraph, from_assignment
+from .combinatorics import first_appearance_rows
+from .contact_graph import ContactGraph, compact_json, from_assignment, row_graph
 from .markov import WalkerEnsemble
 from .pmf import GraphDistribution, clique_count_histogram, clique_size_histogram
 
 
-@dataclass(frozen=True)
 class ContactSequence:
-    """One realisation of the contact graph over an observation window."""
+    """One realisation of the contact graph over an observation window.
 
-    snapshots: tuple[ContactGraph, ...]
-    seed: int
+    ``snapshots`` is one ``ContactGraph`` per time step.  A sequence from
+    ``sample_sequence`` holds them as rows of ``first_appearance_rows`` over
+    the sorted walker labels instead, and builds the graphs once, on first
+    read; ``sequence_to_jsonl`` writes from the rows.
+    """
+
+    def __init__(self, snapshots: Iterable[ContactGraph], seed: int):
+        self._snapshots = tuple(snapshots)
+        self.seed = seed
+        self._rows = self._labels = None
+
+    @classmethod
+    def _of_rows(
+        cls, rows: np.ndarray, labels: tuple[Hashable, ...], seed: int
+    ) -> "ContactSequence":
+        seq = cls((), seed)
+        seq._rows, seq._labels = rows, labels
+        return seq
+
+    @functools.cached_property
+    def snapshots(self) -> tuple[ContactGraph, ...]:
+        if self._rows is None:
+            return self._snapshots
+        return tuple(row_graph(row, self._labels) for row in self._rows)
 
     def __len__(self) -> int:
-        return len(self.snapshots)
+        return len(self.snapshots) if self._rows is None else len(self._rows)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ContactSequence):
+            return NotImplemented
+        return (self.snapshots, self.seed) == (other.snapshots, other.seed)
+
+    def __hash__(self) -> int:
+        return hash((self.snapshots, self.seed))
 
 
 def replica_seed(seed: int, replica: int) -> int:
@@ -58,16 +93,18 @@ def _walk_tables(ensemble: WalkerEnsemble) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _walk_states(
-    cum0: np.ndarray, cum_policy: np.ndarray, steps: int, rng: np.random.Generator
+    cum0: np.ndarray, cum_policy: np.ndarray, uniforms: Iterable[np.ndarray]
 ) -> Iterator[np.ndarray]:
-    """Yield the walkers' state indices at times 0..steps."""
-    m = cum0.shape[0]
-    states = _draw(cum0, rng.random(m))
+    """Yield the walkers' state indices at times 0, 1, ..., one time per
+    vector of M uniforms: the first draws the initial states, each later
+    one a policy step."""
+    uniforms = iter(uniforms)
+    states = _draw(cum0, next(uniforms))
     yield states
-    rows_index = np.arange(m)
-    for _ in range(steps):
+    rows_index = np.arange(cum0.shape[0])
+    for u in uniforms:
         rows = cum_policy[rows_index, states]
-        states = _draw(rows, rng.random(m))
+        states = _draw(rows, u)
         yield states
 
 
@@ -76,17 +113,19 @@ def sample_sequence(ensemble: WalkerEnsemble, horizon: int, seed: int) -> Contac
 
     Initial states are drawn from each walker's initial vector (callers
     wanting fixed starts pass basis vectors), then each walker takes
-    ``horizon`` independent policy steps.  Deterministic given the seed.
+    ``horizon`` independent policy steps.  Deterministic given the seed:
+    the uniforms are one (horizon + 1, M) block, the same doubles in the
+    same order as one M-vector per step.
     """
     if horizon < 0:
         raise ValueError("horizon must be non-negative")
     rng = np.random.default_rng(seed)
-    labels = ensemble.labels
-    snapshots = [
-        from_assignment(dict(zip(labels, states.tolist())))
-        for states in _walk_states(*_walk_tables(ensemble), horizon, rng)
-    ]
-    return ContactSequence(tuple(snapshots), seed)
+    labels = tuple(sorted(ensemble.labels))
+    uniforms = rng.random((horizon + 1, ensemble.n_walkers))
+    walk = _walk_states(*_walk_tables(ensemble), uniforms)
+    states = np.fromiter(walk, np.dtype((np.intp, ensemble.n_walkers)), horizon + 1)
+    columns = [ensemble.index[w] for w in labels]
+    return ContactSequence._of_rows(first_appearance_rows(states[:, columns]), labels, seed)
 
 
 def empirical_distribution(
@@ -106,7 +145,8 @@ def empirical_distribution(
     counts: Counter[ContactGraph] = Counter()
     for r in range(replicas):
         rng = np.random.default_rng(replica_seed(seed, r))
-        for states in _walk_states(*tables, k, rng):
+        draws = (rng.random(ensemble.n_walkers) for _ in range(k + 1))
+        for states in _walk_states(*tables, draws):
             pass
         counts[from_assignment(dict(zip(labels, states.tolist())))] += 1
     entries = {g: c / replicas for g, c in counts.items()}
@@ -155,18 +195,35 @@ def mean_clique_size(source: Iterable, min_size: int = 1) -> float:
 # --- serialization ----------------------------------------------------------
 
 
-def snapshots_to_jsonl(snapshots: Iterable[tuple[int, ContactGraph]]) -> str:
-    """One (t, graph) pair per line: {"t": t, "graph": [[...], ...]}."""
+def rows_to_jsonl(
+    times: Sequence[int], rows: np.ndarray, labels: Sequence[Hashable]
+) -> str:
+    """One line {"t": t, "graph": [[...], ...]} per row of
+    ``first_appearance_rows`` over the sorted ``labels``, as
+    ``json.dumps(..., separators=(",", ":"))`` writes it."""
     lines = [
-        json.dumps({"t": t, "graph": g.to_json_obj()}, separators=(",", ":"))
-        for t, g in snapshots
+        f'{{"t":{t},"graph":{g}}}' for t, g in zip(times, compact_json(rows, labels))
     ]
     return "\n".join(lines) + "\n"
 
 
+def snapshots_to_jsonl(snapshots: Iterable[tuple[int, ContactGraph]]) -> str:
+    """One (t, graph) pair per line: {"t": t, "graph": [[...], ...]}."""
+    pairs = list(snapshots)
+    labels = sorted(set().union(*(g.walkers for _, g in pairs)))
+    index = {w: i for i, w in enumerate(labels)}
+    rows = np.full((len(pairs), len(labels)), -1, np.intp)
+    for row, (_, g) in zip(rows, pairs):
+        for c, cell in enumerate(g.cliques.cells):
+            row[[index[w] for w in cell]] = c
+    return rows_to_jsonl([t for t, _ in pairs], rows, labels)
+
+
 def sequence_to_jsonl(seq: ContactSequence) -> str:
     """A sampled sequence as JSON lines, t counting from 0."""
-    return snapshots_to_jsonl(enumerate(seq.snapshots))
+    if seq._rows is None:
+        return snapshots_to_jsonl(enumerate(seq.snapshots))
+    return rows_to_jsonl(range(len(seq._rows)), seq._rows, seq._labels)
 
 
 def snapshots_from_jsonl(text: str) -> list[tuple[int, ContactGraph]]:

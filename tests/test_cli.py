@@ -283,21 +283,40 @@ def test_analyze_valid_and_invalid(tmp_path, capsys):
 
 
 def test_analyze_validates_each_snapshot_once(tmp_path, capsys, monkeypatch):
-    validated = []
-    original = ingest.validate_clique_union
+    # Every bin is validated in one batch, once per run, with no second
+    # pass through the per-record validator.
+    batches = []
+    original = ingest.validate_table
 
-    def counting(record):
-        validated.append(record.timestamp)
-        return original(record)
+    def counting(table):
+        batches.append(table.times)
+        return original(table)
 
-    monkeypatch.setattr(ingest, "validate_clique_union", counting)
+    def refuse(record):
+        raise AssertionError("validated one record at a time")
+
+    monkeypatch.setattr(ingest, "validate_table", counting)
+    monkeypatch.setattr(ingest, "validate_clique_union", refuse)
     data = tmp_path / "data.txt"
     data.write_text("0 a b\n0 a c\n0 b c\n1 a b\n2 b c\n2 b d\n2 c d\n")
     roster = tmp_path / "roster.txt"
     roster.write_text("a\nb\nc\nd\n")
     assert main(["analyze", "--input", str(data), "--roster", str(roster)]) == 0
     capsys.readouterr()
-    assert validated == [0, 1, 2]
+    assert batches == [(0, 1, 2)]
+    batches.clear()
+    prefix = str(tmp_path / "r")
+    args = ["analyze", "--input", str(data), "--roster", str(roster), "-o", prefix]
+    assert main(args) == 0
+    assert batches == [(0, 1, 2)]
+
+
+def test_analyze_empty_input_exits_one(tmp_path, capsys):
+    data = tmp_path / "data.txt"
+    for text in ("", "\n", "  \n\t\n\n"):
+        data.write_text(text)
+        assert main(["analyze", "--input", str(data)]) == 1
+        assert "empty histogram" in capsys.readouterr().err
 
 
 def test_analyze_with_roster(tmp_path, capsys):

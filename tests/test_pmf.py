@@ -372,6 +372,17 @@ def test_full_distribution_writes_without_building_graphs(built_graphs, monkeypa
     assert max_deviation(dist, twin) == max_deviation(twin, dist) < 1e-12
 
 
+def test_total_reads_the_rows(built_graphs):
+    ens = random_ensemble(5, 4, seed=4)
+    dist = full_distribution(ens, 2)
+    total = dist.total()
+    # The sum came from the probability array: no graph, no entries.
+    assert built_graphs == []
+    assert "entries" not in vars(dist)
+    assert total == math.fsum(dist.entries.values())
+    assert total == pytest.approx(1.0, abs=1e-12)
+
+
 def test_entries_are_read_only():
     source = {ContactGraph.from_cells([["a", "b"]]): 1.0}
     given = GraphDistribution(source)

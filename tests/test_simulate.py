@@ -1,7 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
-from rwig.contact_graph import ContactGraph
+from rwig.contact_graph import ContactGraph, from_assignment
 from rwig.markov import StateVector, TransitionMatrix, WalkerEnsemble
 from rwig.pmf import full_distribution
 from rwig.simulate import (
@@ -152,3 +154,59 @@ def test_histogram_csv_roundtrip():
     text = histogram_to_csv(hist)
     assert text.splitlines()[0] == "value,probability"
     assert histogram_from_csv(text) == hist
+
+
+def reference_walk(ensemble, horizon: int, seed: int) -> list[ContactGraph]:
+    """The sampler spelled out per walker and per step: one rng.random(M)
+    per time, an inverse-CDF draw from each walker's own row, and the graph
+    through from_assignment."""
+    rng = np.random.default_rng(seed)
+
+    def draw(probs, u):
+        cum = np.cumsum(probs)
+        return min(int(np.count_nonzero(cum <= u)), len(cum) - 1)
+
+    walkers = ensemble.walkers
+    u = rng.random(len(walkers))
+    states = [draw(s0.probs, x) for (_, s0, _), x in zip(walkers, u)]
+    graphs = [from_assignment(dict(zip(ensemble.labels, states)))]
+    for _ in range(horizon):
+        u = rng.random(len(walkers))
+        states = [
+            draw(policy.entries[s], x) for (_, _, policy), s, x in zip(walkers, states, u)
+        ]
+        graphs.append(from_assignment(dict(zip(ensemble.labels, states))))
+    return graphs
+
+
+def dumps_lines(pairs) -> str:
+    return "".join(
+        json.dumps({"t": t, "graph": g.to_json_obj()}, separators=(",", ":")) + "\n"
+        for t, g in pairs
+    )
+
+
+@pytest.mark.parametrize("seed", [3, 41, 2024])
+def test_sample_sequence_pins_the_stream(seed):
+    # Twelve walkers, so the sorted labels run w1, w10, w11, w12, w2, ...
+    ens = random_ensemble(12, 4, seed=seed)
+    seq = sample_sequence(ens, 40, seed=seed)
+    reference = reference_walk(ens, 40, seed)
+    assert len(seq) == 41
+    assert seq.snapshots == tuple(reference)
+    assert sequence_to_jsonl(seq) == dumps_lines(enumerate(reference))
+    assert seq == ContactSequence(reference, seed)
+
+
+def test_snapshots_to_jsonl_matches_json_dumps():
+    # Graphs over different walkers, one of them empty: each line holds
+    # only its own walkers.
+    pairs = [
+        (5, ContactGraph.from_cells([["b", "c"], ["a"]])),
+        (7, ContactGraph.from_cells([])),
+        (2, ContactGraph.from_cells([["d", "e", "a"], ["c"]])),
+        (9, ContactGraph.from_cells([[3, 1], [2]])),
+    ]
+    for chosen in (pairs[:3], pairs[3:], pairs[1:2]):
+        assert snapshots_to_jsonl(chosen) == dumps_lines(chosen)
+    assert snapshots_to_jsonl([]) == "\n"
