@@ -282,12 +282,14 @@ class GraphDistribution:
 
     ``entries`` is a read-only mapping from each graph to its probability;
     one built from a dict holds a copy.  A distribution from
-    ``full_distribution`` (either method) holds its graphs as restricted
-    growth strings over the sorted walker labels instead, one row per graph
-    in ``set_partitions`` order, beside an array of their probabilities,
-    for its whole life.  It builds ``entries`` once, on first read, in that
-    order; before and after, ``write_json`` sorts and formats from the
-    arrays and ``max_deviation`` compares them, building no ``ContactGraph``.
+    ``full_distribution`` (either method, rows in ``set_partitions`` order)
+    or ``simulate.empirical_distribution`` (rows in ``np.unique`` order)
+    holds its graphs as restricted growth strings over the sorted walker
+    labels instead, one row per graph, beside an array of their
+    probabilities, for its whole life.  It builds ``entries`` once, on first
+    read, in row order; before and after, ``write_json`` sorts and formats
+    from the arrays and ``max_deviation`` compares them, building no
+    ``ContactGraph``.
     """
 
     def __init__(
@@ -297,6 +299,19 @@ class GraphDistribution:
         self.time = time
         self.ensemble = ensemble
         self._rows = self._probs = self._labels = None
+
+    @classmethod
+    def _of_rows(
+        cls,
+        rows: np.ndarray,
+        probs: np.ndarray,
+        labels: tuple[Hashable, ...],
+        time: int | None,
+        ensemble: WalkerEnsemble | None,
+    ) -> "GraphDistribution":
+        dist = cls(None, time=time, ensemble=ensemble)
+        dist._rows, dist._probs, dist._labels = rows, probs, labels
+        return dist
 
     @functools.cached_property
     def entries(self) -> Mapping:
@@ -318,7 +333,13 @@ class GraphDistribution:
         return max(self.entries, key=lambda g: self.entries[g])
 
     def sorted_items(self) -> list:
-        """Entries by descending probability, ties in canonical graph order."""
+        """Entries by descending probability, ties in canonical graph order.
+
+        Rows are taken in ``_row_order``; a dict is sorted by ``sort_key``.
+        """
+        if self._rows is not None:
+            items = list(self.entries.items())
+            return [items[i] for i in self._row_order().tolist()]
 
         def tie_break(key):
             if isinstance(key, ContactGraph):
@@ -332,22 +353,14 @@ class GraphDistribution:
             {"graph": key.to_json_obj(), "p": p} for key, p in self.sorted_items()
         ]
 
-    def write_json(self, fh: IO[str]) -> None:
-        """Write ``json.dumps(self.to_json_obj(), indent=2)`` and a newline.
-
-        A dict is written by the json module.  Rows are streamed
-        ``_WRITE_ROWS`` entries at a time, in the order of one ``np.lexsort``
-        on (-p, clique count, cells key).  The cells key lists each cell's
-        positions in the sorted labels, each cell followed by a terminator
-        below every position, so a cell that is a prefix of another sorts
-        first, as in ``ContactGraph.sort_key``.  Each distinct clique is
-        encoded once and each probability written with ``float.__repr__``,
-        as the json module does.
+    def _row_order(self) -> np.ndarray:
+        """Row indices by descending probability, ties in canonical graph
+        order: one ``np.lexsort`` on (-p, clique count, cells key).  The
+        cells key lists each cell's positions in the sorted labels, each
+        cell followed by a terminator below every position, so a cell that
+        is a prefix of another sorts first, as in ``ContactGraph.sort_key``.
         """
-        if self._rows is None:
-            fh.write(json.dumps(self.to_json_obj(), indent=2) + "\n")
-            return
-        rows, labels = self._rows, self._labels
+        rows = self._rows
         n_graphs, width = rows.shape
         counts = rows.max(axis=1).astype(np.intp) + 1
         positions = np.argsort(rows, axis=1, kind="stable")
@@ -355,7 +368,21 @@ class GraphDistribution:
         slots = np.arange(width) + np.take_along_axis(rows, positions, axis=1)
         key = np.full((n_graphs, width + counts.max()), -1, np.min_scalar_type(-width))
         np.put_along_axis(key, slots, positions, axis=1)
-        order = np.lexsort((*key.T[::-1], counts, -self._probs))
+        return np.lexsort((*key.T[::-1], counts, -self._probs))
+
+    def write_json(self, fh: IO[str]) -> None:
+        """Write ``json.dumps(self.to_json_obj(), indent=2)`` and a newline.
+
+        A dict is written by the json module.  Rows are streamed
+        ``_WRITE_ROWS`` entries at a time, in ``_row_order``.  Each distinct
+        clique is encoded once and each probability written with
+        ``float.__repr__``, as the json module does.
+        """
+        if self._rows is None:
+            fh.write(json.dumps(self.to_json_obj(), indent=2) + "\n")
+            return
+        rows, labels = self._rows, self._labels
+        order = self._row_order()
 
         @functools.cache
         def clique(mask: int) -> str:
@@ -367,9 +394,9 @@ class GraphDistribution:
         entry = '  {{\n    "graph": [\n{}\n    ],\n    "p": {}\n  }}'.format
         dtype = _mask_dtype(len(labels))
         separator = "[\n"
-        for lo in range(0, n_graphs, _WRITE_ROWS):
+        for lo in range(0, len(rows), _WRITE_ROWS):
             chunk = order[lo : lo + _WRITE_ROWS]
-            sizes = counts[chunk].tolist()
+            sizes = (rows[chunk].max(axis=1).astype(np.intp) + 1).tolist()
             masks = _walker_masks(rows[chunk], range(len(labels)), max(sizes), dtype)
             distinct, inverse = np.unique(masks, return_inverse=True)
             texts = np.array([clique(u) for u in distinct.tolist()], dtype=object)
@@ -429,9 +456,7 @@ def full_distribution(
             probs[at] = _closed_form_batch(
                 masks, states, cache, lambda i: graph_at(at[i]).to_json_obj()
             )
-    dist = GraphDistribution(None, time=k, ensemble=ensemble)
-    dist._rows, dist._probs, dist._labels = rows, probs, ordered
-    return dist
+    return GraphDistribution._of_rows(rows, probs, ordered, k, ensemble)
 
 
 # --- steady state -----------------------------------------------------------

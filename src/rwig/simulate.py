@@ -12,6 +12,12 @@ A sampled sequence stays an array from the walk to its JSON lines: the
 walkers' states at every step, renamed into one restricted growth string
 per snapshot by ``combinatorics.first_appearance_rows``.  Its
 ``ContactGraph`` snapshots are built only when a caller reads them.
+
+An empirical distribution walks its replicas together, as one (R, M) state
+array per step, each replica on the uniforms of its own generator.  Its
+final states become rows the same way and are counted as rows; replicas go
+in chunks so that no array of the walk holds more than ``_WALK_ELEMENTS``
+numbers.
 """
 
 from __future__ import annotations
@@ -19,13 +25,13 @@ from __future__ import annotations
 import functools
 import json
 import math
-from collections import Counter
+import numbers
 from typing import Hashable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .combinatorics import first_appearance_rows
-from .contact_graph import ContactGraph, compact_json, from_assignment, row_graph
+from .contact_graph import ContactGraph, compact_json, row_graph
 from .markov import WalkerEnsemble
 from .pmf import GraphDistribution, clique_count_histogram, clique_size_histogram
 
@@ -70,15 +76,27 @@ class ContactSequence:
         return hash((self.snapshots, self.seed))
 
 
+# Most numbers one array of ``empirical_distribution``'s walk holds: a
+# chunk's uniforms, or its walkers' cumulative policy rows at one step.
+_WALK_ELEMENTS = 1 << 18
+
+
 def replica_seed(seed: int, replica: int) -> int:
     """Stream-splitting rule for replica RNGs."""
     return seed ^ replica
 
 
+def _check_integer(name: str, value, least: int) -> None:
+    if not isinstance(value, numbers.Integral) or value < least:
+        bound = "non-negative" if least == 0 else "positive"
+        raise ValueError(f"{name} must be a {bound} integer, got {value!r}")
+
+
 def _draw(cum_rows: np.ndarray, u: np.ndarray) -> np.ndarray:
     # Inverse-CDF draw per row: index of the first cumulative value above u.
-    idx = (cum_rows <= u[:, None]).sum(axis=1)
-    return np.minimum(idx, cum_rows.shape[1] - 1)
+    # Rows (..., M, N) broadcast against uniforms (..., M).
+    idx = (cum_rows <= u[..., None]).sum(axis=-1)
+    return np.minimum(idx, cum_rows.shape[-1] - 1)
 
 
 def _walk_tables(ensemble: WalkerEnsemble) -> tuple[np.ndarray, np.ndarray]:
@@ -96,8 +114,9 @@ def _walk_states(
     cum0: np.ndarray, cum_policy: np.ndarray, uniforms: Iterable[np.ndarray]
 ) -> Iterator[np.ndarray]:
     """Yield the walkers' state indices at times 0, 1, ..., one time per
-    vector of M uniforms: the first draws the initial states, each later
-    one a policy step."""
+    array of uniforms: the first draws the initial states, each later one a
+    policy step.  An array is M uniforms for one walk, or (R, M) for R
+    replicas walking at once; the states have its shape."""
     uniforms = iter(uniforms)
     states = _draw(cum0, next(uniforms))
     yield states
@@ -117,8 +136,8 @@ def sample_sequence(ensemble: WalkerEnsemble, horizon: int, seed: int) -> Contac
     the uniforms are one (horizon + 1, M) block, the same doubles in the
     same order as one M-vector per step.
     """
-    if horizon < 0:
-        raise ValueError("horizon must be non-negative")
+    _check_integer("seed", seed, 0)
+    _check_integer("horizon", horizon, 0)
     rng = np.random.default_rng(seed)
     labels = tuple(sorted(ensemble.labels))
     uniforms = rng.random((horizon + 1, ensemble.n_walkers))
@@ -128,29 +147,58 @@ def sample_sequence(ensemble: WalkerEnsemble, horizon: int, seed: int) -> Contac
     return ContactSequence._of_rows(first_appearance_rows(states[:, columns]), labels, seed)
 
 
+def _replica_uniforms(
+    seeds: Sequence[int], steps: int, width: int
+) -> Iterator[np.ndarray]:
+    """Yield ``steps`` (R, width) arrays: row r of each is the next ``width``
+    doubles of ``default_rng(seeds[r])``, so each replica draws the same
+    doubles, in the same order, as one ``random(width)`` per step.  They
+    are drawn in (R, T, width) blocks of at most ``_WALK_ELEMENTS`` numbers;
+    when one block holds every step, each generator is dropped as soon as
+    it has drawn."""
+    block = max(1, _WALK_ELEMENTS // (len(seeds) * width))
+    rngs = map(np.random.default_rng, seeds)
+    if block < steps:
+        rngs = list(rngs)
+    for lo in range(0, steps, block):
+        u = np.empty((len(seeds), min(block, steps - lo), width))
+        for rng, out in zip(rngs, u):
+            rng.random(out=out)
+        yield from u.swapaxes(0, 1)
+
+
 def empirical_distribution(
     ensemble: WalkerEnsemble, k: int, replicas: int, seed: int
 ) -> GraphDistribution:
     """Contact-graph frequencies at step k over independent replicas.
 
-    Each is a graph's integer count over ``replicas``, so equal counts tie
-    exactly and are written in canonical graph order.
+    Replica r draws k + 1 vectors of M uniforms from its own generator,
+    seeded ``replica_seed(seed, r)``; the replicas walk together as one
+    (R, M) state array.  They go in chunks small enough that a chunk's
+    uniforms, and its walkers' cumulative policy rows at one step, hold at
+    most ``_WALK_ELEMENTS`` numbers (a chunk of one replica draws its
+    uniforms in blocks of steps under the same cap).  Each final state row
+    is renamed by ``first_appearance_rows`` over the sorted labels, and the
+    distinct rows are counted.  Each probability is a graph's integer count
+    over ``replicas``, so equal counts tie exactly and are written in
+    canonical graph order.
     """
-    if replicas < 1:
-        raise ValueError("replicas must be positive")
-    if k < 0:
-        raise ValueError("k must be non-negative")
+    _check_integer("seed", seed, 0)
+    _check_integer("replicas", replicas, 1)
+    _check_integer("k", k, 0)
     tables = _walk_tables(ensemble)
-    labels = ensemble.labels
-    counts: Counter[ContactGraph] = Counter()
-    for r in range(replicas):
-        rng = np.random.default_rng(replica_seed(seed, r))
-        draws = (rng.random(ensemble.n_walkers) for _ in range(k + 1))
-        for states in _walk_states(*tables, draws):
+    m, n = ensemble.n_walkers, ensemble.n_states
+    labels = tuple(sorted(ensemble.labels))
+    columns = [ensemble.index[w] for w in labels]
+    step = max(1, _WALK_ELEMENTS // (m * max(k + 1, n)))
+    chunks = []
+    for lo in range(0, replicas, step):
+        seeds = [replica_seed(seed, r) for r in range(lo, min(lo + step, replicas))]
+        for states in _walk_states(*tables, _replica_uniforms(seeds, k + 1, m)):
             pass
-        counts[from_assignment(dict(zip(labels, states.tolist())))] += 1
-    entries = {g: c / replicas for g, c in counts.items()}
-    return GraphDistribution(entries, time=k, ensemble=ensemble)
+        chunks.append(first_appearance_rows(states[:, columns]))
+    rows, counts = np.unique(np.concatenate(chunks), axis=0, return_counts=True)
+    return GraphDistribution._of_rows(rows, counts / replicas, labels, k, ensemble)
 
 
 def _iter_snapshots(source: Iterable) -> Iterator[ContactGraph]:

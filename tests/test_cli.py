@@ -264,6 +264,14 @@ def test_sample_is_reproducible(uniform2, tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_sample_rejects_negative_seed(uniform2, capsys):
+    argv = ["sample", "--ensemble", uniform2, "--horizon", "3", "--seed", "-1"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "seed must be a non-negative integer, got -1" in captured.err
+
+
 def test_analyze_valid_and_invalid(tmp_path, capsys):
     good = tmp_path / "good.txt"
     good.write_text("0 a b\n0 a c\n0 b c\n")

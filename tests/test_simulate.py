@@ -1,11 +1,15 @@
+import io
 import json
+import re
+from collections import Counter
 
 import numpy as np
 import pytest
 
+import rwig.simulate as simulate
 from rwig.contact_graph import ContactGraph, from_assignment
 from rwig.markov import StateVector, TransitionMatrix, WalkerEnsemble
-from rwig.pmf import full_distribution
+from rwig.pmf import GraphDistribution, full_distribution
 from rwig.simulate import (
     ContactSequence,
     clique_count_distribution,
@@ -210,3 +214,101 @@ def test_snapshots_to_jsonl_matches_json_dumps():
     for chosen in (pairs[:3], pairs[3:], pairs[1:2]):
         assert snapshots_to_jsonl(chosen) == dumps_lines(chosen)
     assert snapshots_to_jsonl([]) == "\n"
+
+
+def reference_empirical(ensemble, k: int, replicas: int, seed: int) -> Counter:
+    """The empirical distribution spelled out one replica at a time: replica
+    r walks on its own default_rng(seed ^ r), k + 1 draws of random(M), and
+    its graph at step k comes through from_assignment."""
+    return Counter(reference_walk(ensemble, k, seed ^ r)[-1] for r in range(replicas))
+
+
+def relabelled(ensemble, labels) -> WalkerEnsemble:
+    walkers = ensemble.walkers
+    return WalkerEnsemble([(l, s0, p) for l, (_, s0, p) in zip(labels, walkers)])
+
+
+@pytest.mark.parametrize(
+    "ensemble, k, replicas, cap, chunks",
+    [
+        # Chunks of three replicas and a ragged last one.
+        (random_ensemble(5, 3, seed=2), 3, 10, 60, [3, 3, 3, 1]),
+        # One replica per chunk, its five steps drawn in blocks of 3 and 2.
+        (random_ensemble(5, 3, seed=2), 4, 4, 15, [1, 1, 1, 1]),
+        # Sorted labels a, b, c, d, e, f differ from ensemble order.
+        (relabelled(random_ensemble(6, 4, seed=5), "fbeadc"), 2, 300, None, [300]),
+        # Sorted labels run w1, w10, w11, w12, w2, ...
+        (random_ensemble(12, 4, seed=9), 3, 205, 500, [10] * 20 + [5]),
+        # k = 0: the cumulative policy rows (3 states) set the chunk size.
+        (random_ensemble(4, 3, seed=1), 0, 50, 36, [3] * 16 + [2]),
+        (random_ensemble(4, 3, seed=1), 5, 1, None, [1]),
+    ],
+)
+def test_empirical_matches_per_replica_reference(
+    ensemble, k, replicas, cap, chunks, monkeypatch
+):
+    if cap is not None:
+        monkeypatch.setattr(simulate, "_WALK_ELEMENTS", cap)
+    real_rows, real_draw = simulate.first_appearance_rows, simulate._draw
+    seen, drawn = [], []
+
+    def rows_of_chunk(states):
+        seen.append(len(states))
+        return real_rows(states)
+
+    def draw(cum_rows, u):
+        drawn.append(np.broadcast(cum_rows, u[..., None]).size)
+        return real_draw(cum_rows, u)
+
+    monkeypatch.setattr(simulate, "first_appearance_rows", rows_of_chunk)
+    monkeypatch.setattr(simulate, "_draw", draw)
+    seed = 1000 + replicas
+    dist = empirical_distribution(ensemble, k, replicas, seed)
+    assert seen == chunks
+    assert max(drawn) <= (cap or simulate._WALK_ELEMENTS)
+    counts = reference_empirical(ensemble, k, replicas, seed)
+    expected = {g: c / replicas for g, c in counts.items()}
+    assert dict(dist.entries) == expected
+    assert (dist.time, dist.ensemble) == (k, ensemble)
+    reference = GraphDistribution(expected).to_json_obj()
+
+    # A row distribution takes its order from the arrays, not from sort_key.
+    def refuse(self):
+        raise AssertionError("sorted by sort_key")
+
+    monkeypatch.setattr(ContactGraph, "sort_key", refuse)
+    assert dist.to_json_obj() == reference
+    buf = io.StringIO()
+    dist.write_json(buf)
+    assert buf.getvalue() == json.dumps(reference, indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ({"replicas": 2.5}, "replicas must be a positive integer, got 2.5"),
+        ({"replicas": 0}, "replicas must be a positive integer, got 0"),
+        ({"k": 1.5}, "k must be a non-negative integer, got 1.5"),
+        ({"k": -1}, "k must be a non-negative integer, got -1"),
+        ({"seed": -1}, "seed must be a non-negative integer, got -1"),
+        ({"seed": None}, "seed must be a non-negative integer, got None"),
+    ],
+)
+def test_empirical_rejects_bad_arguments(bad, message):
+    args = {"k": 1, "replicas": 3, "seed": 0, **bad}
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        empirical_distribution(uniform_ensemble(2, 2), **args)
+
+
+@pytest.mark.parametrize(
+    "horizon, seed, message",
+    [
+        (3, -1, "seed must be a non-negative integer, got -1"),
+        (3, 2.0, "seed must be a non-negative integer, got 2.0"),
+        (1.5, 0, "horizon must be a non-negative integer, got 1.5"),
+        (-1, 0, "horizon must be a non-negative integer, got -1"),
+    ],
+)
+def test_sample_sequence_rejects_bad_arguments(horizon, seed, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        sample_sequence(uniform_ensemble(2, 2), horizon, seed)
