@@ -283,13 +283,13 @@ class GraphDistribution:
     ``entries`` is a read-only mapping from each graph to its probability;
     one built from a dict holds a copy.  A distribution from
     ``full_distribution`` (either method, rows in ``set_partitions`` order)
-    or ``simulate.empirical_distribution`` (rows in ``np.unique`` order)
+    or ``simulate.empirical_distribution`` (rows in lexicographic order)
     holds its graphs as restricted growth strings over the sorted walker
     labels instead, one row per graph, beside an array of their
     probabilities, for its whole life.  It builds ``entries`` once, on first
-    read, in row order; before and after, ``write_json`` sorts and formats
-    from the arrays and ``max_deviation`` compares them, building no
-    ``ContactGraph``.
+    read, in row order; before and after, ``to_json_obj`` and ``write_json``
+    sort and format from the arrays and ``max_deviation`` compares them,
+    building no ``ContactGraph``.
     """
 
     def __init__(
@@ -349,9 +349,21 @@ class GraphDistribution:
         return sorted(self.entries.items(), key=lambda kv: (-kv[1], tie_break(kv[0])))
 
     def to_json_obj(self) -> list[dict]:
-        return [
-            {"graph": key.to_json_obj(), "p": p} for key, p in self.sorted_items()
-        ]
+        """``{"graph", "p"}`` per entry, in ``sorted_items`` order.  Rows are
+        read in ``_row_order``, each into its cells of sorted labels, with
+        no ``ContactGraph`` and no ``entries``."""
+        if self._rows is None:
+            return [
+                {"graph": key.to_json_obj(), "p": p} for key, p in self.sorted_items()
+            ]
+        order = self._row_order()
+        out = []
+        for row, p in zip(self._rows[order].tolist(), self._probs[order].tolist()):
+            cells = [[] for _ in range(max(row) + 1)]
+            for label, c in zip(self._labels, row):
+                cells[c].append(label)
+            out.append({"graph": cells, "p": p})
+        return out
 
     def _row_order(self) -> np.ndarray:
         """Row indices by descending probability, ties in canonical graph

@@ -1,12 +1,12 @@
 """Monte-Carlo side of the model: sampled trajectories and contact sequences.
 
-All randomness flows through numpy's seeded Generator.  Replica r of an
-estimator uses ``seed ^ r`` passed through the generator's own seeding
-function, so runs are reproducible and the replicas of one seed draw
-distinct streams.  Streams are not independent across seeds: seeds s and
-s' share a stream whenever s ^ s' equals r ^ r' for two replica indices
-(with 8 replicas, seeds 0 to 7 draw the same eight streams and give
-identical empirical distributions).
+All randomness is numpy's default generator: ``default_rng(seed)``.
+Replica r of an estimator draws the stream of ``default_rng(seed ^ r)``, so
+runs are reproducible and the replicas of one seed draw distinct streams.
+Streams are not independent across seeds: seeds s and s' share a stream
+whenever s ^ s' equals r ^ r' for two replica indices (with 8 replicas,
+seeds 0 to 7 draw the same eight streams and give identical empirical
+distributions).
 
 A sampled sequence stays an array from the walk to its JSON lines: the
 walkers' states at every step, renamed into one restricted growth string
@@ -14,10 +14,12 @@ per snapshot by ``combinatorics.first_appearance_rows``.  Its
 ``ContactGraph`` snapshots are built only when a caller reads them.
 
 An empirical distribution walks its replicas together, as one (R, M) state
-array per step, each replica on the uniforms of its own generator.  Its
-final states become rows the same way and are counted as rows; replicas go
-in chunks so that no array of the walk holds more than ``_WALK_ELEMENTS``
-numbers.
+array per step.  It builds no generator: ``_replica_uniforms`` runs numpy's
+seeding (``SeedSequence``) and bit generator (``PCG64``) on arrays, every
+replica of a chunk at once, and gives each replica the same doubles that
+its own ``default_rng`` would.  The final states become rows the same way
+and are counted as rows; replicas go in chunks so that no array of the walk
+holds more than ``_WALK_ELEMENTS`` numbers.
 """
 
 from __future__ import annotations
@@ -147,24 +149,120 @@ def sample_sequence(ensemble: WalkerEnsemble, horizon: int, seed: int) -> Contac
     return ContactSequence._of_rows(first_appearance_rows(states[:, columns]), labels, seed)
 
 
+# SeedSequence's hash constants (numpy NEP 19; bit_generator.pyx) and
+# PCG64's 128-bit LCG multiplier (O'Neill, "PCG", HMC-CS-2014-0905).
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _halves(values: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """128-bit integers as (high, low) uint64 arrays."""
+    return (
+        np.array([v >> 64 for v in values], np.uint64),
+        np.array([v & (1 << 64) - 1 for v in values], np.uint64),
+    )
+
+
+def _mul128(a_hi, a_lo, b_hi, b_lo) -> tuple[np.ndarray, np.ndarray]:
+    """(a * b) mod 2**128 on (high, low) uint64 halves.  The high half of
+    a_lo * b_lo is taken from 32-bit limbs, whose products fit in 64 bits."""
+    a0, a1 = a_lo & _MASK32, a_lo >> 32
+    b0, b1 = b_lo & _MASK32, b_lo >> 32
+    t = a0 * b0
+    u = a1 * b0 + (t >> 32)
+    v = a0 * b1 + (u & _MASK32)
+    hi = a1 * b1 + (u >> 32) + (v >> 32) + a_lo * b_hi + a_hi * b_lo
+    return hi, a_lo * b_lo
+
+
+def _add128(a_hi, a_lo, b_hi, b_lo) -> tuple[np.ndarray, np.ndarray]:
+    lo = a_lo + b_lo
+    return a_hi + b_hi + (lo < b_lo), lo
+
+
+def _pcg64_states(seeds: Sequence[int]) -> tuple[np.ndarray, ...]:
+    """The PCG64 state (high, low) and increment (high, low) of
+    ``default_rng(seed)`` for each seed, as uint64 arrays.
+
+    Each seed is split into uint32 words, padded with zero words to at
+    least four.  SeedSequence fills its pool of four from the hash of each
+    of the first four words, hashing a missing word as zero, so the padding
+    changes nothing; a word past the fourth takes its extra mixing rounds
+    only in the replicas whose seed has it.  The pool gives four uint64
+    words (``generate_state``); PCG64 takes the first two as its initial
+    state and the last two as its stream, and steps twice
+    (``pcg_setseq_128_srandom_r``).
+    """
+    seeds = [int(s) for s in seeds]
+    n_words = max(4, -(-max(s.bit_length() for s in seeds) // 32))
+    data = b"".join(s.to_bytes(4 * n_words, "little") for s in seeds)
+    words = np.frombuffer(data, "<u4").reshape(len(seeds), n_words).T
+    present = np.logical_or.accumulate(words[::-1] != 0)[::-1]
+    const = _INIT_A
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * _MULT_A & _MASK32
+        value = value * np.uint32(const)
+        return value ^ value >> 16
+
+    def mix(x, y):
+        value = x * np.uint32(_MIX_L) - y * np.uint32(_MIX_R)
+        return value ^ value >> 16
+
+    pool = [hashmix(w) for w in words[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for w in range(4, n_words):
+        for dst in range(4):
+            pool[dst] = np.where(present[w], mix(pool[dst], hashmix(words[w])), pool[dst])
+    const = _INIT_B
+    state = []
+    for i in range(8):
+        value = pool[i % 4] ^ np.uint32(const)
+        const = const * _MULT_B & _MASK32
+        value = value * np.uint32(const)
+        state.append((value ^ value >> 16).astype(np.uint64))
+    s_hi, s_lo, q_hi, q_lo = (state[i] | state[i + 1] << 32 for i in range(0, 8, 2))
+    inc = (q_hi << 1 | q_lo >> 63, q_lo << 1 | 1)
+    hi, lo = _add128(*inc, s_hi, s_lo)
+    return *_add128(*_mul128(hi, lo, *_halves([_PCG_MULT])), *inc), *inc
+
+
 def _replica_uniforms(
     seeds: Sequence[int], steps: int, width: int
 ) -> Iterator[np.ndarray]:
     """Yield ``steps`` (R, width) arrays: row r of each is the next ``width``
     doubles of ``default_rng(seeds[r])``, so each replica draws the same
-    doubles, in the same order, as one ``random(width)`` per step.  They
-    are drawn in (R, T, width) blocks of at most ``_WALK_ELEMENTS`` numbers;
-    when one block holds every step, each generator is dropped as soon as
-    it has drawn."""
-    block = max(1, _WALK_ELEMENTS // (len(seeds) * width))
-    rngs = map(np.random.default_rng, seeds)
-    if block < steps:
-        rngs = list(rngs)
-    for lo in range(0, steps, block):
-        u = np.empty((len(seeds), min(block, steps - lo), width))
-        for rng, out in zip(rngs, u):
-            rng.random(out=out)
-        yield from u.swapaxes(0, 1)
+    doubles, in the same order, as one ``random(width)`` per step.
+
+    No generator is built.  From each replica's PCG64 state x, one step of
+    the LCG is x * MULT + inc, so the state j steps on is x * MULT**j +
+    inc * (1 + MULT + ... + MULT**(j-1)), mod 2**128; one array step gives
+    j = 1 .. width for every replica at once.  Each state's double is its
+    XSL-RR output (high ^ low, rotated right by the top six bits) shifted
+    right by 11 and scaled by 2**-53, as ``Generator.random`` does.
+    """
+    hi, lo, inc_hi, inc_lo = _pcg64_states(seeds)
+    powers, sums, power, total = [], [], 1, 0
+    for _ in range(width):
+        total = (total + power) % (1 << 128)
+        power = power * _PCG_MULT % (1 << 128)
+        powers.append(power)
+        sums.append(total)
+    a_hi, a_lo = _halves(powers)
+    c_hi, c_lo = _mul128(inc_hi[:, None], inc_lo[:, None], *_halves(sums))
+    for _ in range(steps):
+        x_hi, x_lo = _add128(*_mul128(hi[:, None], lo[:, None], a_hi, a_lo), c_hi, c_lo)
+        hi, lo = x_hi[:, -1], x_lo[:, -1]
+        x, rot = x_hi ^ x_lo, x_hi >> 58
+        yield ((x >> rot | x << (64 - rot & 63)) >> 11) * 2.0**-53
 
 
 def empirical_distribution(
@@ -172,16 +270,17 @@ def empirical_distribution(
 ) -> GraphDistribution:
     """Contact-graph frequencies at step k over independent replicas.
 
-    Replica r draws k + 1 vectors of M uniforms from its own generator,
-    seeded ``replica_seed(seed, r)``; the replicas walk together as one
-    (R, M) state array.  They go in chunks small enough that a chunk's
-    uniforms, and its walkers' cumulative policy rows at one step, hold at
-    most ``_WALK_ELEMENTS`` numbers (a chunk of one replica draws its
-    uniforms in blocks of steps under the same cap).  Each final state row
-    is renamed by ``first_appearance_rows`` over the sorted labels, and the
-    distinct rows are counted.  Each probability is a graph's integer count
-    over ``replicas``, so equal counts tie exactly and are written in
-    canonical graph order.
+    Replica r draws k + 1 vectors of M uniforms, the stream of
+    ``default_rng(replica_seed(seed, r))``; the replicas walk together as
+    one (R, M) state array, on one (R, M) array of uniforms per step from
+    ``_replica_uniforms``.  They go in chunks small enough that a chunk's
+    uniforms for all k + 1 steps, and its walkers' cumulative policy rows at
+    one step, would each hold at most ``_WALK_ELEMENTS`` numbers.  Each
+    final state row is renamed by ``first_appearance_rows`` over the sorted
+    labels, and the rows are counted after one ``np.lexsort``, so the
+    distinct rows come in lexicographic order.  Each probability is a
+    graph's integer count over ``replicas``, so equal counts tie exactly and
+    are written in canonical graph order.
     """
     _check_integer("seed", seed, 0)
     _check_integer("replicas", replicas, 1)
@@ -197,8 +296,11 @@ def empirical_distribution(
         for states in _walk_states(*tables, _replica_uniforms(seeds, k + 1, m)):
             pass
         chunks.append(first_appearance_rows(states[:, columns]))
-    rows, counts = np.unique(np.concatenate(chunks), axis=0, return_counts=True)
-    return GraphDistribution._of_rows(rows, counts / replicas, labels, k, ensemble)
+    rows = np.concatenate(chunks)
+    rows = rows[np.lexsort(rows.T[::-1])]
+    starts = np.flatnonzero(np.r_[True, (rows[1:] != rows[:-1]).any(axis=1)])
+    counts = np.diff(starts, append=replicas)
+    return GraphDistribution._of_rows(rows[starts], counts / replicas, labels, k, ensemble)
 
 
 def _iter_snapshots(source: Iterable) -> Iterator[ContactGraph]:

@@ -34,6 +34,7 @@ from rwig.pmf import (
     unlabelled_steady_state_pmf_bruteforce,
 )
 from rwig.combinatorics import set_partitions
+from rwig.simulate import empirical_distribution
 
 from conftest import random_ensemble, table3_vector, uniform_ensemble
 
@@ -348,14 +349,20 @@ def test_write_json_breaks_ties_in_graph_order():
 def test_full_distribution_writes_without_building_graphs(built_graphs, monkeypatch):
     ens = random_ensemble(5, 4, seed=4)
     expected = io.StringIO()
-    GraphDistribution(dict(full_distribution(ens, 2).entries)).write_json(expected)
+    given = GraphDistribution(dict(full_distribution(ens, 2).entries))
+    given.write_json(expected)
     twin = full_distribution(ens, 2, method="bruteforce")
     assert len(twin.entries) == 51
+    sampled = GraphDistribution(dict(empirical_distribution(ens, 2, 400, seed=7).entries))
     built_graphs.clear()
     dist = full_distribution(ens, 2)
     buf = io.StringIO()
     dist.write_json(buf)
+    assert dist.to_json_obj() == given.to_json_obj()
+    empirical = empirical_distribution(ens, 2, 400, seed=7)
+    assert empirical.to_json_obj() == sampled.to_json_obj()
     assert built_graphs == []
+    assert "entries" not in vars(dist) and "entries" not in vars(empirical)
     assert buf.getvalue() == expected.getvalue()
     # Reading entries builds each graph once and keeps the rows, so writing
     # and comparing still run on the arrays, not through the entries.

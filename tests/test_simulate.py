@@ -233,7 +233,7 @@ def relabelled(ensemble, labels) -> WalkerEnsemble:
     [
         # Chunks of three replicas and a ragged last one.
         (random_ensemble(5, 3, seed=2), 3, 10, 60, [3, 3, 3, 1]),
-        # One replica per chunk, its five steps drawn in blocks of 3 and 2.
+        # One replica per chunk: its 5 x 5 uniforms together are over the cap.
         (random_ensemble(5, 3, seed=2), 4, 4, 15, [1, 1, 1, 1]),
         # Sorted labels a, b, c, d, e, f differ from ensemble order.
         (relabelled(random_ensemble(6, 4, seed=5), "fbeadc"), 2, 300, None, [300]),
@@ -269,6 +269,8 @@ def test_empirical_matches_per_replica_reference(
     counts = reference_empirical(ensemble, k, replicas, seed)
     expected = {g: c / replicas for g, c in counts.items()}
     assert dict(dist.entries) == expected
+    # The distinct rows in lexicographic order, as np.unique gives them.
+    np.testing.assert_array_equal(dist._rows, np.unique(dist._rows, axis=0))
     assert (dist.time, dist.ensemble) == (k, ensemble)
     reference = GraphDistribution(expected).to_json_obj()
 
@@ -281,6 +283,27 @@ def test_empirical_matches_per_replica_reference(
     buf = io.StringIO()
     dist.write_json(buf)
     assert buf.getvalue() == json.dumps(reference, indent=2) + "\n"
+
+
+def test_replica_uniforms_are_default_rng_streams():
+    # Seeds of one to ten uint32 words in one call, so only some replicas
+    # take SeedSequence's mixing rounds for words past the fourth.
+    rng = np.random.default_rng(12)
+    seeds = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**128 - 1, 2**128, 2**200 + 3]
+    seeds += [int(rng.integers(2**63)) << bits for bits in (0, 40, 90, 250)]
+    steps, width = 6, 7
+    drawn = list(simulate._replica_uniforms(seeds, steps, width))
+    assert [u.shape for u in drawn] == [(len(seeds), width)] * steps
+    expected = [np.random.default_rng(s).random(steps * width) for s in seeds]
+    np.testing.assert_array_equal(np.hstack(drawn), np.stack(expected))
+
+
+@pytest.mark.parametrize("seed", [np.int64(1003), 2**130 + 5])
+def test_empirical_takes_any_integer_seed(seed):
+    ens = random_ensemble(5, 3, seed=2)
+    dist = empirical_distribution(ens, 3, 300, seed)
+    counts = reference_empirical(ens, 3, 300, seed)
+    assert dict(dist.entries) == {g: c / 300 for g, c in counts.items()}
 
 
 @pytest.mark.parametrize(
