@@ -350,20 +350,18 @@ class GraphDistribution:
 
     def to_json_obj(self) -> list[dict]:
         """``{"graph", "p"}`` per entry, in ``sorted_items`` order.  Rows are
-        read in ``_row_order``, each into its cells of sorted labels, with
-        no ``ContactGraph`` and no ``entries``."""
+        read in ``_row_order``, each through ``labelling_partition``, with no
+        ``ContactGraph`` and no ``entries``."""
         if self._rows is None:
             return [
                 {"graph": key.to_json_obj(), "p": p} for key, p in self.sorted_items()
             ]
         order = self._row_order()
-        out = []
-        for row, p in zip(self._rows[order].tolist(), self._probs[order].tolist()):
-            cells = [[] for _ in range(max(row) + 1)]
-            for label, c in zip(self._labels, row):
-                cells[c].append(label)
-            out.append({"graph": cells, "p": p})
-        return out
+        rows, probs = self._rows[order].tolist(), self._probs[order].tolist()
+        return [
+            {"graph": list(map(list, labelling_partition(row, self._labels).cells)), "p": p}
+            for row, p in zip(rows, probs)
+        ]
 
     def _row_order(self) -> np.ndarray:
         """Row indices by descending probability, ties in canonical graph
