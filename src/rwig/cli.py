@@ -170,11 +170,12 @@ def cmd_sample(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    with open(args.input, "r", encoding="utf-8") as fh:
+    # utf-8-sig drops a leading byte-order mark, which is not part of the data.
+    with open(args.input, "r", encoding="utf-8-sig") as fh:
         table = ingest_mod.read_colocation(fh)
     roster = None
     if args.roster:
-        with open(args.roster, "r", encoding="utf-8") as fh:
+        with open(args.roster, "r", encoding="utf-8-sig") as fh:
             roster = ingest_mod.load_roster(fh)
     rows = ingest_mod.clique_rows(table)
     size_hist, count_hist = ingest_mod.row_distributions(rows, table.nodes, roster=roster)

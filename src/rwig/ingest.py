@@ -4,6 +4,11 @@ Input is the plain-text edge-list convention of public co-location
 releases: one "t i j" triple per line, meaning nodes i and j shared a
 location during time bin t.  Node ids are opaque strings.
 
+The parse (``read_colocation``) takes a block of lines at a time and finds
+their fields where ``str.split`` would, on the block's UTF-8 bytes with
+numpy, so it makes no Python object per field: each distinct node id and
+timestamp text of a block is decoded once, from a key of its bytes.
+
 Edges stay integer arrays from the parse on (``EdgeTable``): each is a
 bin and two nodes, named by their positions in the sorted node ids.  One
 batch validation (``validate_table``) finds the connected components of
@@ -17,14 +22,12 @@ callers that ask for them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from .combinatorics import first_appearance_rows
 from .contact_graph import ContactGraph, row_graph
-from .pmf import clique_count_histogram, clique_size_histogram
 from .simulate import ContactSequence
 
 
@@ -94,8 +97,86 @@ class EdgeTable:
         ]
 
 
-# Most lines split as one block.
-_PARSE_LINES = 1 << 12
+# Characters of input parsed as one block of lines.
+_PARSE_CHARS = 1 << 20
+# The bytes that separate fields: the ASCII characters for which
+# ``str.isspace`` holds.
+_SPACE = np.zeros(256, bool)
+_SPACE[[c for c in range(128) if chr(c).isspace()]] = True
+# _KEEP[n] keeps the first n bytes of a big-endian word.
+_KEEP = np.array([(1 << 64) - (1 << 8 * (8 - n)) for n in range(9)], np.uint64)
+
+
+def _blocks(lines: Iterable[str]) -> Iterator[list[str]]:
+    """The lines in order, a block ending once it holds ``_PARSE_CHARS``
+    characters."""
+    block, size = [], 0
+    for line in lines:
+        block.append(line)
+        size += len(line)
+        if size >= _PARSE_CHARS:
+            yield block
+            block, size = [], 0
+    if block:
+        yield block
+
+
+def _fields(block: list[str]) -> tuple[bytes, np.ndarray, np.ndarray, np.ndarray]:
+    """The fields of each line as ``str.split`` finds them, located in UTF-8.
+
+    Returns the lines' bytes, each line followed by "\\n", the [start, end)
+    byte span of every field in order, and each line's field count.
+    Non-ASCII whitespace becomes " " before encoding, so an ASCII table
+    finds every separator.
+    """
+    text = "\n".join(block) + "\n"
+    if text.isascii():
+        data = text.encode("ascii")
+        sizes = np.fromiter(map(len, block), np.intp, len(block))
+    else:
+        spaces = {ord(c): " " for c in set(text) if c.isspace() and not c.isascii()}
+        encoded = [line.translate(spaces).encode("utf-8", "surrogatepass") for line in block]
+        data = b"\n".join(encoded) + b"\n"
+        sizes = np.fromiter(map(len, encoded), np.intp, len(block))
+    # +1 where a field ends, -1 where one starts.
+    step = np.diff(_SPACE[np.frombuffer(data, np.uint8)].view(np.int8), prepend=np.int8(1))
+    opens = step == -1
+    line_at = np.zeros(len(block), np.intp)
+    np.cumsum(sizes[:-1] + 1, out=line_at[1:])
+    counts = np.add.reduceat(opens, line_at, dtype=np.intp)
+    return data, np.flatnonzero(opens), np.flatnonzero(step == 1), counts
+
+
+def _distinct(data: bytes, starts: np.ndarray, ends: np.ndarray) -> tuple[list[str], np.ndarray]:
+    """The distinct texts of the fields ``data[starts:ends]``, in ``str``
+    order, and the position of each field's text among them.
+
+    A field's key is its bytes as big-endian 8-byte words, zero-padded,
+    plus its length where the data holds a zero byte; UTF-8 byte order is
+    code point order.  Each distinct text is decoded once.
+    """
+    lengths = ends - starts
+    words = np.ndarray(len(data) + 1, ">u8", data + bytes(8), strides=(1,))
+    at = np.zeros(len(starts), np.intp)
+    for offset in range(0, int(lengths.max(initial=0)), 8):
+        left = np.clip(lengths - offset, 0, 8)
+        word = _ranks(words[np.where(left > 0, starts + offset, 0)] & _KEEP[left])
+        # Refine the ranks so far by this word's; both are below len(at).
+        at = _ranks(at * len(at) + word) if offset else word
+    if 0 in data:
+        at = _ranks(at * len(at) + _ranks(lengths))
+    first = np.zeros(at.max(initial=-1) + 1, np.intp)
+    first[at] = np.arange(len(at))
+    texts = [
+        data[a:b].decode("utf-8", "surrogatepass")
+        for a, b in zip(starts[first].tolist(), ends[first].tolist())
+    ]
+    return texts, at
+
+
+def _ranks(keys: np.ndarray) -> np.ndarray:
+    """The position of each key among the distinct keys, ascending."""
+    return np.unique(keys, return_inverse=True)[1]
 
 
 def _number(words: list[str], ids: dict[str, int]) -> tuple[np.ndarray, list[str]]:
@@ -116,38 +197,43 @@ def _timestamp(text: str) -> int | None:
 def read_colocation(lines: Iterable[str]) -> EdgeTable:
     """Parse "t i j" lines into one bin per distinct t, ascending.
 
-    Blank lines are skipped; duplicate (t, i, j) observations collapse to
-    one edge, and the edges are sorted by (bin, lo, hi).  Malformed lines
-    and self contacts raise with the line number.  Lines are split
-    ``_PARSE_LINES`` at a time; node ids and timestamp texts are numbered
-    as they first appear and ranked once at the end.
+    Each item of ``lines`` is one line, its fields split as ``str.split``
+    splits them.  Blank lines are skipped; duplicate (t, i, j) observations
+    collapse to one edge, and the edges are sorted by (bin, lo, hi).
+    Malformed lines and self contacts raise with the line number.  Lines
+    are parsed a block of about ``_PARSE_CHARS`` characters at a time, on
+    their UTF-8 bytes (``_fields``); each distinct node id and timestamp
+    text of a block is decoded once and numbered as it first appears, and
+    the ids are ranked once at the end.
     """
     node_ids: dict[str, int] = {}
     time_ids: dict[str, int] = {}
     values: list[int | None] = []  # per timestamp text
     parts = []
-    lines = iter(lines)
     offset = 0
-    while block := list(islice(lines, _PARSE_LINES)):
-        counts = np.fromiter(map(len, map(str.split, block)), np.intp, len(block))
+    for block in _blocks(lines):
+        data, starts, ends, counts = _fields(block)
         wrong = np.flatnonzero((counts != 3) & (counts != 0))
         stop = int(wrong[0]) if len(wrong) else len(block)
-        # The lines before ``stop`` hold three fields each or none.  One
-        # split per block gives their fields; the spaces keep lines apart.
+        # The lines before ``stop`` hold three fields each or none.
         lines_at = np.flatnonzero(counts[:stop])
-        words = " ".join(block).split()[: 3 * len(lines_at)]
-        t_ids, new_texts = _number(words[0::3], time_ids)
+        starts = starts[: 3 * len(lines_at)].reshape(-1, 3).T
+        ends = ends[: 3 * len(lines_at)].reshape(-1, 3).T
+        texts, t_at = _distinct(data, starts[0], ends[0])
+        t_ids, new_texts = _number(texts, time_ids)
         values += map(_timestamp, new_texts)
-        ends = _number(words[1::3] + words[2::3], node_ids)[0].reshape(2, -1)
+        names, n_at = _distinct(data, starts[1:].ravel(), ends[1:].ravel())
+        pairs = _number(names, node_ids)[0][n_at].reshape(2, -1)
         # The first line at fault, by its first fault as the line is read.
         faults = []
         if None in values[len(values) - len(new_texts) :]:
-            k = next(k for k, t in enumerate(t_ids.tolist()) if values[t] is None)
-            faults.append((k, 0, f"bad timestamp {words[3 * k]!r}"))
-        selfs = np.flatnonzero(ends[0] == ends[1])
+            bad = np.array([values[t] is None for t in t_ids.tolist()])
+            k = int(np.flatnonzero(bad[t_at])[0])
+            faults.append((k, 0, f"bad timestamp {texts[t_at[k]]!r}"))
+        selfs = np.flatnonzero(pairs[0] == pairs[1])
         if len(selfs):
             k = int(selfs[0])
-            faults.append((k, 1, f"self contact on node {words[3 * k + 1]!r}"))
+            faults.append((k, 1, f"self contact on node {names[n_at[k]]!r}"))
         if faults:
             k, _, message = min(faults)
             raise ColocationParseError(offset + int(lines_at[k]) + 1, message)
@@ -155,7 +241,7 @@ def read_colocation(lines: Iterable[str]) -> EdgeTable:
             raise ColocationParseError(
                 offset + stop + 1, f"expected 't i j', got {counts[stop]} fields"
             )
-        parts.append((t_ids, ends))
+        parts.append((t_ids[t_at], pairs))
         offset += len(block)
 
     nodes = tuple(sorted(node_ids))
@@ -168,10 +254,10 @@ def read_colocation(lines: Iterable[str]) -> EdgeTable:
     ends = np.concatenate([np.empty((2, 0), np.intp)] + [e for _, e in parts], axis=1)
     ends = rank[ends]
     bins, lo, hi = bin_of[t_ids], ends.min(axis=0), ends.max(axis=0)
-    order = np.lexsort((hi, lo, bins))
-    bins, lo, hi = bins[order], lo[order], hi[order]
-    keep = np.ones(len(bins), bool)
-    keep[1:] = (np.diff(bins) != 0) | (np.diff(lo) != 0) | (np.diff(hi) != 0)
+    # One key per edge, ordered as (bin, lo, hi): pairs ranked first, so
+    # the key stays below (edges) ** 2.
+    pairs = _ranks(lo * len(nodes) + hi)
+    keep = np.unique(bins * (pairs.max(initial=-1) + 1) + pairs, return_index=True)[1]
     return EdgeTable(nodes, times, bins[keep], lo[keep], hi[keep])
 
 
@@ -306,17 +392,28 @@ def row_distributions(
     # counts[r, c]: nodes in cell c of row r; cells are numbered from 0 up.
     slots = np.arange(n_rows)[:, None] * (width + 1) + rows.astype(np.intp) + 1
     counts = np.bincount(slots.ravel(), minlength=n_rows * (width + 1))
-    counts = counts.reshape(n_rows, width + 1)[:, 1:].tolist()
-    sizes = [(tuple(filter(None, c)), 1.0) for c in counts]
-    count_sizes = sizes
+    counts = counts.reshape(n_rows, width + 1)[:, 1:]
+    cliques = np.count_nonzero(counts, axis=1)
     if roster is not None:
         roster_set = frozenset(roster)
         unknown = frozenset(nodes) - roster_set
         if unknown:
             missing = ", ".join(sorted(unknown))
             raise ValueError(f"snapshot nodes missing from the roster: {missing}")
-        count_sizes = [(q + (1,) * (len(roster_set) - sum(q)), w) for q, w in sizes]
-    return clique_size_histogram(sizes, min_size=2), clique_count_histogram(count_sizes)
+        cliques += len(roster_set) - counts.sum(axis=1)
+    sizes = np.bincount(counts[counts >= 2])
+    return (
+        _histogram(sizes, "no cliques at or above min_size"),
+        _histogram(np.bincount(cliques), "no realisations"),
+    )
+
+
+def _histogram(tally: np.ndarray, empty: str) -> dict[int, float]:
+    """Each value with a nonzero tally, and its share of the total."""
+    total = int(tally.sum())
+    if total == 0:
+        raise ValueError(f"empty histogram: {empty}")
+    return {value: n / total for value, n in enumerate(tally.tolist()) if n}
 
 
 def load_roster(lines: Iterable[str]) -> tuple[str, ...]:

@@ -79,7 +79,7 @@ class ContactSequence:
 
 
 # Most numbers one array of ``empirical_distribution``'s walk holds: a
-# chunk's uniforms, or its walkers' cumulative policy rows at one step.
+# chunk's walkers' cumulative policy rows at one step (R x M x N).
 _WALK_ELEMENTS = 1 << 18
 
 
@@ -274,8 +274,9 @@ def empirical_distribution(
     ``default_rng(replica_seed(seed, r))``; the replicas walk together as
     one (R, M) state array, on one (R, M) array of uniforms per step from
     ``_replica_uniforms``.  They go in chunks small enough that a chunk's
-    uniforms for all k + 1 steps, and its walkers' cumulative policy rows at
-    one step, would each hold at most ``_WALK_ELEMENTS`` numbers.  Each
+    per-step working set, its walkers' cumulative policy rows (R x M x N),
+    holds at most ``_WALK_ELEMENTS`` numbers; the uniforms come one step
+    at a time, so k does not bound the chunk.  Each
     final state row is renamed by ``first_appearance_rows`` over the sorted
     labels, and the rows are counted after one ``np.lexsort``, so the
     distinct rows come in lexicographic order.  Each probability is a
@@ -289,7 +290,7 @@ def empirical_distribution(
     m, n = ensemble.n_walkers, ensemble.n_states
     labels = tuple(sorted(ensemble.labels))
     columns = [ensemble.index[w] for w in labels]
-    step = max(1, _WALK_ELEMENTS // (m * max(k + 1, n)))
+    step = max(1, _WALK_ELEMENTS // (m * n))
     chunks = []
     for lo in range(0, replicas, step):
         seeds = [replica_seed(seed, r) for r in range(lo, min(lo + step, replicas))]

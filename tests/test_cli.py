@@ -343,6 +343,30 @@ def test_analyze_with_roster(tmp_path, capsys):
     assert "missing from the roster: x, y" in capsys.readouterr().err
 
 
+def test_analyze_ignores_byte_order_marks(tmp_path, capsys):
+    # Editors on some systems start UTF-8 files with a BOM; it is no part
+    # of the first timestamp or the first roster id.
+    edges, roster = "0 a b\n0 a c\n0 b c\n1 a d\n", "a\nb\nc\nd\ne\n"
+    outputs = []
+    for bom in ("", "\ufeff"):
+        data = tmp_path / f"data{len(bom)}.txt"
+        data.write_text(bom + edges, encoding="utf-8")
+        names = tmp_path / f"roster{len(bom)}.txt"
+        names.write_text(bom + roster, encoding="utf-8")
+        prefix = tmp_path / f"r{len(bom)}"
+        args = ["analyze", "--input", str(data), "--roster", str(names)]
+        assert main(args) == 0
+        assert main(args + ["-o", str(prefix)]) == 0
+        files = [
+            (tmp_path / f"r{len(bom)}_{name}").read_bytes()
+            for name in ("graphs.jsonl", "clique_sizes.csv", "clique_counts.csv")
+        ]
+        outputs.append((capsys.readouterr(), files))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0].err == ""
+    assert json.loads(outputs[0][0].out)["clique_count_histogram"] == {"3": 0.5, "4": 0.5}
+
+
 def test_bench_csv_output(tmp_path, capsys):
     prefix = tmp_path / "bench"
     code = main(

@@ -2,12 +2,15 @@ import io
 from collections import deque
 from itertools import combinations
 from pathlib import Path
+from unittest import mock
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import rwig.ingest as ingest
+from rwig.combinatorics import first_appearance_rows
 from rwig.contact_graph import ContactGraph, from_assignment
 from rwig.ingest import (
     CliqueUnionViolation,
@@ -19,11 +22,13 @@ from rwig.ingest import (
     load_roster,
     parse_colocation,
     records_to_text,
+    row_distributions,
     sequence_to_records,
     snapshot_graphs,
     validate_clique_union,
     validate_table,
 )
+from rwig.pmf import clique_count_histogram, clique_size_histogram
 from rwig.simulate import sample_sequence
 
 from conftest import random_ensemble
@@ -292,7 +297,7 @@ def read_file(path):
 
 @pytest.mark.parametrize("block", [1, 2, 3, 4, 1 << 12])
 def test_parse_counts_file_lines_across_blocks(tmp_path, monkeypatch, block):
-    monkeypatch.setattr(ingest, "_PARSE_LINES", block)
+    monkeypatch.setattr(ingest, "_PARSE_CHARS", block)
     path = tmp_path / "edges.txt"
     write_crlf(path, GOOD_LINES)
     assert read_file(path) == [
@@ -315,3 +320,173 @@ def test_parse_counts_file_lines_across_blocks(tmp_path, monkeypatch, block):
                 read_file(path)
             assert str(raised.value) == f"line {at + 1}: {message}"
             assert raised.value.line_no == at + 1
+
+
+# --- the byte parser against a line-by-line str.split parser ----------------
+
+
+def split_parse(lines):
+    """Each line split by ``str.split`` and checked in turn: the distinct
+    (t, i, j) edges with i < j, sorted, or the first line's first fault."""
+    edges = set()
+    for line_no, line in enumerate(lines, 1):
+        fields = line.split()
+        if not fields:
+            continue
+        if len(fields) != 3:
+            raise ColocationParseError(line_no, f"expected 't i j', got {len(fields)} fields")
+        t, i, j = fields
+        try:
+            t = int(t)
+        except ValueError:
+            raise ColocationParseError(line_no, f"bad timestamp {t!r}") from None
+        if i == j:
+            raise ColocationParseError(line_no, f"self contact on node {i!r}")
+        edges.add((t, min(i, j), max(i, j)))
+    return sorted(edges)
+
+
+# Whitespace that str.split splits at, ASCII and not; none of it is "\n".
+GAPS = [" ", "  ", "\t", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\xa0",
+        "\u2028", "\u3000", " \u3000\t"]
+# Ids of one to more than eight UTF-8 bytes; some differ only by a zero
+# byte, and one holds a lone surrogate (as surrogateescape decoding makes).
+IDS = ["a", "b", "a1", "Z", "abcdefgh", "abcdefgh\x00", "abcdefghi", "node_id_number_17",
+       "\x00", "a\x00", "a\x00b", "\xe9", "\u8282\u70b9", "\xfc" * 5, "\U0001d518x",
+       "\xf8\x00\xf8\x00\xf8", "\udce9x"]
+TIMES = ["0", "1", "+1", "01", "1_0", "-2", str(2**70), "\u0663", "0000000000000000007"]
+BAD_TIMES = ["t0", "1.5", "_1", "1__0", "0x10", "\xe9", "1\x00"]
+# Line ends, including none and ends that str.splitlines knows besides "\n".
+ENDS = ["\n", "\r\n", "", "\r", "\x0b", "\x1c", "\u2028"]
+
+
+def spaced(draw, fields):
+    gaps = [draw(st.sampled_from(GAPS)) for _ in fields[1:]]
+    text = fields[0] + "".join(gap + field for gap, field in zip(gaps, fields[1:]))
+    lead = draw(st.sampled_from(["", " ", "\t", "\u3000"]))
+    trail = draw(st.sampled_from(["", " ", "\x85", "\xa0"]))
+    return lead + text + trail + draw(st.sampled_from(ENDS))
+
+
+@st.composite
+def good_lines(draw):
+    if draw(st.integers(0, 5)) == 0:
+        return draw(st.sampled_from(["", "\n", "\r\n", " \t\n", "\u3000\x85\n", "\x0b"]))
+    i, j = draw(st.lists(st.sampled_from(IDS), min_size=2, max_size=2, unique=True))
+    return spaced(draw, [draw(st.sampled_from(TIMES)), i, j])
+
+
+@st.composite
+def bad_lines(draw):
+    kind = draw(st.sampled_from(["fields", "timestamp", "self"]))
+    i, j = draw(st.lists(st.sampled_from(IDS), min_size=2, max_size=2, unique=True))
+    t = draw(st.sampled_from(TIMES))
+    if kind == "fields":
+        n = draw(st.sampled_from([1, 2, 4, 5]))
+        fields = [t, i, j, i, t][:n]
+    elif kind == "timestamp":
+        fields = [draw(st.sampled_from(BAD_TIMES)), i, draw(st.sampled_from([i, j]))]
+    else:
+        fields = [t, i, i]
+    return spaced(draw, fields)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    lines=st.lists(good_lines(), max_size=30),
+    faults=st.lists(st.tuples(st.integers(0, 30), bad_lines()), max_size=2),
+    block=st.sampled_from([1, 2, 7, 13, 64, 1 << 20]),
+)
+def test_parse_agrees_with_line_by_line_split(lines, faults, block):
+    for at, line in faults:
+        lines.insert(at, line)
+    # The items as given, and the pieces str.splitlines cuts from their text.
+    for items in (lines, "".join(lines).splitlines(True)):
+        try:
+            expected = split_parse(items)
+        except ColocationParseError as error:
+            expected = error
+        with mock.patch.object(ingest, "_PARSE_CHARS", block):
+            if isinstance(expected, ColocationParseError):
+                with pytest.raises(ColocationParseError) as raised:
+                    ingest.read_colocation(iter(items))
+                assert str(raised.value) == str(expected)
+                assert raised.value.line_no == expected.line_no
+                continue
+            table = ingest.read_colocation(iter(items))
+        assert table.nodes == tuple(sorted({w for _, i, j in expected for w in (i, j)}))
+        assert table.times == tuple(sorted({t for t, _, _ in expected}))
+        got = zip(table.bins.tolist(), table.lo.tolist(), table.hi.tolist())
+        assert [(table.times[b], table.nodes[i], table.nodes[j]) for b, i, j in got] == (
+            expected
+        )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(st.sampled_from(IDS + TIMES), max_size=4), max_size=12), st.data())
+def test_fields_decode_each_distinct_text_once_in_str_order(lines, data):
+    block = [spaced(data.draw, fields) if fields else "" for fields in lines]
+    buffer, starts, ends, counts = ingest._fields(block)
+    assert counts.tolist() == [len(line.split()) for line in block]
+    texts, at = ingest._distinct(buffer, starts, ends)
+    words = [word for line in block for word in line.split()]
+    assert texts == sorted(set(words))
+    assert [texts[k] for k in at.tolist()] == words
+
+
+# --- the bincount histograms against one tuple of cell sizes per row --------
+
+
+def tuple_row_distributions(rows, nodes, roster=None):
+    """``row_distributions`` as it was written before it counted with
+    bincount: one tuple of cell sizes per row, through the pmf histograms."""
+    n_rows, width = rows.shape
+    slots = np.arange(n_rows)[:, None] * (width + 1) + rows.astype(np.intp) + 1
+    counts = np.bincount(slots.ravel(), minlength=n_rows * (width + 1))
+    counts = counts.reshape(n_rows, width + 1)[:, 1:].tolist()
+    sizes = [(tuple(filter(None, c)), 1.0) for c in counts]
+    count_sizes = sizes
+    if roster is not None:
+        roster_set = frozenset(roster)
+        unknown = frozenset(nodes) - roster_set
+        if unknown:
+            missing = ", ".join(sorted(unknown))
+            raise ValueError(f"snapshot nodes missing from the roster: {missing}")
+        count_sizes = [(q + (1,) * (len(roster_set) - sum(q)), w) for q, w in sizes]
+    return clique_size_histogram(sizes, min_size=2), clique_count_histogram(count_sizes)
+
+
+@st.composite
+def snapshot_rows(draw):
+    """First-appearance rows over some of NAMES, -1 where a node is absent."""
+    width = draw(st.integers(0, 7))
+    labels = draw(
+        st.lists(
+            st.lists(st.integers(-1, 3), min_size=width, max_size=width), max_size=8
+        )
+    )
+    rows = first_appearance_rows(np.array(labels, np.intp).reshape(len(labels), width))
+    nodes = tuple(sorted(draw(st.lists(st.sampled_from(NAMES), min_size=width,
+                                       max_size=width, unique=True))))
+    roster = draw(st.none() | st.lists(st.sampled_from(NAMES + ["y"]), unique=True))
+    return rows, nodes, roster
+
+
+def outcome(function, *args, **kwargs):
+    try:
+        return [list(h.items()) for h in function(*args, **kwargs)]
+    except ValueError as error:
+        return str(error)
+
+
+@settings(max_examples=300, deadline=None)
+@given(snapshot_rows())
+@example((np.empty((0, 0), np.intp), (), None))  # no rows: the size histogram is empty
+@example((np.full((2, 2), -1), ("a", "b"), None))  # empty rows
+@example((np.array([[0, 1]]), ("a", "b"), ("a", "b", "c")))  # singletons only
+@example((np.array([[0, 0]]), ("a", "b"), ("a",)))  # b is missing from the roster
+@example((np.empty((0, 2), np.intp), ("a", "b"), ("a",)))  # both faults: roster first
+def test_row_distributions_agree_with_tuples(case):
+    rows, nodes, roster = case
+    expected = outcome(tuple_row_distributions, rows, nodes, roster=roster)
+    assert outcome(row_distributions, rows, nodes, roster=roster) == expected

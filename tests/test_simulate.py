@@ -231,15 +231,15 @@ def relabelled(ensemble, labels) -> WalkerEnsemble:
 @pytest.mark.parametrize(
     "ensemble, k, replicas, cap, chunks",
     [
-        # Chunks of three replicas and a ragged last one.
-        (random_ensemble(5, 3, seed=2), 3, 10, 60, [3, 3, 3, 1]),
-        # One replica per chunk: its 5 x 5 uniforms together are over the cap.
+        # Chunks of four replicas (4 x 5 x 3 policy rows) and a ragged last one.
+        (random_ensemble(5, 3, seed=2), 3, 10, 60, [4, 4, 2]),
+        # One replica per chunk: its 5 x 3 policy rows fill the cap.
         (random_ensemble(5, 3, seed=2), 4, 4, 15, [1, 1, 1, 1]),
         # Sorted labels a, b, c, d, e, f differ from ensemble order.
         (relabelled(random_ensemble(6, 4, seed=5), "fbeadc"), 2, 300, None, [300]),
         # Sorted labels run w1, w10, w11, w12, w2, ...
         (random_ensemble(12, 4, seed=9), 3, 205, 500, [10] * 20 + [5]),
-        # k = 0: the cumulative policy rows (3 states) set the chunk size.
+        # k = 0 chunks as any k does: three replicas of 4 x 3 policy rows.
         (random_ensemble(4, 3, seed=1), 0, 50, 36, [3] * 16 + [2]),
         (random_ensemble(4, 3, seed=1), 5, 1, None, [1]),
     ],
