@@ -157,12 +157,22 @@ def _distinct(data: bytes, starts: np.ndarray, ends: np.ndarray) -> tuple[list[s
     """
     lengths = ends - starts
     words = np.ndarray(len(data) + 1, ">u8", data + bytes(8), strides=(1,))
-    at = np.zeros(len(starts), np.intp)
-    for offset in range(0, int(lengths.max(initial=0)), 8):
-        left = np.clip(lengths - offset, 0, 8)
-        word = _ranks(words[np.where(left > 0, starts + offset, 0)] & _KEEP[left])
-        # Refine the ranks so far by this word's; both are below len(at).
-        at = _ranks(at * len(at) + word) if offset else word
+    # Level j: the fields longer than 8 j bytes, and their word at 8 j.
+    levels, rest = [], np.arange(len(starts))
+    while len(rest):
+        offset = 8 * len(levels)
+        left = np.minimum(lengths[rest] - offset, 8)
+        levels.append((rest, words[starts[rest] + offset] & _KEEP[left]))
+        rest = rest[lengths[rest] > offset + 8]
+    # From the last level up, rank the fields by their word, then by their
+    # rank one level down (-1 for a field that ended); keys < len(rest)**2.
+    at = np.full(len(starts), -1, np.intp)
+    for j in reversed(range(len(levels))):
+        rest, word = levels[j]
+        word = _ranks(word)
+        if j + 1 < len(levels):
+            word = _ranks(word * (len(rest) + 1) + at[rest] + 1)
+        at[rest] = word
     if 0 in data:
         at = _ranks(at * len(at) + _ranks(lengths))
     first = np.zeros(at.max(initial=-1) + 1, np.intp)
