@@ -135,11 +135,14 @@ def _fields(block: list[str]) -> tuple[bytes, np.ndarray, np.ndarray, np.ndarray
         sizes = np.fromiter(map(len, block), np.intp, len(block))
     else:
         spaces = {ord(c): " " for c in set(text) if c.isspace() and not c.isascii()}
-        encoded = [line.translate(spaces).encode("utf-8", "surrogatepass") for line in block]
+        encoded = [
+            line.translate(spaces).encode("utf-8", "surrogatepass") for line in block
+        ]
         data = b"\n".join(encoded) + b"\n"
         sizes = np.fromiter(map(len, encoded), np.intp, len(block))
     # +1 where a field ends, -1 where one starts.
-    step = np.diff(_SPACE[np.frombuffer(data, np.uint8)].view(np.int8), prepend=np.int8(1))
+    space = _SPACE[np.frombuffer(data, np.uint8)]
+    step = np.diff(space.view(np.int8), prepend=np.int8(1))
     opens = step == -1
     line_at = np.zeros(len(block), np.intp)
     np.cumsum(sizes[:-1] + 1, out=line_at[1:])
@@ -147,7 +150,9 @@ def _fields(block: list[str]) -> tuple[bytes, np.ndarray, np.ndarray, np.ndarray
     return data, np.flatnonzero(opens), np.flatnonzero(step == 1), counts
 
 
-def _distinct(data: bytes, starts: np.ndarray, ends: np.ndarray) -> tuple[list[str], np.ndarray]:
+def _distinct(
+    data: bytes, starts: np.ndarray, ends: np.ndarray
+) -> tuple[list[str], np.ndarray]:
     """The distinct texts of the fields ``data[starts:ends]``, in ``str``
     order, and the position of each field's text among them.
 
@@ -222,17 +227,17 @@ def read_colocation(lines: Iterable[str]) -> EdgeTable:
     parts = []
     offset = 0
     for block in _blocks(lines):
-        data, starts, ends, counts = _fields(block)
+        data, opens, closes, counts = _fields(block)
         wrong = np.flatnonzero((counts != 3) & (counts != 0))
         stop = int(wrong[0]) if len(wrong) else len(block)
         # The lines before ``stop`` hold three fields each or none.
         lines_at = np.flatnonzero(counts[:stop])
-        starts = starts[: 3 * len(lines_at)].reshape(-1, 3).T
-        ends = ends[: 3 * len(lines_at)].reshape(-1, 3).T
-        texts, t_at = _distinct(data, starts[0], ends[0])
+        opens = opens[: 3 * len(lines_at)].reshape(-1, 3).T
+        closes = closes[: 3 * len(lines_at)].reshape(-1, 3).T
+        texts, t_at = _distinct(data, opens[0], closes[0])
         t_ids, new_texts = _number(texts, time_ids)
         values += map(_timestamp, new_texts)
-        names, n_at = _distinct(data, starts[1:].ravel(), ends[1:].ravel())
+        names, n_at = _distinct(data, opens[1:].ravel(), closes[1:].ravel())
         pairs = _number(names, node_ids)[0][n_at].reshape(2, -1)
         # The first line at fault, by its first fault as the line is read.
         faults = []
@@ -266,8 +271,8 @@ def read_colocation(lines: Iterable[str]) -> EdgeTable:
     bins, lo, hi = bin_of[t_ids], ends.min(axis=0), ends.max(axis=0)
     # One key per edge, ordered as (bin, lo, hi): pairs ranked first, so
     # the key stays below (edges) ** 2.
-    pairs = _ranks(lo * len(nodes) + hi)
-    keep = np.unique(bins * (pairs.max(initial=-1) + 1) + pairs, return_index=True)[1]
+    pair = _ranks(lo * len(nodes) + hi)
+    keep = np.unique(bins * (pair.max(initial=-1) + 1) + pair, return_index=True)[1]
     return EdgeTable(nodes, times, bins[keep], lo[keep], hi[keep])
 
 

@@ -275,13 +275,13 @@ def empirical_distribution(
     one (R, M) state array, on one (R, M) array of uniforms per step from
     ``_replica_uniforms``.  They go in chunks small enough that a chunk's
     per-step working set, its walkers' cumulative policy rows (R x M x N),
-    holds at most ``_WALK_ELEMENTS`` numbers; the uniforms come one step
-    at a time, so k does not bound the chunk.  Each
-    final state row is renamed by ``first_appearance_rows`` over the sorted
-    labels, and the rows are counted after one ``np.lexsort``, so the
-    distinct rows come in lexicographic order.  Each probability is a
-    graph's integer count over ``replicas``, so equal counts tie exactly and
-    are written in canonical graph order.
+    holds at most ``_WALK_ELEMENTS`` numbers; the uniforms come one step at
+    a time, so k does not bound the chunk.  Each final state row is renamed
+    by ``first_appearance_rows`` over the sorted labels, and the rows are
+    counted after one ``np.lexsort``, so the distinct rows come in
+    lexicographic order.  Each probability is a graph's integer count over
+    ``replicas``, so equal counts tie exactly and are written in canonical
+    graph order.
     """
     _check_integer("seed", seed, 0)
     _check_integer("replicas", replicas, 1)
