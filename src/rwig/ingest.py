@@ -162,21 +162,23 @@ def _distinct(
     """
     lengths = ends - starts
     words = np.ndarray(len(data) + 1, ">u8", data + bytes(8), strides=(1,))
-    # Level j: the fields longer than 8 j bytes, and their word at 8 j.
-    levels, rest = [], np.arange(len(starts))
+    # Level j: the fields longer than 8 j bytes (all at level 0), and their
+    # word at byte 8 j.
+    levels = [(slice(None), words[starts] & _KEEP[np.minimum(lengths, 8)])]
+    rest = np.flatnonzero(lengths > 8)
     while len(rest):
         offset = 8 * len(levels)
         left = np.minimum(lengths[rest] - offset, 8)
         levels.append((rest, words[starts[rest] + offset] & _KEEP[left]))
         rest = rest[lengths[rest] > offset + 8]
     # From the last level up, rank the fields by their word, then by their
-    # rank one level down (-1 for a field that ended); keys < len(rest)**2.
+    # rank one level down (-1 for a field that ended); keys < len(word)**2.
     at = np.full(len(starts), -1, np.intp)
     for j in reversed(range(len(levels))):
         rest, word = levels[j]
         word = _ranks(word)
         if j + 1 < len(levels):
-            word = _ranks(word * (len(rest) + 1) + at[rest] + 1)
+            word = _ranks(word * (len(word) + 1) + at[rest] + 1)
         at[rest] = word
     if 0 in data:
         at = _ranks(at * len(at) + _ranks(lengths))

@@ -351,7 +351,8 @@ GAPS = [" ", "  ", "\t", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\x85",
         "\u2028", "\u3000", " \u3000\t"]
 # Ids of one to more than eight UTF-8 bytes; some differ only by a zero
 # byte, and one holds a lone surrogate (as surrogateescape decoding makes).
-IDS = ["a", "b", "a1", "Z", "abcdefgh", "abcdefgh\x00", "abcdefghi", "node_id_number_17",
+IDS = ["a", "b", "a1", "Z", "abcdefgh", "abcdefgh\x00", "abcdefghi", "abcdefghj",
+       "node_id_number_17", "node_id_number_18",
        "\x00", "a\x00", "a\x00b", "\xe9", "\u8282\u70b9", "\xfc" * 5, "\U0001d518x",
        "\xf8\x00\xf8\x00\xf8", "\udce9x"]
 TIMES = ["0", "1", "+1", "01", "1_0", "-2", str(2**70), "\u0663", "0000000000000000007"]
