@@ -170,7 +170,8 @@ def _distinct(
         offset = 8 * len(levels)
         left = np.minimum(lengths[rest] - offset, 8)
         levels.append((rest, words[starts[rest] + offset] & _KEEP[left]))
-        rest = rest[lengths[rest] > offset + 8]
+        # A field alone at its level already differs from every other.
+        rest = rest[lengths[rest] > offset + 8] if len(rest) > 1 else rest[:0]
     # From the last level up, rank the fields by their word, then by their
     # rank one level down (-1 for a field that ended); keys < len(word)**2.
     at = np.full(len(starts), -1, np.intp)
