@@ -102,26 +102,41 @@ def row_graph(row: np.ndarray, labels: Sequence[Hashable]) -> ContactGraph:
     return ContactGraph(labelling_partition(row[at].tolist(), [labels[i] for i in at]))
 
 
+def graph_rows(graphs: Iterable[ContactGraph]) -> tuple[np.ndarray, tuple[Hashable, ...]]:
+    """The rows that ``row_graph`` reads the graphs from, over the sorted
+    union of their walkers, and those labels: -1 where a walker is absent,
+    else its cell's index in canonical order.  Labels that do not compare
+    (ints and strings, say) raise TypeError."""
+    graphs = list(graphs)
+    labels = tuple(sorted(set().union(*(g.walkers for g in graphs))))
+    index = {w: i for i, w in enumerate(labels)}
+    rows = np.full((len(graphs), len(labels)), -1, np.intp)
+    for row, g in zip(rows, graphs):
+        for c, cell in enumerate(g.cliques.cells):
+            row[[index[w] for w in cell]] = c
+    return rows, labels
+
+
 # Most rows ``compact_json`` formats at once.
 _JSON_ROWS = 4096
 
 
-def compact_json(rows: np.ndarray, labels: Sequence[Hashable]) -> Iterator[str]:
-    """Yield ``json.dumps(g.to_json_obj(), separators=(",", ":"))`` for the
-    graph g of each row, as ``row_graph`` reads it.
+def compact_json(
+    rows: np.ndarray, labels: Sequence[Hashable], layout=("[", "],[", ",", "]]")
+) -> Iterator[str]:
+    """Yield the JSON text of ``g.to_json_obj()`` for the graph g of each
+    row, as ``row_graph`` reads it, by default as ``json.dumps(...,
+    separators=(",", ":"))`` writes it.
 
-    Each label is encoded once.  A row is joined from one piece per label,
-    taken in cell order: the label after "[" when it opens the first cell,
-    "],[" when it opens a later one and "," inside a cell, or nothing when
-    it is absent.  Rows are formatted ``_JSON_ROWS`` at a time.
+    Each label is encoded once.  A row is "[", one piece per label in cell
+    order, and ``layout[3]`` ("]" without cells).  A label's piece is its
+    code after ``layout[0]`` when it opens the first cell, ``layout[1]``
+    when it opens a later one and ``layout[2]`` inside a cell, or nothing
+    when it is absent.  Rows are formatted ``_JSON_ROWS`` at a time.
     """
     width = rows.shape[1]
     codes = [json.dumps(w, separators=(",", ":")) for w in labels]
-    pieces = np.array(
-        [""] * width + [f"[{c}" for c in codes] + [f"],[{c}" for c in codes]
-        + [f",{c}" for c in codes],
-        dtype=object,
-    )
+    pieces = np.array([""] * width + [p + c for p in layout[:3] for c in codes], dtype=object)
     for lo in range(0, len(rows), _JSON_ROWS):
         chunk = rows[lo : lo + _JSON_ROWS]
         positions = np.argsort(chunk, axis=1, kind="stable")
@@ -134,7 +149,7 @@ def compact_json(rows: np.ndarray, labels: Sequence[Hashable]) -> Iterator[str]:
         parts = np.empty((len(chunk), width + 2), dtype=object)
         parts[:, 0] = "["
         parts[:, 1:-1] = pieces[kind * width + positions]
-        parts[:, -1] = np.where((cells >= 0).any(axis=1), "]]", "]")
+        parts[:, -1] = np.where((cells >= 0).any(axis=1), layout[3], "]")
         yield from map("".join, parts.tolist())
 
 

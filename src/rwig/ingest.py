@@ -28,6 +28,7 @@ import numpy as np
 
 from .combinatorics import first_appearance_rows
 from .contact_graph import ContactGraph, row_graph
+from .pmf import tally_histogram
 from .simulate import ContactSequence
 
 
@@ -404,7 +405,7 @@ def row_distributions(
     nodes absent from a bin are invisible and the count histogram covers
     only cliques of two or more; with a roster, absent nodes enter the
     count histogram as singleton cliques, and a snapshot node missing from
-    the roster raises ValueError.
+    the roster raises ValueError.  Both come from ``pmf.tally_histogram``.
     """
     n_rows, width = rows.shape
     # counts[r, c]: nodes in cell c of row r; cells are numbered from 0 up.
@@ -419,26 +420,26 @@ def row_distributions(
             missing = ", ".join(sorted(unknown))
             raise ValueError(f"snapshot nodes missing from the roster: {missing}")
         cliques += len(roster_set) - counts.sum(axis=1)
-    sizes = np.bincount(counts[counts >= 2])
     return (
-        _histogram(sizes, "no cliques at or above min_size"),
-        _histogram(np.bincount(cliques), "no realisations"),
+        tally_histogram(counts[counts >= 2], "no cliques at or above min_size"),
+        tally_histogram(cliques, "no realisations"),
     )
 
 
-def _histogram(tally: np.ndarray, empty: str) -> dict[int, float]:
-    """Each value with a nonzero tally, and its share of the total."""
-    total = int(tally.sum())
-    if total == 0:
-        raise ValueError(f"empty histogram: {empty}")
-    return {value: n / total for value, n in enumerate(tally.tolist()) if n}
-
-
 def load_roster(lines: Iterable[str]) -> tuple[str, ...]:
-    """One node id per line; blanks skipped."""
-    roster = [line.strip() for line in lines if line.strip()]
-    if len(set(roster)) != len(roster):
-        raise ValueError("roster contains duplicate node ids")
+    """One node id per line, its only field; blank lines are skipped.  A
+    line with more than one field, or an id listed twice, raises ValueError
+    naming the line."""
+    roster: dict[str, None] = {}
+    for line_no, line in enumerate(lines, 1):
+        fields = line.split()
+        if len(fields) > 1:
+            raise ValueError(
+                f"roster line {line_no}: expected one node id, got {len(fields)} fields"
+            )
+        if fields and fields[0] in roster:
+            raise ValueError(f"roster line {line_no}: duplicate node id {fields[0]!r}")
+        roster.update(dict.fromkeys(fields))
     return tuple(roster)
 
 

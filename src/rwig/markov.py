@@ -186,8 +186,8 @@ def steady_state(
     to sum exactly 1.  Raises SteadyStateError, carrying the last residual,
     if max_iters steps do not reach tol.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < float("inf"):
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
     if max_iters < 1:
         raise ValueError("max_iters must be positive")
     n = policy.n_states

@@ -53,7 +53,9 @@ from .combinatorics import (
     set_partitions,
     subset_expansion,
 )
-from .contact_graph import ContactGraph, UnlabelledContactGraph, amass
+from .contact_graph import (
+    _JSON_ROWS, ContactGraph, UnlabelledContactGraph, amass, compact_json
+)
 from .markov import StateVector, WalkerEnsemble
 
 NEGATIVE_DUST = 1e-10
@@ -65,8 +67,10 @@ NEGATIVE_DUST = 1e-10
 # recursion's values) and three as wide as the widest recursion level.
 _GATHER_CAP = 1 << 20
 
-# Entries one step of writing a distribution formats at a time.
-_WRITE_ROWS = 4096
+# The graph of an entry as ``json.dumps(..., indent=2)`` lays out a list of
+# entries: the join pieces of ``compact_json``.
+_INDENTED = ("\n      [\n        ", "\n      ],\n      [\n        ", ",\n        ",
+             "\n      ]\n    ]")
 
 
 class ProbabilityError(RuntimeError):
@@ -383,37 +387,22 @@ class GraphDistribution:
     def write_json(self, fh: IO[str]) -> None:
         """Write ``json.dumps(self.to_json_obj(), indent=2)`` and a newline.
 
-        A dict is written by the json module.  Rows are streamed
-        ``_WRITE_ROWS`` entries at a time, in ``_row_order``.  Each distinct
-        clique is encoded once and each probability written with
-        ``float.__repr__``, as the json module does.
+        A dict is written by the json module.  Rows are taken in
+        ``_row_order``, each graph formatted by ``compact_json`` in the
+        ``_INDENTED`` layout and each probability by ``float.__repr__``, as
+        the json module does, and written ``_JSON_ROWS`` entries at a time.
         """
         if self._rows is None:
             fh.write(json.dumps(self.to_json_obj(), indent=2) + "\n")
             return
-        rows, labels = self._rows, self._labels
         order = self._row_order()
-
-        @functools.cache
-        def clique(mask: int) -> str:
-            cell = ",\n".join(
-                f"        {json.dumps(w)}" for i, w in enumerate(labels) if mask >> i & 1
-            )
-            return f"      [\n{cell}\n      ]"
-
-        entry = '  {{\n    "graph": [\n{}\n    ],\n    "p": {}\n  }}'.format
-        dtype = _mask_dtype(len(labels))
+        rows, probs = self._rows[order], self._probs[order]
+        entry = '  {{\n    "graph": {},\n    "p": {}\n  }}'.format
         separator = "[\n"
-        for lo in range(0, len(rows), _WRITE_ROWS):
-            chunk = order[lo : lo + _WRITE_ROWS]
-            sizes = (rows[chunk].max(axis=1).astype(np.intp) + 1).tolist()
-            masks = _walker_masks(rows[chunk], range(len(labels)), max(sizes), dtype)
-            distinct, inverse = np.unique(masks, return_inverse=True)
-            texts = np.array([clique(u) for u in distinct.tolist()], dtype=object)
-            cliques = texts[inverse.reshape(masks.shape)].tolist()
-            graphs = [",\n".join(g[:m]) for g, m in zip(cliques, sizes)]
-            probs = map(float.__repr__, self._probs[chunk].tolist())
-            fh.write(separator + ",\n".join(map(entry, graphs, probs)))
+        for lo in range(0, len(rows), _JSON_ROWS):
+            graphs = compact_json(rows[lo : lo + _JSON_ROWS], self._labels, _INDENTED)
+            texts = map(entry, graphs, map(repr, probs[lo : lo + _JSON_ROWS].tolist()))
+            fh.write(separator + ",\n".join(texts))
             separator = ",\n"
         fh.write("\n]\n")
 
@@ -589,6 +578,26 @@ def max_deviation(a: GraphDistribution, b: GraphDistribution) -> float:
     return max((abs(a.probability(k) - b.probability(k)) for k in keys), default=0.0)
 
 
+def tally_histogram(
+    values: Sequence[int], empty: str, weights: Sequence[float] | None = None
+) -> dict[int, float]:
+    """Each value that occurs in ``values`` (non-negative integers), in
+    ascending order, and its share of the total weight.
+
+    ``np.bincount`` sums each value's weights (1 each without ``weights``) in
+    input order, as adding them one at a time would; a value whose weights
+    sum to exactly 0.0 keeps its entry.  The total is the ``math.fsum`` of
+    the sums; a total of 0 raises ValueError "empty histogram: ``empty``".
+    """
+    values = np.asarray(values, np.intp)
+    seen = np.flatnonzero(np.bincount(values))
+    sums = np.bincount(values, weights)[seen].tolist()
+    total = math.fsum(sums)
+    if total == 0.0:
+        raise ValueError(f"empty histogram: {empty}")
+    return {value: w / total for value, w in zip(seen.tolist(), sums)}
+
+
 def clique_size_histogram(
     weighted_sizes: Iterable[tuple[Sequence[int], float]], min_size: int = 2
 ) -> dict[int, float]:
@@ -599,15 +608,10 @@ def clique_size_histogram(
     """
     if min_size < 1:
         raise ValueError("min_size must be positive")
-    pooled: dict[int, float] = {}
-    for sizes, weight in weighted_sizes:
-        for q in sizes:
-            if q >= min_size:
-                pooled[q] = pooled.get(q, 0.0) + weight
-    total = math.fsum(pooled.values())
-    if total == 0.0:
-        raise ValueError("empty histogram: no cliques at or above min_size")
-    return {q: w / total for q, w in sorted(pooled.items())}
+    pairs = [(q, w) for sizes, w in weighted_sizes for q in sizes if q >= min_size]
+    return tally_histogram(
+        [q for q, _ in pairs], "no cliques at or above min_size", [w for _, w in pairs]
+    )
 
 
 def clique_count_histogram(
@@ -618,14 +622,11 @@ def clique_count_histogram(
 
     Takes one (clique sizes, weight) pair per realisation, exact or sampled.
     """
-    hist: dict[int, float] = {}
-    for sizes, weight in weighted_sizes:
-        count = len(sizes) if include_singletons else sum(1 for q in sizes if q > 1)
-        hist[count] = hist.get(count, 0.0) + weight
-    total = math.fsum(hist.values())
-    if total == 0.0:
-        raise ValueError("empty histogram: no realisations")
-    return {c: w / total for c, w in sorted(hist.items())}
+    pairs = list(weighted_sizes)
+    counts = [
+        len(sizes) if include_singletons else sum(q > 1 for q in sizes) for sizes, _ in pairs
+    ]
+    return tally_histogram(counts, "no realisations", [w for _, w in pairs])
 
 
 def distribution_clique_size_histogram(

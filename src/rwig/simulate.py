@@ -33,7 +33,7 @@ from typing import Hashable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .combinatorics import first_appearance_rows
-from .contact_graph import ContactGraph, compact_json, row_graph
+from .contact_graph import ContactGraph, compact_json, graph_rows, row_graph
 from .markov import WalkerEnsemble
 from .pmf import GraphDistribution, clique_count_histogram, clique_size_histogram
 
@@ -41,16 +41,15 @@ from .pmf import GraphDistribution, clique_count_histogram, clique_size_histogra
 class ContactSequence:
     """One realisation of the contact graph over an observation window.
 
-    ``snapshots`` is one ``ContactGraph`` per time step.  A sequence from
-    ``sample_sequence`` holds them as rows of ``first_appearance_rows`` over
-    the sorted walker labels instead, and builds the graphs once, on first
-    read; ``sequence_to_jsonl`` writes from the rows.
+    It holds one row of ``first_appearance_rows`` per time step over the
+    sorted walker labels, built by ``sample_sequence`` or converted once from
+    ``ContactGraph`` snapshots by ``graph_rows``; ``snapshots`` is built from
+    the rows on first read, and ``sequence_to_jsonl`` writes from them.
     """
 
     def __init__(self, snapshots: Iterable[ContactGraph], seed: int):
-        self._snapshots = tuple(snapshots)
+        self._rows, self._labels = graph_rows(snapshots)
         self.seed = seed
-        self._rows = self._labels = None
 
     @classmethod
     def _of_rows(
@@ -62,12 +61,10 @@ class ContactSequence:
 
     @functools.cached_property
     def snapshots(self) -> tuple[ContactGraph, ...]:
-        if self._rows is None:
-            return self._snapshots
         return tuple(row_graph(row, self._labels) for row in self._rows)
 
     def __len__(self) -> int:
-        return len(self.snapshots) if self._rows is None else len(self._rows)
+        return len(self._rows)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ContactSequence):
@@ -361,20 +358,13 @@ def rows_to_jsonl(
 def snapshots_to_jsonl(snapshots: Iterable[tuple[int, ContactGraph]]) -> str:
     """One (t, graph) pair per line: {"t": t, "graph": [[...], ...]}."""
     pairs = list(snapshots)
-    labels = sorted(set().union(*(g.walkers for _, g in pairs)))
-    index = {w: i for i, w in enumerate(labels)}
-    rows = np.full((len(pairs), len(labels)), -1, np.intp)
-    for row, (_, g) in zip(rows, pairs):
-        for c, cell in enumerate(g.cliques.cells):
-            row[[index[w] for w in cell]] = c
+    rows, labels = graph_rows(g for _, g in pairs)
     return rows_to_jsonl([t for t, _ in pairs], rows, labels)
 
 
 def sequence_to_jsonl(seq: ContactSequence) -> str:
     """A sampled sequence as JSON lines, t counting from 0."""
-    if seq._rows is None:
-        return snapshots_to_jsonl(enumerate(seq.snapshots))
-    return rows_to_jsonl(range(len(seq._rows)), seq._rows, seq._labels)
+    return rows_to_jsonl(range(len(seq)), seq._rows, seq._labels)
 
 
 def snapshots_from_jsonl(text: str) -> list[tuple[int, ContactGraph]]:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -55,6 +57,33 @@ def table3_vector(kind: str, n: int) -> StateVector:
     return StateVector(v / v.sum())
 
 
+def dict_size_histogram(weighted_sizes, min_size: int = 2) -> dict[int, float]:
+    """The clique-size histogram pooled in a dict, one weight at a time: an
+    oracle for ``pmf.clique_size_histogram`` that shares none of its code."""
+    pooled: dict[int, float] = {}
+    for sizes, weight in weighted_sizes:
+        for q in sizes:
+            if q >= min_size:
+                pooled[q] = pooled.get(q, 0.0) + weight
+    total = math.fsum(pooled.values())
+    if total == 0.0:
+        raise ValueError("empty histogram: no cliques at or above min_size")
+    return {q: w / total for q, w in sorted(pooled.items())}
+
+
+def dict_count_histogram(weighted_sizes, include_singletons: bool = True) -> dict[int, float]:
+    """The clique-count histogram pooled in a dict: an oracle for
+    ``pmf.clique_count_histogram`` that shares none of its code."""
+    hist: dict[int, float] = {}
+    for sizes, weight in weighted_sizes:
+        count = len(sizes) if include_singletons else sum(1 for q in sizes if q > 1)
+        hist[count] = hist.get(count, 0.0) + weight
+    total = math.fsum(hist.values())
+    if total == 0.0:
+        raise ValueError("empty histogram: no realisations")
+    return {c: w / total for c, w in sorted(hist.items())}
+
+
 def rank_one_policy(s_tilde: StateVector) -> TransitionMatrix:
     """Policy whose every row is the target vector: stationary by design."""
     n = s_tilde.n_states
@@ -78,6 +107,8 @@ def rng():
 
 __all__ = [
     "as_cell_sets",
+    "dict_count_histogram",
+    "dict_size_histogram",
     "random_ensemble",
     "rank_one_policy",
     "reference_partitions",

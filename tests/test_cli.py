@@ -200,6 +200,15 @@ def test_steady_from_policy_and_nonconvergence(tmp_path, capsys):
     assert code == 1
     assert "no steady state reached" in capsys.readouterr().err
 
+    # A tolerance that is not finite and positive is refused before any
+    # iteration: nan would never be reached, inf would accept the start.
+    for tol in ("nan", "inf", "0"):
+        argv = ["steady", "--policy", str(policy), "--walkers", "2", "--tol", tol]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            f"error: tol must be finite and positive, got {float(tol)!r}\n"
+        )
+
 
 def test_steady_rejects_non_finite_input(tmp_path, capsys):
     for name, text in (("nan.csv", "0.5,nan\n"), ("inf.csv", "inf,0.5\n")):
@@ -341,6 +350,15 @@ def test_analyze_with_roster(tmp_path, capsys):
     roster.write_text("a\nb\n")
     assert main(["analyze", "--input", str(data), "--roster", str(roster)]) == 1
     assert "missing from the roster: x, y" in capsys.readouterr().err
+
+    # A roster line holding two ids is an input error, not one id with a
+    # space that would count as one more singleton clique.
+    data.write_text("0 c d\n1 c d\n")
+    roster.write_text("c\nd\nx y\n")
+    assert main(["analyze", "--input", str(data), "--roster", str(roster)]) == 1
+    assert capsys.readouterr().err == (
+        "error: roster line 3: expected one node id, got 2 fields\n"
+    )
 
 
 def test_analyze_ignores_byte_order_marks(tmp_path, capsys):

@@ -28,10 +28,9 @@ from rwig.ingest import (
     validate_clique_union,
     validate_table,
 )
-from rwig.pmf import clique_count_histogram, clique_size_histogram
 from rwig.simulate import sample_sequence
 
-from conftest import random_ensemble
+from conftest import dict_count_histogram, dict_size_histogram, random_ensemble
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -143,8 +142,15 @@ def test_dataset_distributions_rejects_non_clique():
 
 def test_roster_loading():
     assert load_roster(io.StringIO("a\n\nb\n")) == ("a", "b")
-    with pytest.raises(ValueError):
-        load_roster(io.StringIO("a\na\n"))
+    # An id is the line's only field, split as edge-list fields are.
+    assert load_roster(io.StringIO(" a\t\n\u3000b\u3000\n")) == ("a", "b")
+    with pytest.raises(ValueError, match=r"line 3: duplicate node id 'a'"):
+        load_roster(io.StringIO("a\nb\na\n"))
+    with pytest.raises(ValueError, match=r"line 2: duplicate node id 'a'"):
+        load_roster(io.StringIO("a\n a \n"))
+    # Two ids on one line are not one id holding a space.
+    with pytest.raises(ValueError, match="line 4: expected one node id, got 2 fields"):
+        load_roster(io.StringIO("c\nd\n\nx y\n"))
 
 
 def test_fixture_roundtrip_is_bit_identical():
@@ -440,7 +446,7 @@ def test_fields_decode_each_distinct_text_once_in_str_order(lines, data):
 
 def tuple_row_distributions(rows, nodes, roster=None):
     """``row_distributions`` as it was written before it counted with
-    bincount: one tuple of cell sizes per row, through the pmf histograms."""
+    bincount: one tuple of cell sizes per row, pooled in dicts."""
     n_rows, width = rows.shape
     slots = np.arange(n_rows)[:, None] * (width + 1) + rows.astype(np.intp) + 1
     counts = np.bincount(slots.ravel(), minlength=n_rows * (width + 1))
@@ -454,7 +460,7 @@ def tuple_row_distributions(rows, nodes, roster=None):
             missing = ", ".join(sorted(unknown))
             raise ValueError(f"snapshot nodes missing from the roster: {missing}")
         count_sizes = [(q + (1,) * (len(roster_set) - sum(q)), w) for q, w in sizes]
-    return clique_size_histogram(sizes, min_size=2), clique_count_histogram(count_sizes)
+    return dict_size_histogram(sizes, min_size=2), dict_count_histogram(count_sizes)
 
 
 @st.composite

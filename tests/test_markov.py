@@ -215,6 +215,12 @@ def test_steady_state_validates_arguments():
     p = TransitionMatrix([[0.5, 0.5], [0.5, 0.5]])
     with pytest.raises(ValueError):
         steady_state(p, tol=0.0)
+    # NaN never satisfies the residual test, and inf accepts the start
+    # vector of any chain; both are refused, naming the value.
+    sticky = TransitionMatrix([[0.9, 0.1], [0.6, 0.4]])
+    for tol in (float("nan"), float("inf"), -1e-12):
+        with pytest.raises(ValueError, match=f"got {tol!r}$"):
+            steady_state(sticky, tol=tol)
     with pytest.raises(ValueError):
         steady_state(p, max_iters=0)
 

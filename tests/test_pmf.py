@@ -6,14 +6,17 @@ import math
 import numpy as np
 import pytest
 
+import rwig.contact_graph as contact_graph_module
 import rwig.pmf as pmf_module
 from rwig.combinatorics import integer_partitions
 from rwig.contact_graph import (
     ContactGraph,
     UnlabelledContactGraph,
     amass,
+    compact_json,
     enumerate_graphs,
     from_assignment,
+    row_graph,
     to_unlabelled,
 )
 from rwig.markov import StateVector, TransitionMatrix, WalkerEnsemble
@@ -34,9 +37,15 @@ from rwig.pmf import (
     unlabelled_steady_state_pmf_bruteforce,
 )
 from rwig.combinatorics import set_partitions
-from rwig.simulate import empirical_distribution
+from rwig.simulate import empirical_distribution, rows_to_jsonl
 
-from conftest import random_ensemble, table3_vector, uniform_ensemble
+from conftest import (
+    dict_count_histogram,
+    dict_size_histogram,
+    random_ensemble,
+    table3_vector,
+    uniform_ensemble,
+)
 
 
 def assignment_distribution(ensemble, k):
@@ -311,6 +320,40 @@ def test_write_json_matches_json_dumps():
         assert buf.getvalue() == json.dumps(dist.to_json_obj(), indent=2) + "\n"
 
 
+@pytest.mark.parametrize("chunks", [None, (3, 5)])
+def test_row_writers_escape_labels_in_both_layouts(chunks, monkeypatch):
+    # Labels the json module escapes or writes as non-ASCII escapes, in a
+    # computed and a sampled row distribution.  With chunks, write_json
+    # writes 3 entries at a time while compact_json formats 5 rows at once.
+    if chunks is not None:
+        monkeypatch.setattr(pmf_module, "_JSON_ROWS", chunks[0])
+        monkeypatch.setattr(contact_graph_module, "_JSON_ROWS", chunks[1])
+    quoted = ['say "hi"', "back\\slash", "\u00e9t\u00e9", "\u96ea"]
+    ens = WalkerEnsemble(
+        [(q, s0, p) for q, (_, s0, p) in zip(quoted, random_ensemble(4, 3, seed=8).walkers)]
+    )
+    computed = full_distribution(ens, 2)
+    sampled = empirical_distribution(ens, 2, 20, seed=5)
+    assert (len(computed.entries), len(sampled.entries)) == (14, 9)
+    for dist in (computed, sampled):
+        rows, labels = dist._rows, dist._labels
+        assert labels == tuple(sorted(quoted))
+        expected = json.dumps(dist.to_json_obj(), indent=2) + "\n"
+        copy = GraphDistribution(dict(dist.entries))
+        assert expected == json.dumps(copy.to_json_obj(), indent=2) + "\n"
+        buf = io.StringIO()
+        dist.write_json(buf)
+        assert buf.getvalue() == expected
+        graphs = [row_graph(row, labels).to_json_obj() for row in rows]
+        compact = [json.dumps(g, separators=(",", ":")) for g in graphs]
+        assert list(compact_json(rows, labels)) == compact
+        times = range(10, 10 + len(rows))
+        assert rows_to_jsonl(times, rows, labels) == "".join(
+            json.dumps({"t": t, "graph": g}, separators=(",", ":")) + "\n"
+            for t, g in zip(times, graphs)
+        )
+
+
 def test_write_json_breaks_ties_in_graph_order():
     # Computed distributions sort from arrays; they must match a plain-dict
     # copy sorted by (-p, ContactGraph.sort_key) entry for entry.
@@ -577,3 +620,34 @@ def test_distribution_histograms():
         distribution_clique_count_histogram(partial),
     ):
         assert math.fsum(hist.values()) == pytest.approx(1.0, abs=1e-15)
+
+
+def test_distribution_histograms_keep_exact_zeros():
+    # Row distributions with many exact-zero probabilities, against the
+    # histograms of their entries pooled in dicts.  The second ensemble
+    # pins d apart from a, b and c, so size 5 and count 1 get weight 0.0.
+    uniform = StateVector(np.full(3, 1 / 3))
+    pinned = [StateVector.basis(3, 0)] * 3
+    ensembles = [
+        WalkerEnsemble.common_policy(
+            ["a", "b", "c", "d", "e"], pinned + starts, TransitionMatrix(np.eye(3))
+        )
+        for starts in ([uniform] * 2, [StateVector.basis(3, 1), uniform])
+    ]
+    zeros = []
+    for ens in ensembles:
+        dist = full_distribution(ens, 1)
+        assert dist._rows is not None
+        pairs = [(g.clique_sizes, p) for g, p in dist.entries.items()]
+        assert sum(p == 0.0 for _, p in pairs) > len(pairs) / 2
+        for min_size in (1, 2, 3):
+            hist = distribution_clique_size_histogram(dist, min_size=min_size)
+            assert hist == dict_size_histogram(pairs, min_size)
+            assert list(hist) == sorted(hist)
+            zeros += [q for q, p in hist.items() if p == 0.0]
+        for include in (True, False):
+            hist = distribution_clique_count_histogram(dist, include_singletons=include)
+            assert hist == dict_count_histogram(pairs, include)
+            assert list(hist) == sorted(hist)
+            zeros += [c for c, p in hist.items() if p == 0.0]
+    assert zeros == [5, 5, 5, 1]
