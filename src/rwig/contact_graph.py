@@ -117,25 +117,44 @@ def graph_rows(graphs: Iterable[ContactGraph]) -> tuple[np.ndarray, tuple[Hashab
     return rows, labels
 
 
+def cell_sizes(rows: np.ndarray) -> np.ndarray:
+    """sizes[r, c]: how many entries of row r name cell c, for rows of
+    ``first_appearance_rows`` (-1 in no cell), one ``np.bincount``; 0 past
+    a row's last cell."""
+    n_rows, width = rows.shape
+    slots = np.arange(n_rows)[:, None] * (width + 1) + rows.astype(np.intp) + 1
+    sizes = np.bincount(slots.ravel(), minlength=n_rows * (width + 1))
+    return sizes.reshape(n_rows, width + 1)[:, 1:]
+
+
 # Most rows ``compact_json`` formats at once.
 _JSON_ROWS = 4096
 
 
 def compact_json(
-    rows: np.ndarray, labels: Sequence[Hashable], layout=("[", "],[", ",", "]]")
+    rows: np.ndarray,
+    labels: Sequence[Hashable],
+    layout=("[", "],[", ",", "]]"),
+    indent: str | None = None,
 ) -> Iterator[str]:
     """Yield the JSON text of ``g.to_json_obj()`` for the graph g of each
     row, as ``row_graph`` reads it, by default as ``json.dumps(...,
     separators=(",", ":"))`` writes it.
 
-    Each label is encoded once.  A row is "[", one piece per label in cell
-    order, and ``layout[3]`` ("]" without cells).  A label's piece is its
-    code after ``layout[0]`` when it opens the first cell, ``layout[1]``
-    when it opens a later one and ``layout[2]`` inside a cell, or nothing
-    when it is absent.  Rows are formatted ``_JSON_ROWS`` at a time.
+    Each label is encoded once: as ``json.dumps(w, separators=(",", ":"))``,
+    or with ``indent`` as ``json.dumps(w, indent=2)`` with ``indent`` after
+    each line break, which lays out a tuple label where an indented document
+    holds it.  A row is "[", one piece per label in cell order, and
+    ``layout[3]`` ("]" without cells).  A label's piece is its code after
+    ``layout[0]`` when it opens the first cell, ``layout[1]`` when it opens
+    a later one and ``layout[2]`` inside a cell, or nothing when it is
+    absent.  Rows are formatted ``_JSON_ROWS`` at a time.
     """
     width = rows.shape[1]
-    codes = [json.dumps(w, separators=(",", ":")) for w in labels]
+    if indent is None:
+        codes = [json.dumps(w, separators=(",", ":")) for w in labels]
+    else:
+        codes = [json.dumps(w, indent=2).replace("\n", "\n" + indent) for w in labels]
     pieces = np.array([""] * width + [p + c for p in layout[:3] for c in codes], dtype=object)
     for lo in range(0, len(rows), _JSON_ROWS):
         chunk = rows[lo : lo + _JSON_ROWS]

@@ -27,7 +27,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .combinatorics import first_appearance_rows
-from .contact_graph import ContactGraph, row_graph
+from .contact_graph import ContactGraph, cell_sizes, row_graph
 from .pmf import tally_histogram
 from .simulate import ContactSequence
 
@@ -108,9 +108,18 @@ _SPACE[[c for c in range(128) if chr(c).isspace()]] = True
 _KEEP = np.array([(1 << 64) - (1 << 8 * (8 - n)) for n in range(9)], np.uint64)
 
 
+# Most fields ``_distinct`` still ranks a word at a time; fewer are ranked
+# by their remaining bytes with one sort.
+_TAIL_FIELDS = 64
+
+
 def _blocks(lines: Iterable[str]) -> Iterator[list[str]]:
     """The lines in order, a block ending once it holds ``_PARSE_CHARS``
-    characters."""
+    characters.  A file's ``readlines`` builds each block in C (ending it
+    past ``_PARSE_CHARS`` characters); other iterables go line by line."""
+    if hasattr(lines, "readlines"):
+        yield from iter(lambda: lines.readlines(_PARSE_CHARS), [])
+        return
     block, size = [], 0
     for line in lines:
         block.append(line)
@@ -167,12 +176,17 @@ def _distinct(
     # word at byte 8 j.
     levels = [(slice(None), words[starts] & _KEEP[np.minimum(lengths, 8)])]
     rest = np.flatnonzero(lengths > 8)
-    while len(rest):
+    while len(rest) > _TAIL_FIELDS:
         offset = 8 * len(levels)
         left = np.minimum(lengths[rest] - offset, 8)
         levels.append((rest, words[starts[rest] + offset] & _KEEP[left]))
-        # A field alone at its level already differs from every other.
-        rest = rest[lengths[rest] > offset + 8] if len(rest) > 1 else rest[:0]
+        rest = rest[lengths[rest] > offset + 8]
+    if len(rest):
+        # The last few fields rank by all their remaining bytes at once.
+        offset = 8 * len(levels)
+        spans = zip(starts[rest].tolist(), ends[rest].tolist())
+        tails = [data[a + offset : b] for a, b in spans]
+        levels.append((rest, _ranks(np.array(tails, object))))
     # From the last level up, rank the fields by their word, then by their
     # rank one level down (-1 for a field that ended); keys < len(word)**2.
     at = np.full(len(starts), -1, np.intp)
@@ -407,11 +421,7 @@ def row_distributions(
     count histogram as singleton cliques, and a snapshot node missing from
     the roster raises ValueError.  Both come from ``pmf.tally_histogram``.
     """
-    n_rows, width = rows.shape
-    # counts[r, c]: nodes in cell c of row r; cells are numbered from 0 up.
-    slots = np.arange(n_rows)[:, None] * (width + 1) + rows.astype(np.intp) + 1
-    counts = np.bincount(slots.ravel(), minlength=n_rows * (width + 1))
-    counts = counts.reshape(n_rows, width + 1)[:, 1:]
+    counts = cell_sizes(rows)
     cliques = np.count_nonzero(counts, axis=1)
     if roster is not None:
         roster_set = frozenset(roster)

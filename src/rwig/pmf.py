@@ -54,7 +54,7 @@ from .combinatorics import (
     subset_expansion,
 )
 from .contact_graph import (
-    _JSON_ROWS, ContactGraph, UnlabelledContactGraph, amass, compact_json
+    _JSON_ROWS, ContactGraph, UnlabelledContactGraph, amass, cell_sizes, compact_json
 )
 from .markov import StateVector, WalkerEnsemble
 
@@ -68,9 +68,11 @@ NEGATIVE_DUST = 1e-10
 _GATHER_CAP = 1 << 20
 
 # The graph of an entry as ``json.dumps(..., indent=2)`` lays out a list of
-# entries: the join pieces of ``compact_json``.
+# entries: the join pieces of ``compact_json``, and the indent of the lines
+# of a label, which sits four levels deep.
 _INDENTED = ("\n      [\n        ", "\n      ],\n      [\n        ", ",\n        ",
              "\n      ]\n    ]")
+_LABEL_INDENT = " " * 8
 
 
 class ProbabilityError(RuntimeError):
@@ -400,7 +402,9 @@ class GraphDistribution:
         entry = '  {{\n    "graph": {},\n    "p": {}\n  }}'.format
         separator = "[\n"
         for lo in range(0, len(rows), _JSON_ROWS):
-            graphs = compact_json(rows[lo : lo + _JSON_ROWS], self._labels, _INDENTED)
+            graphs = compact_json(
+                rows[lo : lo + _JSON_ROWS], self._labels, _INDENTED, _LABEL_INDENT
+            )
             texts = map(entry, graphs, map(repr, probs[lo : lo + _JSON_ROWS].tolist()))
             fh.write(separator + ",\n".join(texts))
             separator = ",\n"
@@ -559,6 +563,12 @@ def unlabelled_steady_state_distribution(
 
 
 def _weighted_sizes(dist: GraphDistribution) -> Iterator[tuple[tuple[int, ...], float]]:
+    """(clique sizes, probability) per entry, in ``entries`` order.  A row
+    distribution reads the sizes from its rows, building no graph."""
+    if dist._rows is not None:
+        sizes = cell_sizes(dist._rows).tolist()
+        yield from zip((tuple(filter(None, q)) for q in sizes), dist._probs.tolist())
+        return
     for key, p in dist.entries.items():
         sizes = key.clique_sizes
         yield (sizes if isinstance(key, ContactGraph) else sizes.parts), p

@@ -358,7 +358,7 @@ GAPS = [" ", "  ", "\t", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\x85",
 # Ids of one to more than eight UTF-8 bytes; some differ only by a zero
 # byte, and one holds a lone surrogate (as surrogateescape decoding makes).
 IDS = ["a", "b", "a1", "Z", "abcdefgh", "abcdefgh\x00", "abcdefghi", "abcdefghj",
-       "node_id_number_17", "node_id_number_18",
+       "node_id_number_17", "node_id_number_18", "node_id_17_number", "node_id_18_numbe",
        "\x00", "a\x00", "a\x00b", "\xe9", "\u8282\u70b9", "\xfc" * 5, "\U0001d518x",
        "\xf8\x00\xf8\x00\xf8", "\udce9x"]
 TIMES = ["0", "1", "+1", "01", "1_0", "-2", str(2**70), "\u0663", "0000000000000000007"]
@@ -398,12 +398,22 @@ def bad_lines(draw):
     return spaced(draw, fields)
 
 
+# Many short lines, and two lines that share one 100,000-byte id beside
+# ids that differ from it in one byte, at its end or in its middle.
+LONG_ID = "x" * 100_000
+SHARED_LONG_ID = [f"{t % 7} n{t % 50} m{t % 30}\n" for t in range(80_000)] + [
+    f"3 {LONG_ID} a\n", f"5 {LONG_ID}y {LONG_ID}\n", f"5 b {LONG_ID}\x00\n",
+    f"6 {LONG_ID[:60_000]}a{LONG_ID[:40_000]} {LONG_ID[:60_000]}b{LONG_ID[:39_999]}\n",
+]
+
+
 @settings(max_examples=400, deadline=None)
 @given(
     lines=st.lists(good_lines(), max_size=30),
     faults=st.lists(st.tuples(st.integers(0, 30), bad_lines()), max_size=2),
     block=st.sampled_from([1, 2, 7, 13, 64, 1 << 20]),
 )
+@example(lines=SHARED_LONG_ID, faults=[], block=1 << 20)
 def test_parse_agrees_with_line_by_line_split(lines, faults, block):
     for at, line in faults:
         lines.insert(at, line)
@@ -429,13 +439,17 @@ def test_parse_agrees_with_line_by_line_split(lines, faults, block):
         )
 
 
+# Fields past the first word are ranked a word at a time (tail 1), or all
+# by their remaining bytes (tail 64).
+@pytest.mark.parametrize("tail", [1, 64])
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.lists(st.sampled_from(IDS + TIMES), max_size=4), max_size=12), st.data())
-def test_fields_decode_each_distinct_text_once_in_str_order(lines, data):
+def test_fields_decode_each_distinct_text_once_in_str_order(tail, lines, data):
     block = [spaced(data.draw, fields) if fields else "" for fields in lines]
     buffer, starts, ends, counts = ingest._fields(block)
     assert counts.tolist() == [len(line.split()) for line in block]
-    texts, at = ingest._distinct(buffer, starts, ends)
+    with mock.patch.object(ingest, "_TAIL_FIELDS", tail):
+        texts, at = ingest._distinct(buffer, starts, ends)
     words = [word for line in block for word in line.split()]
     assert texts == sorted(set(words))
     assert [texts[k] for k in at.tolist()] == words

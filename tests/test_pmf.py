@@ -23,6 +23,8 @@ from rwig.markov import StateVector, TransitionMatrix, WalkerEnsemble
 from rwig.pmf import (
     GraphDistribution,
     ProbabilityError,
+    clique_count_histogram,
+    clique_size_histogram,
     distribution_clique_count_histogram,
     distribution_clique_size_histogram,
     full_distribution,
@@ -314,7 +316,13 @@ def test_write_json_matches_json_dumps():
     )
     steady = unlabelled_steady_state_distribution(6, table3_vector("s33", 4))
     computed = full_distribution(random_ensemble(4, 3, seed=8), 2)
-    for dist in (labelled, integers, steady, computed, GraphDistribution({})):
+    # Labels the json module writes as arrays, over indented lines.
+    tuples = [("a", 1), ("b", 2), ("c", (3, "d")), ()]
+    ens = WalkerEnsemble(
+        [(w, s0, p) for w, (_, s0, p) in zip(tuples, random_ensemble(4, 3, seed=8).walkers)]
+    )
+    arrays = full_distribution(ens, 2)
+    for dist in (labelled, integers, steady, computed, arrays, GraphDistribution({})):
         buf = io.StringIO()
         dist.write_json(buf)
         assert buf.getvalue() == json.dumps(dist.to_json_obj(), indent=2) + "\n"
@@ -620,6 +628,22 @@ def test_distribution_histograms():
         distribution_clique_count_histogram(partial),
     ):
         assert math.fsum(hist.values()) == pytest.approx(1.0, abs=1e-15)
+
+
+def test_row_histograms_match_the_graph_path(built_graphs):
+    # A row distribution's histograms come from its rows, building no
+    # graph, bit for bit as from the clique sizes of its entries.
+    ens = random_ensemble(6, 4, seed=3)
+    for dist in (full_distribution(ens, 2), empirical_distribution(ens, 2, 500, seed=9)):
+        built_graphs.clear()
+        sizes = {m: distribution_clique_size_histogram(dist, m) for m in (1, 2, 3)}
+        counts = {i: distribution_clique_count_histogram(dist, i) for i in (True, False)}
+        assert built_graphs == [] and "entries" not in vars(dist)
+        pairs = [(g.clique_sizes, p) for g, p in dist.entries.items()]
+        for m, hist in sizes.items():
+            assert list(hist.items()) == list(clique_size_histogram(pairs, m).items())
+        for include, hist in counts.items():
+            assert list(hist.items()) == list(clique_count_histogram(pairs, include).items())
 
 
 def test_distribution_histograms_keep_exact_zeros():

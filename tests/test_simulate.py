@@ -160,16 +160,18 @@ def test_histogram_csv_roundtrip():
     assert histogram_from_csv(text) == hist
 
 
+def draw(probs, u) -> int:
+    """Inverse-CDF draw from one row: its count of cumulative values <= u,
+    at most the last state."""
+    cum = np.cumsum(probs)
+    return min(int(np.count_nonzero(cum <= u)), len(cum) - 1)
+
+
 def reference_walk(ensemble, horizon: int, seed: int) -> list[ContactGraph]:
     """The sampler spelled out per walker and per step: one rng.random(M)
     per time, an inverse-CDF draw from each walker's own row, and the graph
     through from_assignment."""
     rng = np.random.default_rng(seed)
-
-    def draw(probs, u):
-        cum = np.cumsum(probs)
-        return min(int(np.count_nonzero(cum <= u)), len(cum) - 1)
-
     walkers = ensemble.walkers
     u = rng.random(len(walkers))
     states = [draw(s0.probs, x) for (_, s0, _), x in zip(walkers, u)]
@@ -181,6 +183,75 @@ def reference_walk(ensemble, horizon: int, seed: int) -> list[ContactGraph]:
         ]
         graphs.append(from_assignment(dict(zip(ensemble.labels, states))))
     return graphs
+
+
+def coarse_ensemble(m: int, n: int, seed: int) -> WalkerEnsemble:
+    """Random walkers whose rows are small integer weights over their sum:
+    most rows hold zero-probability transitions, so a row repeats its
+    cumulative values and rows share them."""
+    rng = np.random.default_rng(seed)
+    walkers = []
+    for i in range(m):
+        weights = rng.integers(0, 3, size=(n + 1, n)).astype(float)
+        weights[np.arange(n + 1), rng.integers(n, size=n + 1)] += 1
+        probs = weights / weights.sum(axis=1, keepdims=True)
+        walkers.append((f"w{i}", StateVector(probs[0]), TransitionMatrix(probs[1:])))
+    return WalkerEnsemble(walkers)
+
+
+def edge_uniforms(ensemble, shape: tuple[int, ...], seed: int) -> np.ndarray:
+    """Uniforms of the given (..., M) shape, half of them drawn from each
+    walker's cumulative values, their neighbouring doubles and 0.0."""
+    rng = np.random.default_rng(seed)
+    u = rng.random(shape)
+    for w, (_, s0, policy) in enumerate(ensemble.walkers):
+        cum = np.concatenate([np.cumsum(s0.probs), np.cumsum(policy.entries, axis=1).ravel()])
+        edges = np.concatenate([cum, np.nextafter(cum, 0), np.nextafter(cum, 2), [0.0]])
+        pick = rng.random(shape[:-1]) < 0.5
+        u[..., w][pick] = rng.choice(edges, size=int(pick.sum()))
+    return u
+
+
+def reference_states(ensemble, uniforms: np.ndarray) -> np.ndarray:
+    """The walk spelled out per walker and per time: the first M uniforms
+    draw the initial states, each later M a policy step."""
+    walkers = ensemble.walkers
+    states = [draw(s0.probs, x) for (_, s0, _), x in zip(walkers, uniforms[0])]
+    out = [states]
+    for u in uniforms[1:]:
+        states = [draw(p.entries[s], x) for (_, _, p), s, x in zip(walkers, states, u)]
+        out.append(states)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("table", [True, False])
+@pytest.mark.parametrize(
+    "m, n, seed", [(3, 1, 0), (4, 2, 1), (4, 3, 2), (6, 4, 3), (2, 6, 4)]
+)
+def test_walk_matches_per_step_reference(m, n, seed, table, monkeypatch):
+    # The step table holds M (N (N - 1) + 1) N entries: a cap of exactly
+    # that takes the table route, one less the per-step gather.
+    ensemble = coarse_ensemble(m, n, seed)
+    entries = m * (n * (n - 1) + 1) * n
+    monkeypatch.setattr(simulate, "_WALK_ELEMENTS", entries if table else entries - 1)
+    cum0, cum_policy, step_table = simulate._walk_tables(ensemble)
+    assert (step_table is not None) == table
+    times, replicas = 30, 5
+    u = edge_uniforms(ensemble, (times, replicas, m), seed)
+    expected = np.stack([reference_states(ensemble, u[:, r]) for r in range(replicas)], 1)
+
+    def walk(blocks):
+        return np.array(list(simulate._walk_states(cum0, cum_policy, step_table, blocks)))
+
+    # One walk at a time in blocks of seven times, then the replicas
+    # together, one time per block.
+    for r in range(replicas):
+        blocks = [u[lo : lo + 7, r] for lo in range(0, times, 7)]
+        np.testing.assert_array_equal(walk(blocks), expected[:, r])
+    np.testing.assert_array_equal(walk(u[:, None]), expected)
+    # sample_sequence takes _WALK_ELEMENTS // M times per block.
+    seq = sample_sequence(ensemble, 50, seed)
+    assert seq == ContactSequence(reference_walk(ensemble, 50, seed), seed)
 
 
 def dumps_lines(pairs) -> str:
