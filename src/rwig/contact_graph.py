@@ -135,26 +135,26 @@ def compact_json(
     rows: np.ndarray,
     labels: Sequence[Hashable],
     layout=("[", "],[", ",", "]]"),
-    indent: str | None = None,
 ) -> Iterator[str]:
     """Yield the JSON text of ``g.to_json_obj()`` for the graph g of each
     row, as ``row_graph`` reads it, by default as ``json.dumps(...,
     separators=(",", ":"))`` writes it.
 
     Each label is encoded once: as ``json.dumps(w, separators=(",", ":"))``,
-    or with ``indent`` as ``json.dumps(w, indent=2)`` with ``indent`` after
-    each line break, which lays out a tuple label where an indented document
-    holds it.  A row is "[", one piece per label in cell order, and
+    or, when ``layout[2]`` breaks the line, as ``json.dumps(w, indent=2)``
+    with the indent that ends ``layout[2]`` after each line break, which
+    lays out a tuple label where an indented document holds it.  A row is "[", one piece per label in cell order, and
     ``layout[3]`` ("]" without cells).  A label's piece is its code after
     ``layout[0]`` when it opens the first cell, ``layout[1]`` when it opens
     a later one and ``layout[2]`` inside a cell, or nothing when it is
     absent.  Rows are formatted ``_JSON_ROWS`` at a time.
     """
     width = rows.shape[1]
-    if indent is None:
+    if "\n" not in layout[2]:
         codes = [json.dumps(w, separators=(",", ":")) for w in labels]
     else:
-        codes = [json.dumps(w, indent=2).replace("\n", "\n" + indent) for w in labels]
+        indent = "\n" + layout[2].rpartition("\n")[2]
+        codes = [json.dumps(w, indent=2).replace("\n", indent) for w in labels]
     pieces = np.array([""] * width + [p + c for p in layout[:3] for c in codes], dtype=object)
     for lo in range(0, len(rows), _JSON_ROWS):
         chunk = rows[lo : lo + _JSON_ROWS]

@@ -108,9 +108,11 @@ _SPACE[[c for c in range(128) if chr(c).isspace()]] = True
 _KEEP = np.array([(1 << 64) - (1 << 8 * (8 - n)) for n in range(9)], np.uint64)
 
 
-# Most fields ``_distinct`` still ranks a word at a time; fewer are ranked
-# by their remaining bytes with one sort.
-_TAIL_FIELDS = 64
+# What ``_distinct`` spends on the fields past their first word, in units of
+# one field's word at one level (about 0.2 us): a word level costs
+# _LEVEL_COST plus one per field on it, and ranking a field by all its
+# remaining bytes, in one sort, _SORT_COST.
+_LEVEL_COST, _SORT_COST = 160, 10
 
 
 def _blocks(lines: Iterable[str]) -> Iterator[list[str]]:
@@ -176,13 +178,16 @@ def _distinct(
     # word at byte 8 j.
     levels = [(slice(None), words[starts] & _KEEP[np.minimum(lengths, 8)])]
     rest = np.flatnonzero(lengths > 8)
-    while len(rest) > _TAIL_FIELDS:
+    # reach[j]: the fields on level j + 1.  Walk the number of levels after
+    # which walking them and sorting the fields left costs least.
+    reach = np.bincount((lengths[rest] - 1) // 8)[:0:-1].cumsum()[::-1]
+    walked = np.append(0, np.cumsum(reach + _LEVEL_COST))
+    for _ in range(np.argmin(walked + _SORT_COST * np.append(reach, 0))):
         offset = 8 * len(levels)
         left = np.minimum(lengths[rest] - offset, 8)
         levels.append((rest, words[starts[rest] + offset] & _KEEP[left]))
         rest = rest[lengths[rest] > offset + 8]
     if len(rest):
-        # The last few fields rank by all their remaining bytes at once.
         offset = 8 * len(levels)
         spans = zip(starts[rest].tolist(), ends[rest].tolist())
         tails = [data[a + offset : b] for a, b in spans]

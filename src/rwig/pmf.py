@@ -68,11 +68,9 @@ NEGATIVE_DUST = 1e-10
 _GATHER_CAP = 1 << 20
 
 # The graph of an entry as ``json.dumps(..., indent=2)`` lays out a list of
-# entries: the join pieces of ``compact_json``, and the indent of the lines
-# of a label, which sits four levels deep.
+# entries: the join pieces of ``compact_json``.
 _INDENTED = ("\n      [\n        ", "\n      ],\n      [\n        ", ",\n        ",
              "\n      ]\n    ]")
-_LABEL_INDENT = " " * 8
 
 
 class ProbabilityError(RuntimeError):
@@ -402,9 +400,7 @@ class GraphDistribution:
         entry = '  {{\n    "graph": {},\n    "p": {}\n  }}'.format
         separator = "[\n"
         for lo in range(0, len(rows), _JSON_ROWS):
-            graphs = compact_json(
-                rows[lo : lo + _JSON_ROWS], self._labels, _INDENTED, _LABEL_INDENT
-            )
+            graphs = compact_json(rows[lo : lo + _JSON_ROWS], self._labels, _INDENTED)
             texts = map(entry, graphs, map(repr, probs[lo : lo + _JSON_ROWS].tolist()))
             fh.write(separator + ",\n".join(texts))
             separator = ",\n"

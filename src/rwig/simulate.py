@@ -8,14 +8,15 @@ whenever s ^ s' equals r ^ r' for two replica indices (with 8 replicas,
 seeds 0 to 7 draw the same eight streams and give identical empirical
 distributions).
 
-A walker's step is an inverse-CDF draw from its policy row.  The walk
-takes it from an exact next-state table (``_step_table``): one
-``searchsorted`` per walker puts each of a block's uniforms in an interval
+A sampled sequence's walker steps, inverse-CDF draws from their policy
+rows, come from an exact next-state table (``_step_table``): one
+``searchsorted`` per walker over all its uniforms puts each in an interval
 between the sorted cumulative values of the walker's rows, and each step
-is then one ``take`` of (walker, interval, state), giving the same states
-as comparing the uniform with the row.  A table of more than
-``_WALK_ELEMENTS`` entries is not built, and each step gathers the
-walkers' rows instead.
+is then one lookup of (walker, interval, state), giving the same states as
+comparing the uniform with the row.  The table is built when M N is at
+most ``_TABLE_CELLS`` and it holds at most ``_WALK_ELEMENTS`` entries;
+otherwise each step gathers the walkers' rows, as every step of an
+empirical distribution does.
 
 A sampled sequence stays an array from the walk to its JSON lines: the
 walkers' states at every step, renamed into one restricted growth string
@@ -84,10 +85,15 @@ class ContactSequence:
         return hash((self.snapshots, self.seed))
 
 
-# Most numbers one array of the walk holds: the step table, a block of step
-# intervals, or a chunk's walkers' cumulative policy rows at one step of
-# ``empirical_distribution`` (R x M x N).
+# Most numbers one array of the walk holds: the step table, or a chunk's
+# walkers' cumulative policy rows at one step of ``empirical_distribution``
+# (R x M x N).
 _WALK_ELEMENTS = 1 << 18
+
+# Most cumulative values (M x N) one step gathers where the step table
+# replaces the gather.  Past it the gather is about as fast as the table
+# walk, whose per-walker search reads a column of the row-major uniforms.
+_TABLE_CELLS = 1 << 11
 
 
 def replica_seed(seed: int, replica: int) -> int:
@@ -108,81 +114,76 @@ def _draw(cum_rows: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.minimum(idx, cum_rows.shape[-1] - 1)
 
 
-def _walk_tables(ensemble: WalkerEnsemble) -> tuple:
-    """Cumulative initial vectors (M x N), policy rows (M x N x N) and
-    their ``_step_table``."""
+def _walk_tables(ensemble: WalkerEnsemble) -> tuple[np.ndarray, np.ndarray]:
+    """Cumulative initial vectors (M x N) and policy rows (M x N x N)."""
     cum0 = np.cumsum(
         np.stack([s0.probs for _, s0, _ in ensemble.walkers]), axis=1
     )
     cum_policy = np.stack(
         [np.cumsum(policy.entries, axis=1) for _, _, policy in ensemble.walkers]
     )
-    return cum0, cum_policy, _step_table(cum_policy)
+    return cum0, cum_policy
+
+
+def _walk_states(
+    cum0: np.ndarray, cum_policy: np.ndarray, uniforms: Iterable[np.ndarray]
+) -> Iterator[np.ndarray]:
+    """Yield the walkers' state indices at times 0, 1, ..., one time per
+    array of uniforms: the first draws the initial states, each later one a
+    policy step.  An array is M uniforms for one walk, or (R, M) for R
+    replicas walking at once; the states have its shape."""
+    uniforms = iter(uniforms)
+    states = _draw(cum0, next(uniforms))
+    yield states
+    rows_index = np.arange(cum0.shape[0])
+    for u in uniforms:
+        rows = cum_policy[rows_index, states]
+        states = _draw(rows, u)
+        yield states
 
 
 def _step_table(cum_policy: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     """Every policy step of the walk as one lookup: (breaks, table), or
-    None when the table would hold more than ``_WALK_ELEMENTS`` entries.
+    None past ``_TABLE_CELLS`` values or ``_WALK_ELEMENTS`` entries.
 
     ``breaks[w]`` holds the cumulative values of walker w's rows without
-    each row's last column, sorted: L = N(N - 1) of them.  For a uniform u
-    in interval k = ``searchsorted(breaks[w], u, "right")`` no row value
-    lies in (breaks[w][k - 1], u], so ``_draw``'s state from row s, the
-    count of that row's values <= u (clipping to N - 1 is dropping the
-    last column), is ``table[w, k, s]``, its count of values <=
-    breaks[w][k - 1] (0 for k = 0).  The (M, L + 1, N) table comes flat.
+    each row's last column, sorted: L = N(N - 1) of them.  A uniform u
+    lies in interval k = ``searchsorted(breaks[w], u, "right")``, so k is 0,
+    L or the end of a run of equal breaks, and no row value lies in
+    (breaks[w][k - 1], u].  ``_draw``'s state from row s, the count of that
+    row's values <= u (clipping to N - 1 is dropping the last column), is
+    then ``table[w, k, s]``, the count of row s among the first k sorted
+    values.  The (M, L + 1, N) table comes flat.
     """
     m, n, _ = cum_policy.shape
-    if m * (n * (n - 1) + 1) * n > _WALK_ELEMENTS:
+    if m * n > _TABLE_CELLS or m * (n * (n - 1) + 1) * n > _WALK_ELEMENTS:
         return None
-    values = cum_policy[:, :, :-1]
-    breaks = np.sort(values.reshape(m, -1), axis=1)
-    table = np.zeros((m, breaks.shape[1] + 1, n), np.intp)
-    for w in range(m):
-        for s in range(n):
-            table[w, 1:, s] = np.searchsorted(values[w, s], breaks[w], "right")
-    return breaks, table.ravel()
+    values = cum_policy[:, :, :-1].reshape(m, -1)
+    order = np.argsort(values, axis=1)
+    # One count per sorted value, at its row; the table sums them.
+    table = np.zeros((m, values.shape[1] + 1, n), np.intp)
+    rows = order // max(n - 1, 1)
+    table[np.arange(m)[:, None], np.arange(1, values.shape[1] + 1), rows] = 1
+    return np.take_along_axis(values, order, 1), table.cumsum(axis=1).ravel()
 
 
-def _walk_states(
-    cum0: np.ndarray,
-    cum_policy: np.ndarray,
-    step_table: tuple[np.ndarray, np.ndarray] | None,
-    blocks: Iterable[np.ndarray],
-) -> Iterator[np.ndarray]:
-    """Yield the walkers' state indices at times 0, 1, ..., one time per
-    row of the blocks of uniforms: the first draws the initial states, each
-    later one a policy step.  A block is (T, M) uniforms for T times of one
-    walk, or (T, R, M) for R replicas walking at once; the states have the
-    shape of one time.
-
-    With a ``step_table``, one ``searchsorted`` per walker gives the
-    intervals of a whole block, and each step is one ``take`` from the
-    table; without one, a step gathers the walkers' rows for ``_draw``.
-    """
+def _table_walk(cum0: np.ndarray, step_table: tuple, uniforms: np.ndarray) -> np.ndarray:
+    """The walkers' state indices at every time of one walk, as
+    ``_walk_states`` gives them for the same (T, M) uniforms: one
+    ``searchsorted`` per walker finds the intervals of all its steps, and
+    each step is one lookup in the ``_step_table``."""
+    breaks, table = step_table
     m, n = cum0.shape
-    walkers = np.arange(m)
-    states = None
-    for block in blocks:
-        if states is None:
-            states = _draw(cum0, block[0])
-            yield states
-            block = block[1:]
-        if step_table is None:
-            for u in block:
-                states = _draw(cum_policy[walkers, states], u)
-                yield states
-            continue
-        breaks, table = step_table
-        at = np.empty(block.shape, np.intp)
-        for w in range(m):
-            at[..., w] = np.searchsorted(breaks[w], block[..., w], "right")
-        # The flat position of (w, k, 0) in the table.
-        at += walkers * (breaks.shape[1] + 1)
-        at *= n
-        for offsets in at:
-            states = table.take(offsets + states)
-            yield states
+    states = np.empty(uniforms.shape, np.intp)
+    states[0] = _draw(cum0, uniforms[0])
+    for w in range(m):
+        states[1:, w] = np.searchsorted(breaks[w], uniforms[1:, w], "right")
+    # The flat position of (w, k, 0) in the table.
+    states[1:] += np.arange(m) * (breaks.shape[1] + 1)
+    states[1:] *= n
+    for t in range(1, len(states)):
+        states[t] = table[states[t] + states[t - 1]]
+    return states
 
 
 def sample_sequence(ensemble: WalkerEnsemble, horizon: int, seed: int) -> ContactSequence:
@@ -192,18 +193,21 @@ def sample_sequence(ensemble: WalkerEnsemble, horizon: int, seed: int) -> Contac
     wanting fixed starts pass basis vectors), then each walker takes
     ``horizon`` independent policy steps.  Deterministic given the seed:
     the uniforms are one (horizon + 1, M) block, the same doubles in the
-    same order as one M-vector per step, walked ``_WALK_ELEMENTS // M``
-    steps at a time.
+    same order as one M-vector per step.  The walk takes its steps from a
+    ``_step_table`` when one is built.
     """
     _check_integer("seed", seed, 0)
     _check_integer("horizon", horizon, 0)
     rng = np.random.default_rng(seed)
     labels = tuple(sorted(ensemble.labels))
     uniforms = rng.random((horizon + 1, ensemble.n_walkers))
-    chunk = max(1, _WALK_ELEMENTS // ensemble.n_walkers)
-    blocks = (uniforms[lo : lo + chunk] for lo in range(0, horizon + 1, chunk))
-    walk = _walk_states(*_walk_tables(ensemble), blocks)
-    states = np.fromiter(walk, np.dtype((np.intp, ensemble.n_walkers)), horizon + 1)
+    cum0, cum_policy = _walk_tables(ensemble)
+    step_table = _step_table(cum_policy)
+    if step_table is None:
+        walk = _walk_states(cum0, cum_policy, uniforms)
+        states = np.fromiter(walk, np.dtype((np.intp, ensemble.n_walkers)), horizon + 1)
+    else:
+        states = _table_walk(cum0, step_table, uniforms)
     columns = [ensemble.index[w] for w in labels]
     return ContactSequence._of_rows(first_appearance_rows(states[:, columns]), labels, seed)
 
@@ -333,14 +337,14 @@ def empirical_distribution(
     ``default_rng(replica_seed(seed, r))``; the replicas walk together as
     one (R, M) state array, on one (R, M) array of uniforms per step from
     ``_replica_uniforms``.  They go in chunks small enough that a chunk's
-    walkers' cumulative policy rows at one step (R x M x N), which a walk
-    without a step table gathers, hold at most ``_WALK_ELEMENTS`` numbers;
-    the uniforms come one step at a time, so k does not bound the chunk.
-    Each final state row is renamed by ``first_appearance_rows`` over the
-    sorted labels, and the rows are counted after one ``np.lexsort``, so
-    the distinct rows come in lexicographic order.  Each probability is a
-    graph's integer count over ``replicas``, so equal counts tie exactly
-    and are written in canonical graph order.
+    per-step working set, its walkers' cumulative policy rows (R x M x N),
+    holds at most ``_WALK_ELEMENTS`` numbers; the uniforms come one step at
+    a time, so k does not bound the chunk.  Each final state row is renamed
+    by ``first_appearance_rows`` over the sorted labels, and the rows are
+    counted after one ``np.lexsort``, so the distinct rows come in
+    lexicographic order.  Each probability is a graph's integer count over
+    ``replicas``, so equal counts tie exactly and are written in canonical
+    graph order.
     """
     _check_integer("seed", seed, 0)
     _check_integer("replicas", replicas, 1)
@@ -353,8 +357,7 @@ def empirical_distribution(
     chunks = []
     for lo in range(0, replicas, step):
         seeds = [replica_seed(seed, r) for r in range(lo, min(lo + step, replicas))]
-        blocks = (u[None] for u in _replica_uniforms(seeds, k + 1, m))
-        for states in _walk_states(*tables, blocks):
+        for states in _walk_states(*tables, _replica_uniforms(seeds, k + 1, m)):
             pass
         chunks.append(first_appearance_rows(states[:, columns]))
     rows = np.concatenate(chunks)

@@ -446,13 +446,40 @@ def test_fields_decode_each_distinct_text_once_in_str_order(lines, data):
     buffer, starts, ends, counts = ingest._fields(block)
     assert counts.tolist() == [len(line.split()) for line in block]
     words = [word for line in block for word in line.split()]
-    # Fields past the first word are ranked a word at a time (tail 1), or
-    # all by their remaining bytes (tail 64).
-    for tail in (1, 64):
-        with mock.patch.object(ingest, "_TAIL_FIELDS", tail):
+    # Fields past the first word are ranked all by their remaining bytes
+    # (a sort costs nothing), by the default plan, or a word at a time (a
+    # sort costs more than any walk).
+    for cost in (0, ingest._SORT_COST, 1 << 40):
+        with mock.patch.object(ingest, "_SORT_COST", cost):
             texts, at = ingest._distinct(buffer, starts, ends)
         assert texts == sorted(set(words))
         assert [texts[k] for k in at.tolist()] == words
+
+
+def test_distinct_sorts_the_fields_left_where_walking_costs_more():
+    # Many 16-byte ids walk their second word; ids that share a long prefix
+    # rank by their remaining bytes, alone when short ids sit beside them.
+    def sorted_fields(block):
+        data, starts, ends, _ = ingest._fields(block)
+        sizes = []
+
+        def ranks(keys):
+            if keys.dtype == object:
+                sizes.append(len(keys))
+            return real(keys)
+
+        real = ingest._ranks
+        with mock.patch.object(ingest, "_ranks", ranks):
+            texts, at = ingest._distinct(data, starts, ends)
+        words = [word for line in block for word in line.split()]
+        assert [texts[k] for k in at.tolist()] == words
+        return sizes
+
+    short = [f"0 {i:016d} n{i}" for i in range(500)]
+    long = [f"1 {'x' * 1000}a {'x' * 1000}b", f"2 {'x' * 1000}c {'x' * 999}"]
+    assert sorted_fields(short) == []
+    assert sorted_fields(long) == [4]
+    assert sorted_fields(short + long) == [4]
 
 
 # --- the bincount histograms against one tuple of cell sizes per row --------

@@ -224,32 +224,37 @@ def reference_states(ensemble, uniforms: np.ndarray) -> np.ndarray:
     return np.array(out)
 
 
-@pytest.mark.parametrize("table", [True, False])
+@pytest.mark.parametrize("short", [None, "_WALK_ELEMENTS", "_TABLE_CELLS"])
 @pytest.mark.parametrize(
-    "m, n, seed", [(3, 1, 0), (4, 2, 1), (4, 3, 2), (6, 4, 3), (2, 6, 4)]
+    "m, n, seed", [(3, 1, 0), (4, 2, 1), (4, 3, 2), (6, 4, 3), (2, 6, 4), (40, 2, 5)]
 )
-def test_walk_matches_per_step_reference(m, n, seed, table, monkeypatch):
-    # The step table holds M (N (N - 1) + 1) N entries: a cap of exactly
-    # that takes the table route, one less the per-step gather.
+def test_walk_matches_per_step_reference(m, n, seed, short, monkeypatch):
+    # The step table holds M (N (N - 1) + 1) N entries for M N states:
+    # caps of exactly those build it, one less on either keeps the
+    # per-step gather.
     ensemble = coarse_ensemble(m, n, seed)
-    entries = m * (n * (n - 1) + 1) * n
-    monkeypatch.setattr(simulate, "_WALK_ELEMENTS", entries if table else entries - 1)
-    cum0, cum_policy, step_table = simulate._walk_tables(ensemble)
+    caps = {"_WALK_ELEMENTS": m * (n * (n - 1) + 1) * n, "_TABLE_CELLS": m * n}
+    for name, cap in caps.items():
+        monkeypatch.setattr(simulate, name, cap - (name == short))
+    table = short is None
+    cum0, cum_policy = simulate._walk_tables(ensemble)
+    step_table = simulate._step_table(cum_policy)
     assert (step_table is not None) == table
     times, replicas = 30, 5
     u = edge_uniforms(ensemble, (times, replicas, m), seed)
     expected = np.stack([reference_states(ensemble, u[:, r]) for r in range(replicas)], 1)
 
-    def walk(blocks):
-        return np.array(list(simulate._walk_states(cum0, cum_policy, step_table, blocks)))
+    def gather(uniforms):
+        return np.array(list(simulate._walk_states(cum0, cum_policy, uniforms)))
 
-    # One walk at a time in blocks of seven times, then the replicas
-    # together, one time per block.
+    # The gather walks the replicas together and one at a time; the table
+    # walks one at a time.
+    np.testing.assert_array_equal(gather(u), expected)
     for r in range(replicas):
-        blocks = [u[lo : lo + 7, r] for lo in range(0, times, 7)]
-        np.testing.assert_array_equal(walk(blocks), expected[:, r])
-    np.testing.assert_array_equal(walk(u[:, None]), expected)
-    # sample_sequence takes _WALK_ELEMENTS // M times per block.
+        np.testing.assert_array_equal(gather(u[:, r]), expected[:, r])
+        if table:
+            walk = simulate._table_walk(cum0, step_table, u[:, r])
+            np.testing.assert_array_equal(walk, expected[:, r])
     seq = sample_sequence(ensemble, 50, seed)
     assert seq == ContactSequence(reference_walk(ensemble, 50, seed), seed)
 
