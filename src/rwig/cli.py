@@ -136,9 +136,7 @@ def cmd_steady(args) -> int:
     dist = pmf_mod.unlabelled_steady_state_distribution(args.walkers, s_tilde)
     if args.cross_check:
         oracle = pmf_mod.unlabelled_steady_state_pmf_bruteforce
-        reference = pmf_mod.GraphDistribution(
-            {u: oracle(u, s_tilde) for u in dist.entries}
-        )
+        reference = pmf_mod.GraphDistribution({u: oracle(u, s_tilde) for u in dist.entries})
         _check_oracle(dist, reference, 1e-10)
     size_hist = pmf_mod.distribution_clique_size_histogram(dist, min_size=args.min_size)
     count_hist = pmf_mod.distribution_clique_count_histogram(

@@ -109,12 +109,11 @@ def graph_rows(graphs: Iterable[ContactGraph]) -> tuple[np.ndarray, tuple[Hashab
     (ints and strings, say) raise TypeError."""
     graphs = list(graphs)
     labels = tuple(sorted(set().union(*(g.walkers for g in graphs))))
-    index = {w: i for i, w in enumerate(labels)}
-    rows = np.full((len(graphs), len(labels)), -1, np.intp)
-    for row, g in zip(rows, graphs):
-        for c, cell in enumerate(g.cliques.cells):
-            row[[index[w] for w in cell]] = c
-    return rows, labels
+    rows = []
+    for g in graphs:
+        cell_of = {w: c for c, cell in enumerate(g.cliques.cells) for w in cell}
+        rows.append([cell_of.get(w, -1) for w in labels])
+    return np.array(rows, np.intp).reshape(len(graphs), len(labels)), labels
 
 
 def cell_sizes(rows: np.ndarray) -> np.ndarray:

@@ -28,7 +28,7 @@ import numpy as np
 
 from .combinatorics import first_appearance_rows
 from .contact_graph import ContactGraph, cell_sizes, row_graph
-from .pmf import tally_histogram
+from .pmf import clique_size_histogram, tally_histogram
 from .simulate import ContactSequence
 
 
@@ -435,10 +435,7 @@ def row_distributions(
             missing = ", ".join(sorted(unknown))
             raise ValueError(f"snapshot nodes missing from the roster: {missing}")
         cliques += len(roster_set) - counts.sum(axis=1)
-    return (
-        tally_histogram(counts[counts >= 2], "no cliques at or above min_size"),
-        tally_histogram(cliques, "no realisations"),
-    )
+    return clique_size_histogram(counts), tally_histogram(cliques, "no realisations")
 
 
 def load_roster(lines: Iterable[str]) -> tuple[str, ...]:

@@ -265,10 +265,28 @@ def json_field(obj, key: str, where: str):
     return obj[key]
 
 
+def json_count(obj, key: str, where: str) -> int:
+    """``json_field``, refusing any value but an integer."""
+    value = json_field(obj, key, where)
+    if type(value) is not int:
+        raise ValueError(f'{where} "{key}" must be an integer, not {value!r}')
+    return value
+
+
+def json_numbers(obj, key: str, where: str) -> np.ndarray:
+    """``json_field`` as a float array, refusing all but numbers in equal-length lists."""
+    value = json_field(obj, key, where)
+    try:
+        return np.array(value, dtype=float)
+    except (TypeError, ValueError):
+        wanted = "must hold numbers in lists of equal length"
+        raise ValueError(f'{where} "{key}" {wanted}, not {value!r}') from None
+
+
 def matrix_from_json(obj: dict) -> TransitionMatrix:
-    n = json_field(obj, "n", "transition matrix JSON")
-    rows = json_field(obj, "rows", "transition matrix JSON")
-    if len(rows) != n:
+    n = json_count(obj, "n", "transition matrix JSON")
+    rows = json_numbers(obj, "rows", "transition matrix JSON")
+    if rows.ndim and len(rows) != n:
         raise ValueError(f"matrix declares n={n} but has {len(rows)} rows")
     return TransitionMatrix(rows)
 
@@ -293,7 +311,7 @@ def ensemble_from_json(obj: dict) -> WalkerEnsemble:
     """
     if not isinstance(obj, dict) or not isinstance(obj.get("walkers"), list):
         raise ValueError('an ensemble must be a JSON object with a "walkers" list')
-    n = json_field(obj, "n_states", "ensemble")
+    n = json_count(obj, "n_states", "ensemble")
     walkers = []
     for i, w in enumerate(obj["walkers"]):
         label = w.get("label") if isinstance(w, dict) else None
@@ -303,15 +321,16 @@ def ensemble_from_json(obj: dict) -> WalkerEnsemble:
                 f"walker {i} has label {label!r}: labels must be all strings or all integers"
             )
         where = f"walker {i} ({label!r})"
-        s0 = StateVector(json_field(w, "s0", where))
-        policy = TransitionMatrix(json_field(w, "policy", where))
+        s0 = StateVector(json_numbers(w, "s0", where))
+        policy = TransitionMatrix(json_numbers(w, "policy", where))
         if s0.n_states != n or policy.n_states != n:
             raise ValueError(f"walker {label!r} does not match n_states={n}")
         walkers.append((label, s0, policy))
     ensemble = WalkerEnsemble(walkers)
     if "adjacency" in obj:
+        adjacency = json_numbers(obj, "adjacency", "ensemble")
         for label, _, policy in ensemble.walkers:
-            bad = validate_policy(policy, obj["adjacency"])
+            bad = validate_policy(policy, adjacency)
             if bad:
                 raise ValueError(
                     f"policy of walker {label!r} moves off the underlying graph "
@@ -346,8 +365,7 @@ def load_vector(path: str) -> StateVector:
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     if path.endswith(".json"):
-        probs = json_field(json.loads(text), "probs", "steady vector JSON")
-        values = np.asarray(probs, dtype=float)
+        values = json_numbers(json.loads(text), "probs", "steady vector JSON")
     else:
         values = np.asarray(
             [float(x) for x in text.replace(",", " ").split()], dtype=float

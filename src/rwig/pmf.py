@@ -19,9 +19,11 @@ come from one integer product, sigma is computed once per distinct walker
 set in one numpy product and cached across batches, and the sum over
 partitions is evaluated as a recursion over subsets of cliques
 (``combinatorics.subset_expansion(m)``), about 3^(m-1)/2 terms per graph
-instead of one per partition.  Either way the resulting distribution keeps
-the rows for its whole life: it sorts and writes from them, and two such
-distributions are compared as aligned probability arrays.
+instead of one per partition.  Every ``GraphDistribution``, labelled or
+unlabelled, computed, sampled or built from a dict, keeps such rows for its
+whole life: it sorts and writes from them, its clique histograms count the
+rows' clique sizes, and two distributions over the same rows are compared as
+aligned probability arrays.
 
 In the steady state a graph's probability depends only on its clique sizes
 and is a sum of non-negative occupancy terms (the monomial symmetric
@@ -54,7 +56,8 @@ from .combinatorics import (
     subset_expansion,
 )
 from .contact_graph import (
-    _JSON_ROWS, ContactGraph, UnlabelledContactGraph, amass, cell_sizes, compact_json
+    _JSON_ROWS, ContactGraph, UnlabelledContactGraph, amass, any_labelling, cell_sizes,
+    compact_json, graph_rows,
 )
 from .markov import StateVector, WalkerEnsemble
 
@@ -284,25 +287,41 @@ def pmf_bruteforce(
 class GraphDistribution:
     """An immutable probability map over contact graphs (labelled or unlabelled).
 
-    ``entries`` is a read-only mapping from each graph to its probability;
-    one built from a dict holds a copy.  A distribution from
-    ``full_distribution`` (either method, rows in ``set_partitions`` order)
-    or ``simulate.empirical_distribution`` (rows in lexicographic order)
-    holds its graphs as restricted growth strings over the sorted walker
-    labels instead, one row per graph, beside an array of their
-    probabilities, for its whole life.  It builds ``entries`` once, on first
-    read, in row order; before and after, ``to_json_obj`` and ``write_json``
-    sort and format from the arrays and ``max_deviation`` compares them,
-    building no ``ContactGraph``.
+    Its graphs are restricted growth strings, one row per graph, beside an
+    array of their probabilities, for its whole life: over the sorted walker
+    labels ``_labels``, or, unlabelled, over walkers 1..M with the larger
+    cliques first, (3, 2, 1) as [0, 0, 0, 1, 1, 2], and ``_labels`` None.
+    A dict's keys must be all ``ContactGraph`` over one walker set or all
+    ``UnlabelledContactGraph`` over one walker count; it is converted once,
+    in its order, by ``graph_rows`` (through ``any_labelling`` if
+    unlabelled), each probability held as a float.  ``entries``, a read-only
+    mapping, is built on first read, in row order; sorting, writing and
+    ``max_deviation`` run on the arrays and build no ``ContactGraph``.
     """
 
     def __init__(
         self, entries: dict, time: int | None = None, ensemble: WalkerEnsemble | None = None
     ):
-        self._entries = None if entries is None else dict(entries)
-        self.time = time
-        self.ensemble = ensemble
-        self._rows = self._probs = self._labels = None
+        keys = list(entries)
+        kinds = {type(key) for key in keys}
+        unlabelled = kinds == {UnlabelledContactGraph}
+        if not (unlabelled or kinds <= {ContactGraph}):
+            names = ", ".join(sorted(kind.__name__ for kind in kinds))
+            raise ValueError(
+                f"keys must be all ContactGraph or all UnlabelledContactGraph, not {names}"
+            )
+        walkers = (range(1, u.n_walkers + 1) for u in keys)
+        rows, labels = graph_rows(map(any_labelling, keys, walkers) if unlabelled else keys)
+        absent = np.argwhere(rows < 0)
+        if absent.size:
+            g, w = absent[0].tolist()
+            raise ValueError(
+                f"graph {keys[g].to_json_obj()} lacks walker {labels[w]!r}: "
+                "every graph of a distribution must partition the same walkers"
+            )
+        self._rows, self._labels = rows, None if unlabelled else labels
+        self._probs = np.array(list(entries.values()), float)
+        self.time, self.ensemble = time, ensemble
 
     @classmethod
     def _of_rows(
@@ -313,22 +332,26 @@ class GraphDistribution:
         time: int | None,
         ensemble: WalkerEnsemble | None,
     ) -> "GraphDistribution":
-        dist = cls(None, time=time, ensemble=ensemble)
+        dist = cls({}, time=time, ensemble=ensemble)
         dist._rows, dist._probs, dist._labels = rows, probs, labels
         return dist
 
+    def _graphs(self, rows: np.ndarray) -> list[list]:
+        """Each row's graph as ``to_json_obj`` gives it: clique sizes, or cells."""
+        if self._labels is None:
+            return [list(filter(None, sizes)) for sizes in cell_sizes(rows).tolist()]
+        cells = (labelling_partition(r, self._labels).cells for r in rows.tolist())
+        return [list(map(list, c)) for c in cells]
+
     @functools.cached_property
     def entries(self) -> Mapping:
-        if self._rows is None:
-            return MappingProxyType(self._entries)
-        labels = self._labels
-        graphs = (ContactGraph(labelling_partition(r, labels)) for r in self._rows.tolist())
+        unlabelled = self._labels is None
+        graph = UnlabelledContactGraph.from_sizes if unlabelled else ContactGraph.from_cells
+        graphs = map(graph, self._graphs(self._rows))
         return MappingProxyType(dict(zip(graphs, self._probs.tolist())))
 
     def total(self) -> float:
-        if self._rows is not None:
-            return math.fsum(self._probs.tolist())
-        return math.fsum(self.entries.values())
+        return math.fsum(self._probs.tolist())
 
     def probability(self, key) -> float:
         return self.entries.get(key, 0.0)
@@ -337,35 +360,15 @@ class GraphDistribution:
         return max(self.entries, key=lambda g: self.entries[g])
 
     def sorted_items(self) -> list:
-        """Entries by descending probability, ties in canonical graph order.
-
-        Rows are taken in ``_row_order``; a dict is sorted by ``sort_key``.
-        """
-        if self._rows is not None:
-            items = list(self.entries.items())
-            return [items[i] for i in self._row_order().tolist()]
-
-        def tie_break(key):
-            if isinstance(key, ContactGraph):
-                return key.sort_key()
-            return key.clique_sizes.parts
-
-        return sorted(self.entries.items(), key=lambda kv: (-kv[1], tie_break(kv[0])))
+        """Entries by descending probability, ties as ``_row_order`` breaks them."""
+        items = list(self.entries.items())
+        return [items[i] for i in self._row_order().tolist()]
 
     def to_json_obj(self) -> list[dict]:
-        """``{"graph", "p"}`` per entry, in ``sorted_items`` order.  Rows are
-        read in ``_row_order``, each through ``labelling_partition``, with no
-        ``ContactGraph`` and no ``entries``."""
-        if self._rows is None:
-            return [
-                {"graph": key.to_json_obj(), "p": p} for key, p in self.sorted_items()
-            ]
+        """``{"graph", "p"}`` per entry in ``sorted_items`` order, read from the rows."""
         order = self._row_order()
-        rows, probs = self._rows[order].tolist(), self._probs[order].tolist()
-        return [
-            {"graph": list(map(list, labelling_partition(row, self._labels).cells)), "p": p}
-            for row, p in zip(rows, probs)
-        ]
+        graphs, probs = self._graphs(self._rows[order]), self._probs[order].tolist()
+        return [{"graph": g, "p": p} for g, p in zip(graphs, probs)]
 
     def _row_order(self) -> np.ndarray:
         """Row indices by descending probability, ties in canonical graph
@@ -373,26 +376,30 @@ class GraphDistribution:
         cells key lists each cell's positions in the sorted labels, each
         cell followed by a terminator below every position, so a cell that
         is a prefix of another sorts first, as in ``ContactGraph.sort_key``.
+        Unlabelled rows leave the clique count out: their cells key orders
+        them as their clique sizes, largest first, compare.
         """
         rows = self._rows
         n_graphs, width = rows.shape
-        counts = rows.max(axis=1).astype(np.intp) + 1
+        counts = rows.max(axis=1, initial=0).astype(np.intp) + 1
         positions = np.argsort(rows, axis=1, kind="stable")
         # Each position lands after one terminator per cell before its own.
         slots = np.arange(width) + np.take_along_axis(rows, positions, axis=1)
-        key = np.full((n_graphs, width + counts.max()), -1, np.min_scalar_type(-width))
+        key = np.full((n_graphs, width + counts.max(initial=0)), -1, np.min_scalar_type(~width))
         np.put_along_axis(key, slots, positions, axis=1)
-        return np.lexsort((*key.T[::-1], counts, -self._probs))
+        count = () if self._labels is None else (counts,)
+        return np.lexsort((*key.T[::-1], *count, -self._probs))
 
     def write_json(self, fh: IO[str]) -> None:
         """Write ``json.dumps(self.to_json_obj(), indent=2)`` and a newline.
 
-        A dict is written by the json module.  Rows are taken in
-        ``_row_order``, each graph formatted by ``compact_json`` in the
-        ``_INDENTED`` layout and each probability by ``float.__repr__``, as
-        the json module does, and written ``_JSON_ROWS`` entries at a time.
+        Unlabelled and empty distributions are written by the json module.
+        Labelled rows are taken in ``_row_order``, each graph formatted by
+        ``compact_json`` in the ``_INDENTED`` layout and each probability by
+        ``float.__repr__``, as the json module does, and written
+        ``_JSON_ROWS`` entries at a time.
         """
-        if self._rows is None:
+        if self._labels is None or not len(self._rows):
             fh.write(json.dumps(self.to_json_obj(), indent=2) + "\n")
             return
         order = self._row_order()
@@ -558,27 +565,14 @@ def unlabelled_steady_state_distribution(
     return GraphDistribution(entries, time=None, ensemble=None)
 
 
-def _weighted_sizes(dist: GraphDistribution) -> Iterator[tuple[tuple[int, ...], float]]:
-    """(clique sizes, probability) per entry, in ``entries`` order.  A row
-    distribution reads the sizes from its rows, building no graph."""
-    if dist._rows is not None:
-        sizes = cell_sizes(dist._rows).tolist()
-        yield from zip((tuple(filter(None, q)) for q in sizes), dist._probs.tolist())
-        return
-    for key, p in dist.entries.items():
-        sizes = key.clique_sizes
-        yield (sizes if isinstance(key, ContactGraph) else sizes.parts), p
-
-
 def max_deviation(a: GraphDistribution, b: GraphDistribution) -> float:
     """Largest absolute difference of two distributions over all their graphs.
 
-    A graph missing from one side counts as 0 there.  Two sides that still
-    hold the same rows over the same labels are compared as aligned
-    probability arrays, without building any graph.
+    A graph missing from one side counts as 0 there.  Two sides that hold
+    the same rows over the same labels are compared as aligned probability
+    arrays, without building any graph.
     """
-    aligned = a._rows is not None and b._rows is not None and a._labels == b._labels
-    if aligned and np.array_equal(a._rows, b._rows):
+    if a._labels == b._labels and np.array_equal(a._rows, b._rows):
         return float(np.abs(a._probs - b._probs).max(initial=0.0))
     keys = a.entries.keys() | b.entries.keys()
     return max((abs(a.probability(k) - b.probability(k)) for k in keys), default=0.0)
@@ -605,45 +599,39 @@ def tally_histogram(
 
 
 def clique_size_histogram(
-    weighted_sizes: Iterable[tuple[Sequence[int], float]], min_size: int = 2
+    sizes: np.ndarray, weights: np.ndarray | None = None, min_size: int = 2
 ) -> dict[int, float]:
-    """Probability of observing a clique of each size.
-
-    Takes one (clique sizes, weight) pair per realisation, exact or sampled;
-    sizes below ``min_size`` are dropped before normalization.
+    """Probability of observing a clique of each size, from the sizes of
+    each realisation's cliques (``contact_graph.cell_sizes``: 0 past its
+    last) and their weights (1 each without ``weights``), exact or sampled.
+    Sizes below ``min_size`` are dropped; the rest are taken row by row.
     """
     if min_size < 1:
         raise ValueError("min_size must be positive")
-    pairs = [(q, w) for sizes, w in weighted_sizes for q in sizes if q >= min_size]
-    return tally_histogram(
-        [q for q, _ in pairs], "no cliques at or above min_size", [w for _, w in pairs]
-    )
+    kept = sizes >= min_size
+    if weights is not None:
+        weights = np.broadcast_to(np.asarray(weights, float)[:, None], sizes.shape)[kept]
+    return tally_histogram(sizes[kept], "no cliques at or above min_size", weights)
 
 
 def clique_count_histogram(
-    weighted_sizes: Iterable[tuple[Sequence[int], float]],
-    include_singletons: bool = True,
+    sizes: np.ndarray, weights: np.ndarray | None = None, include_singletons: bool = True
 ) -> dict[int, float]:
-    """Distribution of the number of cliques per realisation.
-
-    Takes one (clique sizes, weight) pair per realisation, exact or sampled.
-    """
-    pairs = list(weighted_sizes)
-    counts = [
-        len(sizes) if include_singletons else sum(q > 1 for q in sizes) for sizes, _ in pairs
-    ]
-    return tally_histogram(counts, "no realisations", [w for _, w in pairs])
+    """Distribution of the number of cliques per realisation, over the
+    ``sizes`` and ``weights`` that ``clique_size_histogram`` takes."""
+    counts = np.count_nonzero(sizes >= (1 if include_singletons else 2), axis=1)
+    return tally_histogram(counts, "no realisations", weights)
 
 
 def distribution_clique_size_histogram(
     dist: GraphDistribution, min_size: int = 2
 ) -> dict[int, float]:
     """Clique-size histogram of ``dist``, each graph weighted by its probability."""
-    return clique_size_histogram(_weighted_sizes(dist), min_size)
+    return clique_size_histogram(cell_sizes(dist._rows), dist._probs, min_size)
 
 
 def distribution_clique_count_histogram(
     dist: GraphDistribution, include_singletons: bool = True
 ) -> dict[int, float]:
     """Clique-count histogram of ``dist``, each graph weighted by its probability."""
-    return clique_count_histogram(_weighted_sizes(dist), include_singletons)
+    return clique_count_histogram(cell_sizes(dist._rows), dist._probs, include_singletons)

@@ -367,14 +367,17 @@ def empirical_distribution(
     return GraphDistribution._of_rows(rows[starts], counts / replicas, labels, k, ensemble)
 
 
-def _iter_snapshots(source: Iterable) -> Iterator[ContactGraph]:
+def _snapshot_sizes(source: Iterable) -> np.ndarray:
+    """The clique sizes of every snapshot in ``source``, one row each, 0
+    past its last clique, as ``contact_graph.cell_sizes`` lays them out."""
+    sizes = []
     for item in source:
-        if isinstance(item, ContactSequence):
-            yield from item.snapshots
-        elif isinstance(item, ContactGraph):
-            yield item
-        else:
+        if not isinstance(item, (ContactSequence, ContactGraph)):
             raise TypeError(f"expected ContactSequence or ContactGraph, got {item!r}")
+        sizes += [g.clique_sizes for g in getattr(item, "snapshots", [item])]
+    width = max(map(len, sizes), default=0)
+    padded = [q + (0,) * (width - len(q)) for q in sizes]
+    return np.array(padded, np.intp).reshape(len(sizes), width)
 
 
 def clique_size_distribution(source: Iterable, min_size: int = 2) -> dict[int, float]:
@@ -383,9 +386,7 @@ def clique_size_distribution(source: Iterable, min_size: int = 2) -> dict[int, f
     Only cliques of at least ``min_size`` walkers are counted (size 2 keeps
     just the cliques that represent actual contacts).
     """
-    return clique_size_histogram(
-        ((g.clique_sizes, 1.0) for g in _iter_snapshots(source)), min_size
-    )
+    return clique_size_histogram(_snapshot_sizes(source), min_size=min_size)
 
 
 def clique_count_distribution(
@@ -396,9 +397,7 @@ def clique_count_distribution(
     Singleton cliques count by default; pass include_singletons=False to
     count only cliques of two or more walkers.
     """
-    return clique_count_histogram(
-        ((g.clique_sizes, 1.0) for g in _iter_snapshots(source)), include_singletons
-    )
+    return clique_count_histogram(_snapshot_sizes(source), include_singletons=include_singletons)
 
 
 def mean_clique_size(source: Iterable, min_size: int = 1) -> float:

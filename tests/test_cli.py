@@ -231,6 +231,42 @@ def test_steady_rejects_non_finite_input(tmp_path, capsys):
         assert capsys.readouterr().err == f"error: {named}\n"
 
 
+def test_json_fields_of_the_wrong_type_are_named(tmp_path, capsys):
+    # Each field is named with its value, exit 1, no traceback.
+    walker = {"label": "a", "s0": [1.0, 0.0], "policy": [[1.0, 0.0], [0.0, 1.0]]}
+    eye = [[1.0, 0.0], [0.0, 1.0]]
+    cases = (
+        ("pmf", "--ensemble", {"n_states": 2, "walkers": [{**walker, "s0": {"x": 1}}]},
+         "walker 0 ('a') \"s0\" must hold numbers in lists of equal length, not {'x': 1}"),
+        ("pmf", "--ensemble", {"n_states": 2, "walkers": [{**walker, "policy": [[1.0], []]}]},
+         "walker 0 ('a') \"policy\" must hold numbers in lists of equal length, not [[1.0], []]"),
+        ("pmf", "--ensemble", {"n_states": 2, "walkers": [walker], "adjacency": {}},
+         'ensemble "adjacency" must hold numbers in lists of equal length, not {}'),
+        ("steady", "--vector", {"probs": {"a": 1}},
+         "steady vector JSON \"probs\" must hold numbers in lists of equal length, not {'a': 1}"),
+        ("steady", "--policy", {"n": 2, "rows": "ab"},
+         "transition matrix JSON \"rows\" must hold numbers in lists of equal length, not 'ab'"),
+        # A count given as a string or a float is refused, not compared.
+        ("steady", "--policy", {"n": "2", "rows": eye},
+         "transition matrix JSON \"n\" must be an integer, not '2'"),
+        ("steady", "--policy", {"n": 2.0, "rows": eye},
+         'transition matrix JSON "n" must be an integer, not 2.0'),
+        ("pmf", "--ensemble", {"n_states": "2", "walkers": [walker]},
+         "ensemble \"n_states\" must be an integer, not '2'"),
+        ("pmf", "--ensemble", {"n_states": True, "walkers": [walker]},
+         'ensemble "n_states" must be an integer, not True'),
+    )
+    path = tmp_path / "input.json"
+    for command, flag, doc, named in cases:
+        path.write_text(json.dumps(doc))
+        extra = ["--time", "0"] if command == "pmf" else ["--walkers", "2"]
+        assert main([command, flag, str(path), *extra]) == 1
+        assert capsys.readouterr().err == f"error: {named}\n"
+    # Integer counts and numeric fields still load.
+    path.write_text(json.dumps({"n": 2, "rows": eye}))
+    assert main(["steady", "--policy", str(path), "--walkers", "2"]) == 0
+
+
 def test_steady_cross_check_passes(tmp_path):
     vec = tmp_path / "vec.csv"
     vec.write_text("0.1,0.2,0.3,0.4\n")

@@ -13,6 +13,7 @@ from rwig.contact_graph import (
     ContactGraph,
     UnlabelledContactGraph,
     amass,
+    cell_sizes,
     compact_json,
     enumerate_graphs,
     from_assignment,
@@ -516,6 +517,54 @@ def test_distribution_serialization_sorted():
     assert obj[2]["graph"] == [["w1"], ["w2"], ["w3"]]
 
 
+def test_unlabelled_ties_sort_by_clique_sizes():
+    # Exact ties across clique counts sort as the clique sizes, largest
+    # first, compare as tuples: (2, 1, 1) before (3, 1), in any insertion
+    # order.
+    sizes = [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
+    probs = [0.25, 0.125, 0.25, 0.125, 0.25]
+    for order in itertools.permutations(range(len(sizes))):
+        entries = {UnlabelledContactGraph.from_sizes(sizes[i]): probs[i] for i in order}
+        ranked = sorted(entries.items(), key=lambda kv: (-kv[1], kv[0].clique_sizes.parts))
+        dist = GraphDistribution(entries)
+        assert dist.sorted_items() == ranked
+        obj = dist.to_json_obj()
+        assert obj == [{"graph": list(u.clique_sizes.parts), "p": p} for u, p in ranked]
+        buf = io.StringIO()
+        dist.write_json(buf)
+        assert buf.getvalue() == json.dumps(obj, indent=2) + "\n"
+    assert [e["graph"] for e in obj] == [[1, 1, 1, 1], [2, 2], [4], [2, 1, 1], [3, 1]]
+
+
+def test_empty_distribution_writes_an_empty_list():
+    empty = GraphDistribution({})
+    buf = io.StringIO()
+    empty.write_json(buf)
+    assert buf.getvalue() == "[]\n"
+    assert empty.to_json_obj() == [] and empty.sorted_items() == []
+    assert empty.total() == 0.0
+
+
+def test_distribution_refuses_malformed_dicts():
+    pair = ContactGraph.from_cells([["a", "b"]])
+    other = ContactGraph.from_cells([["a"], ["c"]])
+    with pytest.raises(ValueError, match=r"graph \[\['a', 'b'\]\] lacks walker 'c'"):
+        GraphDistribution({pair: 0.5, other: 0.5})
+    sizes = UnlabelledContactGraph.from_sizes([1, 1])
+    mixed = "all UnlabelledContactGraph, not ContactGraph, UnlabelledContactGraph$"
+    with pytest.raises(ValueError, match=mixed):
+        GraphDistribution({pair: 0.5, sizes: 0.5})
+    with pytest.raises(ValueError, match=r"graph \[1, 1\] lacks walker 3: every graph"):
+        GraphDistribution({sizes: 0.5, UnlabelledContactGraph.from_sizes([3]): 0.5})
+    with pytest.raises(ValueError, match="not str$"):
+        GraphDistribution({"ab": 1.0})
+    # Integer probabilities are held as floats.
+    for key in (pair, sizes):
+        dist = GraphDistribution({key: 1})
+        assert type(dist.entries[key]) is float
+        assert dist.to_json_obj() == [{"graph": key.to_json_obj(), "p": 1.0}]
+
+
 # --- steady state -----------------------------------------------------------------
 
 
@@ -632,7 +681,8 @@ def test_distribution_histograms():
 
 def test_row_histograms_match_the_graph_path(built_graphs):
     # A row distribution's histograms come from its rows, building no
-    # graph, bit for bit as from the clique sizes of its entries.
+    # graph, bit for bit as the dict oracles pool the clique sizes of its
+    # entries.
     ens = random_ensemble(6, 4, seed=3)
     for dist in (full_distribution(ens, 2), empirical_distribution(ens, 2, 500, seed=9)):
         built_graphs.clear()
@@ -641,9 +691,29 @@ def test_row_histograms_match_the_graph_path(built_graphs):
         assert built_graphs == [] and "entries" not in vars(dist)
         pairs = [(g.clique_sizes, p) for g, p in dist.entries.items()]
         for m, hist in sizes.items():
-            assert list(hist.items()) == list(clique_size_histogram(pairs, m).items())
+            assert list(hist.items()) == list(dict_size_histogram(pairs, m).items())
         for include, hist in counts.items():
-            assert list(hist.items()) == list(clique_count_histogram(pairs, include).items())
+            assert list(hist.items()) == list(dict_count_histogram(pairs, include).items())
+
+
+def test_clique_histograms_take_cell_sizes():
+    # The kernels take a cell_sizes matrix (rows may lack walkers) and
+    # optional weights, against the dict oracles, order included.
+    rows = np.array([[0, 0, 1, -1], [0, 1, 2, 2], [0, 0, 0, 0], [-1, 0, -1, 1]])
+    sizes = cell_sizes(rows)
+    for weights in (None, np.array([0.5, 0.125, 0.25, 0.125])):
+        ones = [1.0] * len(rows) if weights is None else weights.tolist()
+        pairs = list(zip([(2, 1), (1, 1, 2), (4,), (1, 1)], ones))
+        for m in (1, 2, 3):
+            hist = clique_size_histogram(sizes, weights, m)
+            assert list(hist.items()) == list(dict_size_histogram(pairs, m).items())
+        for include in (True, False):
+            hist = clique_count_histogram(sizes, weights, include)
+            assert list(hist.items()) == list(dict_count_histogram(pairs, include).items())
+        with pytest.raises(ValueError, match="empty histogram"):
+            clique_size_histogram(sizes, weights, 5)
+    with pytest.raises(ValueError, match="min_size must be positive"):
+        clique_size_histogram(sizes, None, 0)
 
 
 def test_distribution_histograms_keep_exact_zeros():

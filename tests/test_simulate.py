@@ -9,7 +9,7 @@ import pytest
 import rwig.simulate as simulate
 from rwig.contact_graph import ContactGraph, from_assignment
 from rwig.markov import StateVector, TransitionMatrix, WalkerEnsemble
-from rwig.pmf import GraphDistribution, full_distribution
+from rwig.pmf import full_distribution
 from rwig.simulate import (
     ContactSequence,
     clique_count_distribution,
@@ -134,6 +134,12 @@ def test_clique_count_distribution():
     km = ContactGraph.from_cells([["a", "b", "c", "d"]])
     assert clique_count_distribution([km]) == {1: 1.0}
     assert clique_count_distribution([one], include_singletons=False) == {1: 1.0}
+    # Snapshots of different sizes pool, a graph of no walkers has no clique,
+    # and anything but a graph or a sequence is refused.
+    empty = ContactGraph.from_cells([])
+    assert clique_count_distribution([empty, one, five]) == {0: 1 / 3, 2: 1 / 3, 5: 1 / 3}
+    with pytest.raises(TypeError, match="expected ContactSequence or ContactGraph"):
+        clique_count_distribution([one, [["a"]]])
 
 
 def test_mean_clique_size():
@@ -348,7 +354,8 @@ def test_empirical_matches_per_replica_reference(
     # The distinct rows in lexicographic order, as np.unique gives them.
     np.testing.assert_array_equal(dist._rows, np.unique(dist._rows, axis=0))
     assert (dist.time, dist.ensemble) == (k, ensemble)
-    reference = GraphDistribution(expected).to_json_obj()
+    ranked = sorted(expected.items(), key=lambda kv: (-kv[1], kv[0].sort_key()))
+    reference = [{"graph": g.to_json_obj(), "p": p} for g, p in ranked]
 
     # A row distribution takes its order from the arrays, not from sort_key.
     def refuse(self):
