@@ -10,23 +10,23 @@ numpy, so it makes no Python object per field: each distinct node id and
 timestamp text of a block is decoded once, from a key of its bytes.
 
 Edges stay integer arrays from the parse on (``EdgeTable``): each is a
-bin and two nodes, named by their positions in the sorted node ids.  One
-batch validation (``validate_table``) finds the connected components of
-every bin at once, and a valid dataset becomes one row of
-``combinatorics.first_appearance_rows`` per bin, -1 at the nodes absent
-from it, which ``simulate.rows_to_jsonl`` writes and ``row_distributions``
-counts.  ``SnapshotRecord`` and ``ContactGraph`` objects are built only for
-callers that ask for them.
+bin and two distinct nodes, named by their positions in the sorted node ids.
+One pass (``validate_table``) labels each node of every bin by the least
+of itself and its neighbours and checks all bins at once; a valid dataset
+becomes one row per bin, its cliques numbered in order of their smallest
+node, -1 at the nodes absent from it, which ``simulate.rows_to_jsonl``
+writes and ``row_distributions`` counts.  ``SnapshotRecord`` and
+``ContactGraph`` objects are built only for callers that ask for them.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 import numpy as np
 
-from .combinatorics import first_appearance_rows
 from .contact_graph import ContactGraph, cell_sizes, row_graph
 from .pmf import clique_size_histogram, tally_histogram
 from .simulate import ContactSequence
@@ -64,9 +64,9 @@ class CliqueUnionViolation:
 class EdgeTable:
     """The edges of many time bins as integer arrays.
 
-    Edge e joins ``nodes[lo[e]]`` and ``nodes[hi[e]]`` (lo <= hi) in bin
-    ``bins[e]``, whose timestamp is ``times[bins[e]]``.  ``nodes`` is
-    sorted, so positions compare as the ids do.
+    Edge e joins ``nodes[lo[e]]`` and ``nodes[hi[e]]`` (lo < hi) in bin
+    ``bins[e]``, whose timestamp is ``times[bins[e]]``.  ``nodes`` is sorted,
+    so positions compare as the ids do; edges are distinct, by (bin, lo, hi).
     """
 
     nodes: tuple[str, ...]
@@ -77,15 +77,30 @@ class EdgeTable:
 
     @classmethod
     def of_records(cls, records: Iterable[SnapshotRecord]) -> "EdgeTable":
-        """One bin per record, in order, holding its edges as listed."""
+        """One bin per record, in order, holding its pairs as ``_of_edges`` does."""
         records = list(records)
-        pairs = [pair for record in records for pair in record.edges]
-        nodes = tuple(sorted({w for pair in pairs for w in pair}))
-        index = {w: i for i, w in enumerate(nodes)}
-        ends = np.array([[index[i], index[j]] for i, j in pairs], np.intp).reshape(-1, 2)
+        ids: dict[str, int] = {}
+        names = [w for record in records for pair in record.edges for w in pair]
+        ends = _number(names, ids)[0].reshape(-1, 2).T
         bins = np.repeat(np.arange(len(records)), [len(r.edges) for r in records])
-        times = tuple(record.timestamp for record in records)
-        return cls(nodes, times, bins, ends.min(axis=1), ends.max(axis=1))
+        return cls._of_edges(ids, tuple(r.timestamp for r in records), bins, ends)
+
+    @classmethod
+    def _of_edges(
+        cls, ids: dict[str, int], times: tuple[int, ...], bins: np.ndarray, ends: np.ndarray
+    ) -> "EdgeTable":
+        """The table of the pairs ``ends[:, e]`` of ``ids`` (numbered in order)
+        in bins ``bins[e]``: a pair repeated, in either order, is one edge, and
+        the edges are sorted by (bin, lo, hi).  A self pair raises ValueError."""
+        nodes = tuple(sorted(ids))
+        lo, hi = np.sort(_ranks(np.array(list(ids), dtype=object))[ends], axis=0)
+        if (lo == hi).any():
+            raise ValueError(f"self contact on node {nodes[lo[lo == hi][0]]!r}")
+        # One key per edge, ordered as (bin, lo, hi): pairs ranked first, so
+        # the key stays below (edges) ** 2.
+        pair = _ranks(lo * len(nodes) + hi)
+        keep = np.unique(bins * (pair.max(initial=-1) + 1) + pair, return_index=True)[1]
+        return cls(nodes, times, bins[keep], lo[keep], hi[keep])
 
     def records(self) -> list[SnapshotRecord]:
         """One record per bin, its edges as (id, id) pairs in table order."""
@@ -282,21 +297,12 @@ def read_colocation(lines: Iterable[str]) -> EdgeTable:
         parts.append((t_ids[t_at], pairs))
         offset += len(block)
 
-    nodes = tuple(sorted(node_ids))
-    rank = np.empty(len(nodes), np.intp)
-    rank[[node_ids[w] for w in nodes]] = np.arange(len(nodes))
     times = tuple(sorted(set(values)))
     bin_at = {t: b for b, t in enumerate(times)}
     bin_of = np.array([bin_at[t] for t in values], np.intp)
     t_ids = np.concatenate([np.empty(0, np.intp)] + [t for t, _ in parts])
     ends = np.concatenate([np.empty((2, 0), np.intp)] + [e for _, e in parts], axis=1)
-    ends = rank[ends]
-    bins, lo, hi = bin_of[t_ids], ends.min(axis=0), ends.max(axis=0)
-    # One key per edge, ordered as (bin, lo, hi): pairs ranked first, so
-    # the key stays below (edges) ** 2.
-    pair = _ranks(lo * len(nodes) + hi)
-    keep = np.unique(bins * (pair.max(initial=-1) + 1) + pair, return_index=True)[1]
-    return EdgeTable(nodes, times, bins[keep], lo[keep], hi[keep])
+    return EdgeTable._of_edges(node_ids, times, bin_of[t_ids], ends)
 
 
 def parse_colocation(lines: Iterable[str]) -> list[SnapshotRecord]:
@@ -305,66 +311,56 @@ def parse_colocation(lines: Iterable[str]) -> list[SnapshotRecord]:
     return read_colocation(lines).records()
 
 
-def _components(table: EdgeTable) -> tuple[np.ndarray, ...]:
-    """Connected components of every bin at once, by min-label propagation
-    over the (bin, node) slots that edges touch.
-
-    Returns each slot's bin, node and label, slots in (bin, node) order,
-    and each edge's slot on the lo side.  A component's slots end labelled
-    with its smallest one, which holds its bin's smallest node.
-    """
-    width, n_edges = len(table.nodes), len(table.bins)
-    keys = np.tile(table.bins, 2) * width + np.concatenate([table.lo, table.hi])
-    order = np.argsort(keys)
-    ordered = keys[order]
-    opens = np.ones(len(keys), bool)
-    opens[1:] = ordered[1:] != ordered[:-1]
-    slot_bin, slot_node = np.divmod(ordered[opens], width)
-    slot = np.empty(len(keys), np.intp)
-    slot[order] = np.cumsum(opens) - 1
-    u, v = slot[:n_edges], slot[n_edges:]
-    starts, edge_at = np.flatnonzero(opens), order % n_edges
-    label = np.arange(len(slot_bin))
-    while True:
-        # Each slot takes the least label over its edges, then jumps once.
-        least = np.minimum(label[u], label[v])[edge_at]
-        new = np.minimum(label, np.minimum.reduceat(least, starts))
-        new = new[new]
-        if np.array_equal(new, label):
-            return slot_bin, slot_node, label, u
-        label = new
-
-
 def validate_table(table: EdgeTable) -> np.ndarray | CliqueUnionViolation:
     """Check that every bin is a disjoint union of cliques.
 
-    Every connected component of c nodes must hold c(c-1)/2 of the listed
-    edges.  The components of all bins are found at once (``_components``).
-    Returns one ``first_appearance_rows`` row over ``table.nodes`` per bin,
-    -1 at the nodes absent from it; otherwise a report on the first bin
-    that fails: its incomplete components in order of their smallest node,
-    with how many pairs each is missing.
+    Each node of every bin is labelled with the least of itself and its
+    neighbours.  As edges are distinct, a bin is a union of cliques exactly
+    when both ends of every edge share a label and a degree; each label is
+    then its clique's smallest node.  Returns one row per bin over
+    ``table.nodes``, as ``first_appearance_rows`` numbers it, -1 at the
+    nodes absent from the bin; otherwise ``_violation`` of the first bin
+    that fails.
     """
-    rows = np.full((len(table.times), len(table.nodes)), -1, np.intp)
-    if len(table.bins):
-        slot_bin, slot_node, label, edge_slot = _components(table)
-        roots = np.flatnonzero(label == np.arange(len(label)))
-        size = np.bincount(label, minlength=len(label))[roots]
-        listed = np.bincount(label[edge_slot], minlength=len(label))[roots]
-        missing = size * (size - 1) // 2 - listed
-        if missing.any():
-            first = slot_bin[roots[missing != 0]].min()
-            bad = (missing != 0) & (slot_bin[roots] == first)
-            components = tuple(
-                NonCliqueComponent(
-                    tuple(table.nodes[i] for i in slot_node[label == root].tolist()),
-                    short,
-                )
-                for root, short in zip(roots[bad].tolist(), missing[bad].tolist())
-            )
-            return CliqueUnionViolation(table.times[first], components)
-        rows[slot_bin, slot_node] = slot_node[label]
-    return first_appearance_rows(rows)
+    n_bins, width = len(table.times), len(table.nodes)
+    # The (bin, node) cell of each edge's ends, flat; lo < hi.
+    lo, hi = table.bins * width + table.lo, table.bins * width + table.hi
+    label = np.full(n_bins * width, width, np.intp)  # ``width``: absent
+    label[lo] = table.lo
+    np.minimum.at(label, hi, table.lo)
+    degree = np.bincount(np.concatenate([lo, hi]), minlength=len(label))
+    bad = (label[lo] != label[hi]) | (degree[lo] != degree[hi])
+    if bad.any():
+        return _violation(table, int(table.bins[bad].min()))
+    # A clique opens at its smallest node, its nodes' label; the last
+    # column, -1, is where the absent nodes look.
+    label = label.reshape(n_bins, width)
+    cells = np.full((n_bins, width + 1), -1, np.min_scalar_type(-width - 1))
+    cells[:, :-1] = np.cumsum(label == np.arange(width), axis=1) - 1
+    return np.take_along_axis(cells, label, axis=1)
+
+
+def _violation(table: EdgeTable, b: int) -> CliqueUnionViolation:
+    """The report on bin ``b``: its components that are not cliques, by
+    their smallest node, with the pairs each lacks.  A component is a list
+    of its nodes; joining two moves the shorter list into the longer."""
+    at = table.bins == b
+    edges = list(zip(table.lo[at].tolist(), table.hi[at].tolist()))
+    members = {i: [i] for edge in edges for i in edge}
+    for i, j in edges:
+        short, long = sorted((members[i], members[j]), key=len)
+        if short is not long:
+            long += short
+            members.update(dict.fromkeys(short, long))
+    listed = Counter(id(members[i]) for i, _ in edges)
+    components = {id(members[i]): members[i] for i in sorted(members)}
+    report = []
+    for c, nodes in components.items():
+        missing = len(nodes) * (len(nodes) - 1) // 2 - listed[c]
+        if missing:
+            names = tuple(table.nodes[i] for i in sorted(nodes))
+            report.append(NonCliqueComponent(names, missing))
+    return CliqueUnionViolation(table.times[b], tuple(report))
 
 
 def clique_rows(table: EdgeTable) -> np.ndarray:
@@ -385,10 +381,9 @@ def clique_rows(table: EdgeTable) -> np.ndarray:
     return result
 
 
-def validate_clique_union(
-    record: SnapshotRecord,
-) -> ContactGraph | CliqueUnionViolation:
-    """``validate_table`` on one snapshot: its contact graph, or the report."""
+def validate_clique_union(record: SnapshotRecord) -> ContactGraph | CliqueUnionViolation:
+    """``validate_table`` on one snapshot: its contact graph, or the report.
+    A pair listed twice counts once; a self pair raises ValueError."""
     table = EdgeTable.of_records([record])
     result = validate_table(table)
     if isinstance(result, CliqueUnionViolation):

@@ -274,11 +274,14 @@ def json_count(obj, key: str, where: str) -> int:
 
 
 def json_numbers(obj, key: str, where: str) -> np.ndarray:
-    """``json_field`` as a float array, refusing all but numbers in equal-length lists."""
+    """``json_field`` as floats, refusing all but JSON numbers in equal-length lists."""
     value = json_field(obj, key, where)
     try:
-        return np.array(value, dtype=float)
-    except (TypeError, ValueError):
+        numbers = np.array(value, dtype=object)
+        if not all(type(x) in (int, float) for x in numbers.flat):
+            raise TypeError
+        return numbers.astype(float)
+    except (TypeError, ValueError, OverflowError):
         wanted = "must hold numbers in lists of equal length"
         raise ValueError(f'{where} "{key}" {wanted}, not {value!r}') from None
 

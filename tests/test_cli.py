@@ -255,6 +255,23 @@ def test_json_fields_of_the_wrong_type_are_named(tmp_path, capsys):
          "ensemble \"n_states\" must be an integer, not '2'"),
         ("pmf", "--ensemble", {"n_states": True, "walkers": [walker]},
          'ensemble "n_states" must be an integer, not True'),
+        # Numeric fields hold JSON numbers: no strings, no booleans.
+        ("steady", "--policy", {"n": 2, "rows": [["0.5", "0.5"], ["0.5", "0.5"]]},
+         "transition matrix JSON \"rows\" must hold numbers in lists of equal length, "
+         "not [['0.5', '0.5'], ['0.5', '0.5']]"),
+        ("steady", "--policy", {"n": 2, "rows": [[True, False], [False, True]]},
+         "transition matrix JSON \"rows\" must hold numbers in lists of equal length, "
+         "not [[True, False], [False, True]]"),
+        ("steady", "--policy", {"n": 2, "rows": [[True, 0.5], [0.5, 0.5]]},
+         "transition matrix JSON \"rows\" must hold numbers in lists of equal length, "
+         "not [[True, 0.5], [0.5, 0.5]]"),
+        ("steady", "--vector", {"probs": ["0.25", "0.75"]},
+         "steady vector JSON \"probs\" must hold numbers in lists of equal length, "
+         "not ['0.25', '0.75']"),
+        # An integer past the float range is not a float either.
+        ("steady", "--vector", {"probs": [10**400, 1]},
+         f"steady vector JSON \"probs\" must hold numbers in lists of equal length, "
+         f"not [{10**400}, 1]"),
     )
     path = tmp_path / "input.json"
     for command, flag, doc, named in cases:

@@ -59,6 +59,8 @@ def test_parse_deduplicates_and_normalizes_pairs():
 def test_parse_rejects_self_contact():
     with pytest.raises(ColocationParseError, match="line 1.*self contact"):
         parse("0 a a\n")
+    with pytest.raises(ValueError, match="^self contact on node 'a'$"):
+        validate_clique_union(SnapshotRecord(0, (("b", "c"), ("a", "a"))))
 
 
 def test_parse_rejects_malformed_lines():
@@ -189,11 +191,11 @@ def test_generated_sequences_roundtrip_through_text():
 
 def bfs_validate(record: SnapshotRecord) -> ContactGraph | CliqueUnionViolation:
     """The clique-union check spelled out for one snapshot: a breadth-first
-    search per component, then its listed edges against c(c-1)/2."""
-    neighbours: dict[str, list[str]] = {}
+    search per component, then its distinct pairs against c(c-1)/2."""
+    neighbours: dict[str, set[str]] = {}
     for i, j in record.edges:
-        neighbours.setdefault(i, []).append(j)
-        neighbours.setdefault(j, []).append(i)
+        neighbours.setdefault(i, set()).add(j)
+        neighbours.setdefault(j, set()).add(i)
     seen: set[str] = set()
     components = []
     for start in sorted(neighbours):
@@ -243,8 +245,28 @@ def snapshot_records(draw, timestamp=st.integers(-3, 3)):
     return SnapshotRecord(draw(timestamp), tuple(pairs))
 
 
+def path(n: int) -> SnapshotRecord:
+    """One bin holding a path through n nodes."""
+    ids = [f"n{i}" for i in range(n)]
+    return SnapshotRecord(0, tuple(zip(ids, ids[1:])))
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.lists(snapshot_records(), max_size=5))
+# A pair listed twice, in either order, is one pair: no triangle, no
+# negative count.
+@example([SnapshotRecord(0, (("a", "b"), ("b", "a"), ("b", "c")))])
+@example([SnapshotRecord(0, (("a", "b"), ("a", "b")))])
+# Each node is labelled by its smallest neighbour or itself.  A star agrees
+# on labels but not on degrees; a path holds each label's pair count but
+# joins two labels by an edge; a 4-cycle agrees on degrees but not labels.
+@example([SnapshotRecord(0, (("a", "b"), ("a", "c")))])
+@example([SnapshotRecord(0, (("a", "b"), ("a", "c"), ("b", "d")))])
+@example([SnapshotRecord(0, (("a", "b"), ("b", "c"), ("c", "d"), ("a", "d")))])
+# Only the later of two bins fails.
+@example([SnapshotRecord(1, (("a", "b"),)), SnapshotRecord(2, (("a", "b"), ("b", "c")))])
+# One long component.
+@example([path(2_000)])
 def test_batch_validation_agrees_with_bfs(records):
     records = [SnapshotRecord(0, ())] + records
     expected = [bfs_validate(r) for r in records]
