@@ -4,7 +4,8 @@ Everything here is computed with exact integers; no value passes through
 floating point.  Set partitions are enumerated in
 restricted-growth-string order and always returned in canonical form
 (cells sorted by their smallest element, elements ascending within each
-cell), which makes partitions directly usable as dictionary keys.
+cell), which makes partitions directly usable as dictionary keys; rows of
+cell names are renamed into restricted growth strings without a sort.
 """
 
 from __future__ import annotations
@@ -161,28 +162,28 @@ def first_appearance_rows(labellings: np.ndarray) -> np.ndarray:
     """Rename the cells of every row 0, 1, ... in order of first appearance.
 
     Row r names the cell of element i with a non-negative integer
-    ``labellings[r, i]`` (a walker's state, say), or marks element i absent
-    with a negative one.  With the columns in sorted-label order each result
-    row is, on its present elements, the restricted growth string of the
-    partition ``labelling_partition`` builds, with -1 at the absent ones.
-    All rows are renamed at once, through one stable sort of each row.
+    ``labellings[r, i]`` (a walker's state, say); with the columns in
+    sorted-label order each result row is the restricted growth string of
+    the partition ``labelling_partition`` builds.  One ``np.minimum.at``
+    finds each name's first position, which ``first_position_rows`` numbers.
     """
-    width = labellings.shape[1]
+    n_rows, width = labellings.shape
     dtype = np.min_scalar_type(-width - 1)
-    columns = np.arange(width, dtype=dtype)
-    positions = np.argsort(labellings, axis=1, kind="stable").astype(dtype)
-    names = np.take_along_axis(labellings, positions, axis=1)
-    # In sorted order each name's run starts at its first position.
-    starts = np.ones(names.shape, bool)
-    starts[:, 1:] = names[:, 1:] != names[:, :-1]
-    run_start = np.maximum.accumulate(np.where(starts, columns, 0), axis=1)
-    first = np.empty_like(positions)
-    np.put_along_axis(first, positions, np.take_along_axis(positions, run_start, axis=1), axis=1)
-    # A present name's cell counts the names that appeared before it.
-    opened = np.cumsum((first == columns) & (labellings >= 0), axis=1, dtype=dtype) - 1
-    out = np.take_along_axis(opened, first, axis=1)
-    out[labellings < 0] = -1
-    return out
+    first = np.full((n_rows, int(labellings.max(initial=-1)) + 1), width, dtype)
+    np.minimum.at(first, (np.arange(n_rows)[:, None], labellings), np.arange(width, dtype=dtype))
+    return first_position_rows(np.take_along_axis(first, labellings, axis=1))
+
+
+def first_position_rows(first: np.ndarray) -> np.ndarray:
+    """Number the cells of every row 0, 1, ... in order of first appearance
+    from ``first[r, i]``, the first position in row r of element i's cell
+    (the row width where i is absent, which gets -1): a cell opens where an
+    element is its own first position, so one cumsum numbers them all."""
+    n_rows, width = first.shape
+    # The last column, -1, is where the absent elements look.
+    cells = np.full((n_rows, width + 1), -1, np.min_scalar_type(-width - 1))
+    cells[:, :-1] = np.cumsum(first == np.arange(width), axis=1, dtype=cells.dtype) - 1
+    return np.take_along_axis(cells, first, axis=1)
 
 
 def set_partitions(

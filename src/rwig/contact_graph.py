@@ -96,7 +96,7 @@ def from_assignment(assignment: Mapping[Hashable, int]) -> ContactGraph:
 
 
 def row_graph(row: np.ndarray, labels: Sequence[Hashable]) -> ContactGraph:
-    """The graph of one row of ``first_appearance_rows`` over the sorted
+    """The graph of one row of ``first_position_rows`` over the sorted
     ``labels``: its present elements, each in the cell the row names."""
     at = np.flatnonzero(row >= 0).tolist()
     return ContactGraph(labelling_partition(row[at].tolist(), [labels[i] for i in at]))
@@ -118,7 +118,7 @@ def graph_rows(graphs: Iterable[ContactGraph]) -> tuple[np.ndarray, tuple[Hashab
 
 def cell_sizes(rows: np.ndarray) -> np.ndarray:
     """sizes[r, c]: how many entries of row r name cell c, for rows of
-    ``first_appearance_rows`` (-1 in no cell), one ``np.bincount``; 0 past
+    ``first_position_rows`` (-1 in no cell), one ``np.bincount``; 0 past
     a row's last cell."""
     n_rows, width = rows.shape
     slots = np.arange(n_rows)[:, None] * (width + 1) + rows.astype(np.intp) + 1
@@ -140,13 +140,13 @@ def compact_json(
     separators=(",", ":"))`` writes it.
 
     Each label is encoded once: as ``json.dumps(w, separators=(",", ":"))``,
-    or, when ``layout[2]`` breaks the line, as ``json.dumps(w, indent=2)``
-    with the indent that ends ``layout[2]`` after each line break, which
-    lays out a tuple label where an indented document holds it.  A row is "[", one piece per label in cell order, and
-    ``layout[3]`` ("]" without cells).  A label's piece is its code after
-    ``layout[0]`` when it opens the first cell, ``layout[1]`` when it opens
-    a later one and ``layout[2]`` inside a cell, or nothing when it is
-    absent.  Rows are formatted ``_JSON_ROWS`` at a time.
+    or, when ``layout[2]`` breaks the line, as ``json.dumps(w, indent=2)`` with
+    the indent that ends ``layout[2]`` after each line break, which lays out a
+    tuple label where an indented document holds it.  A row is "[", one piece
+    per label in cell order, and ``layout[3]`` ("]" without cells).  A label's
+    piece is its code after ``layout[0]`` when it opens the first cell,
+    ``layout[1]`` when it opens a later one and ``layout[2]`` inside a cell, or
+    nothing when it is absent.  Rows are formatted ``_JSON_ROWS`` at a time.
     """
     width = rows.shape[1]
     if "\n" not in layout[2]:

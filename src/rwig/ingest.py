@@ -13,10 +13,10 @@ Edges stay integer arrays from the parse on (``EdgeTable``): each is a
 bin and two distinct nodes, named by their positions in the sorted node ids.
 One pass (``validate_table``) labels each node of every bin by the least
 of itself and its neighbours and checks all bins at once; a valid dataset
-becomes one row per bin, its cliques numbered in order of their smallest
-node, -1 at the nodes absent from it, which ``simulate.rows_to_jsonl``
-writes and ``row_distributions`` counts.  ``SnapshotRecord`` and
-``ContactGraph`` objects are built only for callers that ask for them.
+becomes one row per bin, its cliques numbered by
+``combinatorics.first_position_rows`` from the labels, -1 at absent nodes,
+which ``simulate.rows_to_jsonl`` writes and ``row_distributions`` counts.
+``SnapshotRecord`` and ``ContactGraph`` objects are built only on request.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
+from .combinatorics import first_position_rows
 from .contact_graph import ContactGraph, cell_sizes, row_graph
 from .pmf import clique_size_histogram, tally_histogram
 from .simulate import ContactSequence
@@ -318,9 +319,9 @@ def validate_table(table: EdgeTable) -> np.ndarray | CliqueUnionViolation:
     neighbours.  As edges are distinct, a bin is a union of cliques exactly
     when both ends of every edge share a label and a degree; each label is
     then its clique's smallest node.  Returns one row per bin over
-    ``table.nodes``, as ``first_appearance_rows`` numbers it, -1 at the
-    nodes absent from the bin; otherwise ``_violation`` of the first bin
-    that fails.
+    ``table.nodes``, numbered by ``first_position_rows``, -1 at the nodes
+    absent from the bin; otherwise ``_violation`` of the first bin that
+    fails.
     """
     n_bins, width = len(table.times), len(table.nodes)
     # The (bin, node) cell of each edge's ends, flat; lo < hi.
@@ -332,12 +333,8 @@ def validate_table(table: EdgeTable) -> np.ndarray | CliqueUnionViolation:
     bad = (label[lo] != label[hi]) | (degree[lo] != degree[hi])
     if bad.any():
         return _violation(table, int(table.bins[bad].min()))
-    # A clique opens at its smallest node, its nodes' label; the last
-    # column, -1, is where the absent nodes look.
-    label = label.reshape(n_bins, width)
-    cells = np.full((n_bins, width + 1), -1, np.min_scalar_type(-width - 1))
-    cells[:, :-1] = np.cumsum(label == np.arange(width), axis=1) - 1
-    return np.take_along_axis(cells, label, axis=1)
+    # A clique's label is its smallest node: its first position in the row.
+    return first_position_rows(label.reshape(n_bins, width))
 
 
 def _violation(table: EdgeTable, b: int) -> CliqueUnionViolation:

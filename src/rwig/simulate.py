@@ -20,8 +20,8 @@ empirical distribution does.
 
 A sampled sequence stays an array from the walk to its JSON lines: the
 walkers' states at every step, renamed into one restricted growth string
-per snapshot by ``combinatorics.first_appearance_rows``.  Its
-``ContactGraph`` snapshots are built only when a caller reads them.
+per snapshot, without a sort, by ``combinatorics.first_appearance_rows``.
+Its ``ContactGraph`` snapshots are built only when a caller reads them.
 
 An empirical distribution walks its replicas together, as one (R, M) state
 array per step.  It builds no generator: ``_replica_uniforms`` runs numpy's
@@ -102,7 +102,8 @@ def replica_seed(seed: int, replica: int) -> int:
 
 
 def _check_integer(name: str, value, least: int) -> None:
-    if not isinstance(value, numbers.Integral) or value < least:
+    # bool is an Integral, but True is no count.
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
         bound = "non-negative" if least == 0 else "positive"
         raise ValueError(f"{name} must be a {bound} integer, got {value!r}")
 
@@ -412,7 +413,7 @@ def rows_to_jsonl(
     times: Sequence[int], rows: np.ndarray, labels: Sequence[Hashable]
 ) -> str:
     """One line {"t": t, "graph": [[...], ...]} per row of
-    ``first_appearance_rows`` over the sorted ``labels``, as
+    ``first_position_rows`` over the sorted ``labels``, as
     ``json.dumps(..., separators=(",", ":"))`` writes it."""
     lines = [
         f'{{"t":{t},"graph":{g}}}' for t, g in zip(times, compact_json(rows, labels))

@@ -3,8 +3,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from rwig.combinatorics import (
     IntegerPartition,
@@ -12,7 +13,9 @@ from rwig.combinatorics import (
     bell,
     contact_graph_count,
     expansion_weight,
+    first_appearance_rows,
     integer_partitions,
+    labelling_partition,
     multiplicity,
     restricted_growth_strings,
     set_partitions,
@@ -78,6 +81,36 @@ def test_set_partitions_max_cells_counts():
 @given(st.integers(min_value=1, max_value=7))
 def test_bell_counts_partitions(m):
     assert bell(m) == sum(1 for _ in set_partitions(range(m)))
+
+
+@st.composite
+def labellings(draw):
+    """(rows, width) states drawn from one of a few state sets, some with
+    gaps in their names."""
+    shape = (draw(st.integers(0, 5)), draw(st.integers(1, 140)))
+    states = draw(st.sampled_from([(0,), (0, 7), (0, 1, 2), (3, 4, 9, 12)]))
+    return draw(arrays(np.intp, shape, elements=st.sampled_from(states)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(labellings())
+@example(np.empty((0, 3), np.intp))  # no rows
+@example(np.array([[0], [7]]))  # one column
+@example(np.array([[7, 0, 7, 0, 0]]))  # names with a gap
+@example(np.tile(np.array([[0, 1], [1, 0]]), 64))  # width 128: int16
+def test_first_appearance_rows_is_each_rows_partition(states):
+    # Row by row, the cell of each element in the partition that
+    # ``labelling_partition`` builds, its cells in order of first appearance.
+    n_rows, width = states.shape
+    expected = []
+    for row in states.tolist():
+        cells = labelling_partition(row, range(width)).cells
+        cell_of = {i: c for c, cell in enumerate(cells) for i in cell}
+        expected.append([cell_of[i] for i in range(width)])
+    rows = first_appearance_rows(states)
+    assert rows.dtype == (np.int8 if width < 128 else np.int16)
+    assert rows.shape == (n_rows, width)
+    assert rows.tolist() == expected
 
 
 def test_restricted_growth_strings_in_blocks(monkeypatch):

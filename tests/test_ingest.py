@@ -6,12 +6,12 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, find, given, settings
 from hypothesis import strategies as st
 
 import rwig.ingest as ingest
-from rwig.combinatorics import first_appearance_rows
-from rwig.contact_graph import ContactGraph, from_assignment
+from rwig.combinatorics import first_position_rows
+from rwig.contact_graph import ContactGraph, from_assignment, graph_rows
 from rwig.ingest import (
     CliqueUnionViolation,
     ColocationParseError,
@@ -277,7 +277,9 @@ def test_batch_validation_agrees_with_bfs(records):
     table = EdgeTable.of_records(records)
     if not violations:
         assert snapshot_graphs(records) == expected
-        assert len(validate_table(table)) == len(records)
+        # The rows number each bin's cliques 0, 1, ... by smallest node.
+        rows, nodes = graph_rows(expected)
+        assert (nodes, validate_table(table).tolist()) == (table.nodes, rows.tolist())
         return
     assert validate_table(table) == violations[0]
     parts = "; ".join(
@@ -528,18 +530,27 @@ def tuple_row_distributions(rows, nodes, roster=None):
 
 @st.composite
 def snapshot_rows(draw):
-    """First-appearance rows over some of NAMES, -1 where a node is absent."""
+    """Rows over some of NAMES, -1 where a node is absent: each node names
+    its cell 0-3, or -1 when absent, and ``first_position_rows`` numbers the
+    cells from the position where each name first appears."""
     width = draw(st.integers(0, 7))
     labels = draw(
         st.lists(
             st.lists(st.integers(-1, 3), min_size=width, max_size=width), max_size=8
         )
     )
-    rows = first_appearance_rows(np.array(labels, np.intp).reshape(len(labels), width))
+    first = [[row.index(name) if name >= 0 else width for name in row] for row in labels]
+    rows = first_position_rows(np.array(first, np.intp).reshape(len(labels), width))
     nodes = tuple(sorted(draw(st.lists(st.sampled_from(NAMES), min_size=width,
                                        max_size=width, unique=True))))
     roster = draw(st.none() | st.lists(st.sampled_from(NAMES + ["y"]), unique=True))
     return rows, nodes, roster
+
+
+def test_snapshot_rows_draw_absent_and_present_nodes():
+    # The strategy reaches rows holding absent nodes and two or more cells.
+    rows, _, _ = find(snapshot_rows(), lambda case: {-1, 1} <= set(case[0].ravel().tolist()))
+    assert {-1, 0, 1} <= set(rows.ravel().tolist())
 
 
 def outcome(function, *args, **kwargs):

@@ -398,6 +398,9 @@ def test_empirical_takes_any_integer_seed(seed):
         ({"k": -1}, "k must be a non-negative integer, got -1"),
         ({"seed": -1}, "seed must be a non-negative integer, got -1"),
         ({"seed": None}, "seed must be a non-negative integer, got None"),
+        ({"replicas": True}, "replicas must be a positive integer, got True"),
+        ({"k": True}, "k must be a non-negative integer, got True"),
+        ({"seed": False}, "seed must be a non-negative integer, got False"),
     ],
 )
 def test_empirical_rejects_bad_arguments(bad, message):
@@ -413,6 +416,8 @@ def test_empirical_rejects_bad_arguments(bad, message):
         (3, 2.0, "seed must be a non-negative integer, got 2.0"),
         (1.5, 0, "horizon must be a non-negative integer, got 1.5"),
         (-1, 0, "horizon must be a non-negative integer, got -1"),
+        (True, 0, "horizon must be a non-negative integer, got True"),
+        (3, True, "seed must be a non-negative integer, got True"),
     ],
 )
 def test_sample_sequence_rejects_bad_arguments(horizon, seed, message):
