@@ -131,14 +131,8 @@ def diagonal_ratio_regressions(cells: Sequence[BenchCell]) -> list[str]:
     callers get warnings rather than failures.  Cells below
     ``DIAGONAL_MIN_SIZE`` are not compared.
     """
-    diagonal = sorted(
-        (
-            c
-            for c in cells
-            if c.m_walkers == c.n_states >= DIAGONAL_MIN_SIZE and not c.timed_out
-        ),
-        key=lambda c: c.m_walkers,
-    )
+    diagonal = [c for c in cells if c.m_walkers == c.n_states >= DIAGONAL_MIN_SIZE]
+    diagonal = sorted((c for c in diagonal if not c.timed_out), key=lambda c: c.m_walkers)
     messages = []
     for earlier, later in zip(diagonal, diagonal[1:]):
         if later.ratio < earlier.ratio:
@@ -165,9 +159,7 @@ def cells_to_json(cells: Sequence[BenchCell]) -> str:
     ms = sorted({c.m_walkers for c in cells})
     ns = sorted({c.n_states for c in cells})
     by_key = {(c.m_walkers, c.n_states): c for c in cells}
-    grid = [
-        [by_key[(m, n)].ratio if (m, n) in by_key else None for n in ns] for m in ms
-    ]
+    grid = [[by_key[m, n].ratio if (m, n) in by_key else None for n in ns] for m in ms]
     return json.dumps(
         {
             "m_values": ms,

@@ -171,6 +171,8 @@ def cmd_analyze(args) -> int:
     # utf-8-sig drops a leading byte-order mark, which is not part of the data.
     with open(args.input, "r", encoding="utf-8-sig") as fh:
         table = ingest_mod.read_colocation(fh)
+    if not table.times:
+        raise ValueError(f"{args.input} holds no 't i j' edge line")
     roster = None
     if args.roster:
         with open(args.roster, "r", encoding="utf-8-sig") as fh:

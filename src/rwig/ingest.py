@@ -7,7 +7,8 @@ location during time bin t.  Node ids are opaque strings.
 The parse (``read_colocation``) takes a block of lines at a time and finds
 their fields where ``str.split`` would, on the block's UTF-8 bytes with
 numpy, so it makes no Python object per field: each distinct node id and
-timestamp text of a block is decoded once, from a key of its bytes.
+timestamp text of a block is decoded once, from a key of its bytes, and
+the ids and timestamps are each numbered once, by sort, after the last block.
 
 Edges stay integer arrays from the parse on (``EdgeTable``): each is a
 bin and two distinct nodes, named by their positions in the sorted node ids.
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -80,21 +82,21 @@ class EdgeTable:
     def of_records(cls, records: Iterable[SnapshotRecord]) -> "EdgeTable":
         """One bin per record, in order, holding its pairs as ``_of_edges`` does."""
         records = list(records)
-        ids: dict[str, int] = {}
-        names = [w for record in records for pair in record.edges for w in pair]
-        ends = _number(names, ids)[0].reshape(-1, 2).T
+        nodes, at = _sorted_index([w for r in records for pair in r.edges for w in pair])
         bins = np.repeat(np.arange(len(records)), [len(r.edges) for r in records])
-        return cls._of_edges(ids, tuple(r.timestamp for r in records), bins, ends)
+        times = tuple(r.timestamp for r in records)
+        return cls._of_edges(nodes, times, bins, at.reshape(-1, 2).T)
 
     @classmethod
     def _of_edges(
-        cls, ids: dict[str, int], times: tuple[int, ...], bins: np.ndarray, ends: np.ndarray
+        cls, nodes: tuple[str, ...], times: tuple[int, ...], bins: np.ndarray,
+        ends: np.ndarray,
     ) -> "EdgeTable":
-        """The table of the pairs ``ends[:, e]`` of ``ids`` (numbered in order)
-        in bins ``bins[e]``: a pair repeated, in either order, is one edge, and
-        the edges are sorted by (bin, lo, hi).  A self pair raises ValueError."""
-        nodes = tuple(sorted(ids))
-        lo, hi = np.sort(_ranks(np.array(list(ids), dtype=object))[ends], axis=0)
+        """The table of the pairs ``ends[:, e]`` of positions in the sorted
+        ``nodes`` in bins ``bins[e]``: a pair repeated, in either order, is one
+        edge, and the edges are sorted by (bin, lo, hi).  A self pair raises
+        ValueError."""
+        lo, hi = np.sort(ends, axis=0)
         if (lo == hi).any():
             raise ValueError(f"self contact on node {nodes[lo[lo == hi][0]]!r}")
         # One key per edge, ordered as (bin, lo, hi): pairs ranked first, so
@@ -233,12 +235,11 @@ def _ranks(keys: np.ndarray) -> np.ndarray:
     return np.unique(keys, return_inverse=True)[1]
 
 
-def _number(words: list[str], ids: dict[str, int]) -> tuple[np.ndarray, list[str]]:
-    """The id of each word, and the words new to ``ids``, which get the
-    next ids in turn."""
-    new = [word for word in dict.fromkeys(words) if word not in ids]
-    ids.update(zip(new, range(len(ids), len(ids) + len(new))))
-    return np.fromiter(map(ids.__getitem__, words), np.intp, len(words)), new
+def _sorted_index(items: list) -> tuple[tuple, np.ndarray]:
+    """The distinct items, sorted, and the position of each item among them."""
+    distinct = sorted(set(items))
+    at = dict(zip(distinct, range(len(distinct))))
+    return tuple(distinct), np.fromiter(map(at.__getitem__, items), np.intp, len(items))
 
 
 def _timestamp(text: str) -> int | None:
@@ -257,12 +258,11 @@ def read_colocation(lines: Iterable[str]) -> EdgeTable:
     Malformed lines and self contacts raise with the line number.  Lines
     are parsed a block of about ``_PARSE_CHARS`` characters at a time, on
     their UTF-8 bytes (``_fields``); each distinct node id and timestamp
-    text of a block is decoded once and numbered as it first appears, and
-    the ids are ranked once at the end.
+    text of a block is decoded once, and after the last block
+    ``_sorted_index`` numbers the node ids and the timestamps by sort.
     """
-    node_ids: dict[str, int] = {}
-    time_ids: dict[str, int] = {}
-    values: list[int | None] = []  # per timestamp text
+    names: list[str] = []  # each block's distinct node ids, in turn
+    values: list[int] = []  # each block's distinct timestamps, in turn
     parts = []
     offset = 0
     for block in _blocks(lines):
@@ -274,20 +274,18 @@ def read_colocation(lines: Iterable[str]) -> EdgeTable:
         opens = opens[: 3 * len(lines_at)].reshape(-1, 3).T
         closes = closes[: 3 * len(lines_at)].reshape(-1, 3).T
         texts, t_at = _distinct(data, opens[0], closes[0])
-        t_ids, new_texts = _number(texts, time_ids)
-        values += map(_timestamp, new_texts)
-        names, n_at = _distinct(data, opens[1:].ravel(), closes[1:].ravel())
-        pairs = _number(names, node_ids)[0][n_at].reshape(2, -1)
+        stamps = list(map(_timestamp, texts))
+        ids, n_at = _distinct(data, opens[1:].ravel(), closes[1:].ravel())
+        pairs = n_at.reshape(2, -1)
         # The first line at fault, by its first fault as the line is read.
         faults = []
-        if None in values[len(values) - len(new_texts) :]:
-            bad = np.array([values[t] is None for t in t_ids.tolist()])
-            k = int(np.flatnonzero(bad[t_at])[0])
+        if None in stamps:
+            k = int(np.flatnonzero(np.array([v is None for v in stamps])[t_at])[0])
             faults.append((k, 0, f"bad timestamp {texts[t_at[k]]!r}"))
         selfs = np.flatnonzero(pairs[0] == pairs[1])
         if len(selfs):
             k = int(selfs[0])
-            faults.append((k, 1, f"self contact on node {names[n_at[k]]!r}"))
+            faults.append((k, 1, f"self contact on node {ids[n_at[k]]!r}"))
         if faults:
             k, _, message = min(faults)
             raise ColocationParseError(offset + int(lines_at[k]) + 1, message)
@@ -295,15 +293,16 @@ def read_colocation(lines: Iterable[str]) -> EdgeTable:
             raise ColocationParseError(
                 offset + stop + 1, f"expected 't i j', got {counts[stop]} fields"
             )
-        parts.append((t_ids[t_at], pairs))
+        parts.append((t_at + len(values), pairs + len(names)))
+        values += stamps
+        names += ids
         offset += len(block)
 
-    times = tuple(sorted(set(values)))
-    bin_at = {t: b for b, t in enumerate(times)}
-    bin_of = np.array([bin_at[t] for t in values], np.intp)
-    t_ids = np.concatenate([np.empty(0, np.intp)] + [t for t, _ in parts])
-    ends = np.concatenate([np.empty((2, 0), np.intp)] + [e for _, e in parts], axis=1)
-    return EdgeTable._of_edges(node_ids, times, bin_of[t_ids], ends)
+    nodes, node_at = _sorted_index(names)
+    times, bin_at = _sorted_index(values)
+    bins = bin_at[np.concatenate([np.empty(0, np.intp)] + [t for t, _ in parts])]
+    ends = node_at[np.concatenate([np.empty((2, 0), np.intp)] + [e for _, e in parts], 1)]
+    return EdgeTable._of_edges(nodes, times, bins, ends)
 
 
 def parse_colocation(lines: Iterable[str]) -> list[SnapshotRecord]:
@@ -449,10 +448,7 @@ def load_roster(lines: Iterable[str]) -> tuple[str, ...]:
 
 def records_to_text(records: Iterable[SnapshotRecord]) -> str:
     """Canonical "t i j" text: bins ascending, edges sorted within a bin."""
-    lines = []
-    for record in records:
-        for i, j in record.edges:
-            lines.append(f"{record.timestamp} {i} {j}")
+    lines = [f"{record.timestamp} {i} {j}" for record in records for i, j in record.edges]
     return "\n".join(lines) + "\n"
 
 
@@ -464,11 +460,7 @@ def sequence_to_records(seq: ContactSequence) -> list[SnapshotRecord]:
     """
     records = []
     for t, g in enumerate(seq.snapshots):
-        edges = []
-        for cell in g.cliques.cells:
-            members = sorted(str(w) for w in cell)
-            for a in range(len(members)):
-                for b in range(a + 1, len(members)):
-                    edges.append((members[a], members[b]))
-        records.append(SnapshotRecord(t, tuple(sorted(edges))))
+        cells = [sorted(map(str, cell)) for cell in g.cliques.cells]
+        edges = sorted(pair for members in cells for pair in combinations(members, 2))
+        records.append(SnapshotRecord(t, tuple(edges)))
     return records

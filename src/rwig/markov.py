@@ -302,8 +302,30 @@ def vector_to_json(vector: StateVector) -> dict:
     return {"probs": vector.probs.tolist()}
 
 
+def _text_numbers(fields: list[str], where: str) -> list[float]:
+    """``fields`` as floats; ValueError names ``where`` and a field that is not one."""
+    values = []
+    for k, x in enumerate(fields, 1):
+        try:
+            values.append(float(x))
+        except ValueError:
+            raise ValueError(f"{where}, field {k}: {x!r} is not a number") from None
+    return values
+
+
 def matrix_from_csv(text: str) -> TransitionMatrix:
-    rows = [[float(x) for x in row] for row in csv.reader(io.StringIO(text)) if row]
+    """One row per non-empty CSV line.  A field that is not a number, or a
+    row longer or shorter than the first, raises ValueError naming its line."""
+    reader = csv.reader(io.StringIO(text))
+    rows, first = [], None
+    for fields in reader:
+        if fields:
+            where = f"transition matrix CSV line {reader.line_num}"
+            rows.append(_text_numbers(fields, where))
+            first = first or (reader.line_num, len(fields))
+            if len(fields) != first[1]:
+                wanted = f"but line {first[0]} has {first[1]}"
+                raise ValueError(f"{where}: {len(fields)} field(s), {wanted}")
     return TransitionMatrix(rows)
 
 
@@ -370,9 +392,9 @@ def load_vector(path: str) -> StateVector:
     if path.endswith(".json"):
         values = json_numbers(json.loads(text), "probs", "steady vector JSON")
     else:
-        values = np.asarray(
-            [float(x) for x in text.replace(",", " ").split()], dtype=float
-        )
+        lines = enumerate(text.replace(",", " ").splitlines(), 1)
+        rows = [_text_numbers(line.split(), f"steady vector line {n}") for n, line in lines]
+        values = np.array([x for row in rows for x in row])
     if values.ndim != 1 or values.size == 0 or not np.all(np.isfinite(values)):
         raise ValueError("steady vector must be non-empty and finite")
     if np.any(values < 0):

@@ -117,13 +117,9 @@ def _draw(cum_rows: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 def _walk_tables(ensemble: WalkerEnsemble) -> tuple[np.ndarray, np.ndarray]:
     """Cumulative initial vectors (M x N) and policy rows (M x N x N)."""
-    cum0 = np.cumsum(
-        np.stack([s0.probs for _, s0, _ in ensemble.walkers]), axis=1
-    )
-    cum_policy = np.stack(
-        [np.cumsum(policy.entries, axis=1) for _, _, policy in ensemble.walkers]
-    )
-    return cum0, cum_policy
+    cum0 = np.cumsum(np.stack([s0.probs for _, s0, _ in ensemble.walkers]), axis=1)
+    cum_policy = [np.cumsum(policy.entries, axis=1) for _, _, policy in ensemble.walkers]
+    return cum0, np.stack(cum_policy)
 
 
 def _walk_states(
@@ -434,13 +430,8 @@ def sequence_to_jsonl(seq: ContactSequence) -> str:
 
 
 def snapshots_from_jsonl(text: str) -> list[tuple[int, ContactGraph]]:
-    out = []
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        obj = json.loads(line)
-        out.append((obj["t"], ContactGraph.from_json_obj(obj["graph"])))
-    return out
+    objs = (json.loads(line) for line in text.splitlines() if line.strip())
+    return [(obj["t"], ContactGraph.from_json_obj(obj["graph"])) for obj in objs]
 
 
 def histogram_to_csv(hist: dict[int, float]) -> str:

@@ -8,8 +8,14 @@ import rwig.ingest as ingest
 from rwig.bench import random_ensemble
 from rwig.cli import main
 from rwig.contact_graph import ContactGraph, enumerate_graphs
-from rwig.markov import ensemble_from_json, ensemble_to_json
-from rwig.pmf import full_distribution
+from rwig.markov import (
+    StateVector,
+    WalkerEnsemble,
+    ensemble_from_json,
+    ensemble_to_json,
+    matrix_to_json,
+)
+from rwig.pmf import GraphDistribution, full_distribution
 from rwig.simulate import histogram_from_csv, histogram_mean
 
 from conftest import uniform_ensemble
@@ -231,6 +237,33 @@ def test_steady_rejects_non_finite_input(tmp_path, capsys):
         assert capsys.readouterr().err == f"error: {named}\n"
 
 
+def test_text_policy_and_vector_faults_are_named(tmp_path, capsys):
+    # A field that is not a number is named by its line and field, a row of
+    # another length by both rows' lengths; exit 1, no traceback.
+    cases = (
+        ("--policy", "0.5,0.5\n0.5\n",
+         "transition matrix CSV line 2: 1 field(s), but line 1 has 2"),
+        ("--policy", "\n0.5,0.5\n\n0.2,0.3,0.5\n",
+         "transition matrix CSV line 4: 3 field(s), but line 2 has 2"),
+        ("--policy", "0.5,abc\n0.5,0.5\n",
+         "transition matrix CSV line 1, field 2: 'abc' is not a number"),
+        ("--policy", "0.5,0.5\n0.5,\n", "transition matrix CSV line 2, field 2: '' is not a number"),
+        ("--vector", "abc 1\n", "steady vector line 1, field 1: 'abc' is not a number"),
+        ("--vector", "0.5 0.25\n0.25,x\n", "steady vector line 2, field 2: 'x' is not a number"),
+    )
+    path = tmp_path / "input.csv"
+    for flag, text, named in cases:
+        path.write_text(text)
+        assert main(["steady", flag, str(path), "--walkers", "2"]) == 1
+        assert capsys.readouterr().err == f"error: {named}\n"
+    # Blank lines, quoted CSV fields and a vector spread over lines, split
+    # by commas or whitespace, still load.
+    for flag, text in (("--policy", '\n"0.5",0.5\n\n0.5,0.5\n'), ("--vector", "1, 1\n2\n")):
+        path.write_text(text)
+        assert main(["steady", flag, str(path), "--walkers", "2"]) == 0
+        capsys.readouterr()
+
+
 def test_json_fields_of_the_wrong_type_are_named(tmp_path, capsys):
     # Each field is named with its value, exit 1, no traceback.
     walker = {"label": "a", "s0": [1.0, 0.0], "policy": [[1.0, 0.0], [0.0, 1.0]]}
@@ -309,6 +342,21 @@ def test_steady_cross_check_mismatch_exits_two(tmp_path, capsys, monkeypatch):
     assert "oracle mismatch" in capsys.readouterr().err
 
 
+def test_steady_from_ensemble_equals_its_shared_policy(tmp_path, capsys):
+    policy = random_ensemble(1, 3, seed=4).walkers[0][2]
+    starts = [StateVector.basis(3, i) for i in range(3)]
+    ensemble = WalkerEnsemble.common_policy(["a", "b", "c"], starts, policy)
+    path = write_ensemble(tmp_path / "ens.json", ensemble)
+    matrix = tmp_path / "policy.json"
+    matrix.write_text(json.dumps(matrix_to_json(policy)))
+    outputs = []
+    for flag, source in (("--ensemble", path), ("--policy", str(matrix))):
+        assert main(["steady", flag, source, "--walkers", "3"]) == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1]
+    assert outputs[0].err == ""
+
+
 def test_steady_requires_common_policy(tmp_path, capsys):
     ens = random_ensemble(2, 2, seed=5)
     path = write_ensemble(tmp_path / "mixed.json", ens)
@@ -382,11 +430,16 @@ def test_analyze_validates_each_snapshot_once(tmp_path, capsys, monkeypatch):
 
 
 def test_analyze_empty_input_exits_one(tmp_path, capsys):
+    # An empty or blank-only file is named as holding no edge line, with or
+    # without a roster, before any histogram is built.
     data = tmp_path / "data.txt"
+    roster = tmp_path / "roster.txt"
+    roster.write_text("a\nb\n")
     for text in ("", "\n", "  \n\t\n\n"):
         data.write_text(text)
-        assert main(["analyze", "--input", str(data)]) == 1
-        assert "empty histogram" in capsys.readouterr().err
+        for extra in ([], ["--roster", str(roster)]):
+            assert main(["analyze", "--input", str(data), *extra]) == 1
+            assert capsys.readouterr().err == f"error: {data} holds no 't i j' edge line\n"
 
 
 def test_analyze_with_roster(tmp_path, capsys):
@@ -467,6 +520,38 @@ def test_bench_csv_output(tmp_path, capsys):
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert f"{flag} {text!r}" in err and reason in err
+
+
+def test_bench_without_output_writes_csv_to_stdout(capsys):
+    argv = ["bench", "--m-range", "2", "--n-range", "2:3", "--iterations", "3"]
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "M,N,t_bruteforce,t_closed_form,ratio,timed_out"
+    assert [line.split(",")[:2] for line in lines[1:]] == [["2", "2"], ["2", "3"]]
+
+
+def test_bench_routes_disagreeing_exits_two(capsys, monkeypatch):
+    import rwig.bench as bench_mod
+
+    real = bench_mod.full_distribution
+
+    def skewed(ensemble, k, method):
+        dist = real(ensemble, k, method=method)
+        if method == "closed_form":
+            return dist
+        entries = dict(dist.entries)
+        entries[next(iter(entries))] += 1e-6
+        return GraphDistribution(entries)
+
+    monkeypatch.setattr(bench_mod, "full_distribution", skewed)
+    argv = ["bench", "--m-range", "2", "--n-range", "2", "--iterations", "3"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "internal consistency violation: routes disagree at M=2, N=2: "
+        "max deviation 1.000e-06\n"
+    )
 
 
 def test_help_exits_zero(capsys):

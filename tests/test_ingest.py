@@ -461,6 +461,11 @@ def test_parse_agrees_with_line_by_line_split(lines, faults, block):
         assert [(table.times[b], table.nodes[i], table.nodes[j]) for b, i, j in got] == (
             expected
         )
+        # The table of its own records is the same table, field by field.
+        again = EdgeTable.of_records(table.records())
+        assert (again.nodes, again.times) == (table.nodes, table.times)
+        for name in ("bins", "lo", "hi"):
+            assert getattr(again, name).tolist() == getattr(table, name).tolist()
 
 
 @settings(max_examples=200, deadline=None)
