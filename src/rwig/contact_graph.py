@@ -1,4 +1,9 @@
-"""Contact graphs as partitions of the walker set into cliques."""
+"""Contact graphs as partitions of the walker set into cliques.
+
+Distributions, sequences and edge lists hold graphs as rows of cell numbers:
+``graph_rows`` writes them, and ``row_json_objs`` is the one reader of rows
+into graphs' JSON forms, which ``row_graphs`` wraps in graph objects.
+"""
 
 from __future__ import annotations
 
@@ -95,15 +100,32 @@ def from_assignment(assignment: Mapping[Hashable, int]) -> ContactGraph:
     return ContactGraph(labelling_partition([assignment[w] for w in walkers], walkers))
 
 
-def row_graph(row: np.ndarray, labels: Sequence[Hashable]) -> ContactGraph:
-    """The graph of one row of ``first_position_rows`` over the sorted
-    ``labels``: its present elements, each in the cell the row names."""
-    at = np.flatnonzero(row >= 0).tolist()
-    return ContactGraph(labelling_partition(row[at].tolist(), [labels[i] for i in at]))
+def row_json_objs(rows: np.ndarray, labels: Sequence[Hashable] | None) -> Iterator[list]:
+    """Yield ``to_json_obj`` of each row's graph, for rows of
+    ``first_position_rows`` over the sorted ``labels`` (-1 absent): its cells,
+    or its clique sizes if ``labels`` is None.  Rows are canonical: nothing is
+    sorted or checked."""
+    if labels is None:
+        yield from (list(filter(None, sizes)) for sizes in cell_sizes(rows).tolist())
+        return
+    for row in rows.tolist():
+        cells: dict[int, list] = {-1: []}  # absent elements, dropped below
+        for label, c in zip(labels, row):
+            cells.setdefault(c, []).append(label)
+        yield list(cells.values())[1:]
+
+
+def row_graphs(rows: np.ndarray, labels: Sequence[Hashable] | None) -> list:
+    """``row_json_objs`` as ``ContactGraph``s, or as ``UnlabelledContactGraph``s
+    if ``labels`` is None."""
+    graphs = row_json_objs(rows, labels)
+    if labels is None:
+        return [UnlabelledContactGraph(IntegerPartition(tuple(s))) for s in graphs]
+    return [ContactGraph(SetPartition(tuple(map(tuple, c)))) for c in graphs]
 
 
 def graph_rows(graphs: Iterable[ContactGraph]) -> tuple[np.ndarray, tuple[Hashable, ...]]:
-    """The rows that ``row_graph`` reads the graphs from, over the sorted
+    """The rows that ``row_graphs`` reads the graphs from, over the sorted
     union of their walkers, and those labels: -1 where a walker is absent,
     else its cell's index in canonical order.  Labels that do not compare
     (ints and strings, say) raise TypeError."""
@@ -136,7 +158,7 @@ def compact_json(
     layout=("[", "],[", ",", "]]"),
 ) -> Iterator[str]:
     """Yield the JSON text of ``g.to_json_obj()`` for the graph g of each
-    row, as ``row_graph`` reads it, by default as ``json.dumps(...,
+    row, as ``row_json_objs`` reads it, by default as ``json.dumps(...,
     separators=(",", ":"))`` writes it.
 
     Each label is encoded once: as ``json.dumps(w, separators=(",", ":"))``,

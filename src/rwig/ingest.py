@@ -30,7 +30,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .combinatorics import first_position_rows
-from .contact_graph import ContactGraph, cell_sizes, row_graph
+from .contact_graph import ContactGraph, cell_sizes, row_graphs
 from .pmf import clique_size_histogram, tally_histogram
 from .simulate import ContactSequence
 
@@ -384,13 +384,13 @@ def validate_clique_union(record: SnapshotRecord) -> ContactGraph | CliqueUnionV
     result = validate_table(table)
     if isinstance(result, CliqueUnionViolation):
         return result
-    return row_graph(result[0], table.nodes)
+    return row_graphs(result[:1], table.nodes)[0]
 
 
 def snapshot_graphs(records: Iterable[SnapshotRecord]) -> list[ContactGraph]:
     """The contact graph of every snapshot, in order; raises as ``clique_rows``."""
     table = EdgeTable.of_records(records)
-    return [row_graph(row, table.nodes) for row in clique_rows(table)]
+    return row_graphs(clique_rows(table), table.nodes)
 
 
 def dataset_distributions(

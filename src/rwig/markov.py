@@ -82,7 +82,7 @@ class StateVector:
             raise ValueError("state probabilities must be non-negative")
         if abs(arr.sum() - 1.0) > ROW_SUM_TOL:
             raise ValueError(
-                f"state vector must sum to 1 within {ROW_SUM_TOL:g} (got {arr.sum()!r})"
+                f"state vector must sum to 1 within {ROW_SUM_TOL:g} (got {float(arr.sum())!r})"
             )
         self.probs = arr
 
@@ -214,17 +214,17 @@ class WalkerEnsemble:
         if not walkers:
             raise ValueError("ensemble needs at least one walker")
         n = walkers[0][1].n_states
-        labels = []
+        index: dict = {}
         for label, s0, policy in walkers:
             if s0.n_states != n or policy.n_states != n:
                 raise ValueError("all walkers must share the same number of states")
-            labels.append(label)
-        if len(set(labels)) != len(labels):
-            raise ValueError("walker labels must be distinct")
+            if label in index:
+                raise ValueError(f"walker labels must be distinct: {label!r} is repeated")
+            index[label] = len(index)
         self.walkers = walkers
         self.n_states = n
-        self.labels = tuple(labels)
-        self.index = {label: i for i, label in enumerate(labels)}
+        self.labels = tuple(index)
+        self.index = index
 
     @classmethod
     def common_policy(
@@ -346,10 +346,13 @@ def ensemble_from_json(obj: dict) -> WalkerEnsemble:
                 f"walker {i} has label {label!r}: labels must be all strings or all integers"
             )
         where = f"walker {i} ({label!r})"
-        s0 = StateVector(json_numbers(w, "s0", where))
-        policy = TransitionMatrix(json_numbers(w, "policy", where))
+        s0, policy = json_numbers(w, "s0", where), json_numbers(w, "policy", where)
+        try:
+            s0, policy = StateVector(s0), TransitionMatrix(policy)
+        except ValueError as err:
+            raise ValueError(f"{where}: {err}") from None
         if s0.n_states != n or policy.n_states != n:
-            raise ValueError(f"walker {label!r} does not match n_states={n}")
+            raise ValueError(f"{where} does not match n_states={n}")
         walkers.append((label, s0, policy))
     ensemble = WalkerEnsemble(walkers)
     if "adjacency" in obj:
@@ -391,11 +394,13 @@ def load_vector(path: str) -> StateVector:
         text = fh.read()
     if path.endswith(".json"):
         values = json_numbers(json.loads(text), "probs", "steady vector JSON")
+        if values.ndim != 1:
+            raise ValueError('steady vector JSON "probs" must be a flat list of numbers')
     else:
         lines = enumerate(text.replace(",", " ").splitlines(), 1)
         rows = [_text_numbers(line.split(), f"steady vector line {n}") for n, line in lines]
         values = np.array([x for row in rows for x in row])
-    if values.ndim != 1 or values.size == 0 or not np.all(np.isfinite(values)):
+    if values.size == 0 or not np.all(np.isfinite(values)):
         raise ValueError("steady vector must be non-empty and finite")
     if np.any(values < 0):
         raise ValueError("steady vector must be non-negative")

@@ -49,7 +49,6 @@ from .combinatorics import (
     contact_graph_count,
     expansion_weight,
     integer_partitions,
-    labelling_partition,
     multiplicity,
     restricted_growth_strings,
     set_partitions,
@@ -57,7 +56,7 @@ from .combinatorics import (
 )
 from .contact_graph import (
     _JSON_ROWS, ContactGraph, UnlabelledContactGraph, amass, any_labelling, cell_sizes,
-    compact_json, graph_rows,
+    compact_json, graph_rows, row_graphs, row_json_objs,
 )
 from .markov import StateVector, WalkerEnsemble
 
@@ -106,9 +105,7 @@ def sigma(subset: Iterable[Hashable], ensemble: WalkerEnsemble, k: int) -> float
     return float(states[rows].prod(axis=0).sum())
 
 
-def sigma_expansion_terms(
-    g: ContactGraph,
-) -> Iterator[tuple[int, tuple[frozenset, ...]]]:
+def sigma_expansion_terms(g: ContactGraph) -> Iterator[tuple[int, tuple[frozenset, ...]]]:
     """Symbolic expansion of a graph probability into sigma products.
 
     Yields one (weight, amassed cliques) pair per partition of g's cliques:
@@ -275,10 +272,7 @@ def pmf_bruteforce(
     n = ensemble.n_states
     index = ensemble.index
     # weight[c][i]: probability that all walkers of clique c are in state i.
-    weights = [
-        states[[index[w] for w in cell]].prod(axis=0).tolist()
-        for cell in g.cliques.cells
-    ]
+    weights = [states[[index[w] for w in cell]].prod(axis=0).tolist() for cell in g.cliques.cells]
     if len(weights) > n:
         return 0.0
     return _assignment_sum(weights, n)
@@ -294,9 +288,11 @@ class GraphDistribution:
     A dict's keys must be all ``ContactGraph`` over one walker set or all
     ``UnlabelledContactGraph`` over one walker count; it is converted once,
     in its order, by ``graph_rows`` (through ``any_labelling`` if
-    unlabelled), each probability held as a float.  ``entries``, a read-only
-    mapping, is built on first read, in row order; sorting, writing and
-    ``max_deviation`` run on the arrays and build no ``ContactGraph``.
+    unlabelled), each probability held as a float.  Only reads that return
+    graphs build them, by ``contact_graph.row_graphs``: ``argmax`` one,
+    ``sorted_items`` each once, and ``entries``, the read-only mapping that
+    ``probability`` looks up, each once on first read, in row order.  Writing,
+    ``total``, the histograms and ``max_deviation`` over equal rows read the arrays.
     """
 
     def __init__(
@@ -325,29 +321,16 @@ class GraphDistribution:
 
     @classmethod
     def _of_rows(
-        cls,
-        rows: np.ndarray,
-        probs: np.ndarray,
-        labels: tuple[Hashable, ...],
-        time: int | None,
-        ensemble: WalkerEnsemble | None,
+        cls, rows: np.ndarray, probs: np.ndarray, labels: tuple[Hashable, ...],
+        time: int | None, ensemble: WalkerEnsemble | None,
     ) -> "GraphDistribution":
         dist = cls({}, time=time, ensemble=ensemble)
         dist._rows, dist._probs, dist._labels = rows, probs, labels
         return dist
 
-    def _graphs(self, rows: np.ndarray) -> list[list]:
-        """Each row's graph as ``to_json_obj`` gives it: clique sizes, or cells."""
-        if self._labels is None:
-            return [list(filter(None, sizes)) for sizes in cell_sizes(rows).tolist()]
-        cells = (labelling_partition(r, self._labels).cells for r in rows.tolist())
-        return [list(map(list, c)) for c in cells]
-
     @functools.cached_property
     def entries(self) -> Mapping:
-        unlabelled = self._labels is None
-        graph = UnlabelledContactGraph.from_sizes if unlabelled else ContactGraph.from_cells
-        graphs = map(graph, self._graphs(self._rows))
+        graphs = row_graphs(self._rows, self._labels)
         return MappingProxyType(dict(zip(graphs, self._probs.tolist())))
 
     def total(self) -> float:
@@ -357,18 +340,20 @@ class GraphDistribution:
         return self.entries.get(key, 0.0)
 
     def argmax(self):
-        return max(self.entries, key=lambda g: self.entries[g])
+        """The graph of the first most probable row; ValueError if there is none."""
+        i = int(np.argmax(self._probs))
+        return row_graphs(self._rows[i : i + 1], self._labels)[0]
 
     def sorted_items(self) -> list:
         """Entries by descending probability, ties as ``_row_order`` breaks them."""
-        items = list(self.entries.items())
-        return [items[i] for i in self._row_order().tolist()]
+        order = self._row_order()
+        return list(zip(row_graphs(self._rows[order], self._labels), self._probs[order].tolist()))
 
     def to_json_obj(self) -> list[dict]:
         """``{"graph", "p"}`` per entry in ``sorted_items`` order, read from the rows."""
         order = self._row_order()
-        graphs, probs = self._graphs(self._rows[order]), self._probs[order].tolist()
-        return [{"graph": g, "p": p} for g, p in zip(graphs, probs)]
+        graphs = row_json_objs(self._rows[order], self._labels)
+        return [{"graph": g, "p": p} for g, p in zip(graphs, self._probs[order].tolist())]
 
     def _row_order(self) -> np.ndarray:
         """Row indices by descending probability, ties in canonical graph
@@ -445,13 +430,9 @@ def full_distribution(
     ordered = tuple(sorted(ensemble.labels))
     rows = np.concatenate(list(restricted_growth_strings(m, min(m, n))))
     probs = np.empty(len(rows))
-
-    def graph_at(row: int) -> ContactGraph:
-        return ContactGraph(labelling_partition(rows[row].tolist(), ordered))
-
     if method == "bruteforce":
-        for row in range(len(rows)):
-            probs[row] = pmf_bruteforce(graph_at(row), ensemble, k, _states=states)
+        for row, g in enumerate(row_graphs(rows, ordered)):
+            probs[row] = pmf_bruteforce(g, ensemble, k, _states=states)
     else:
         walkers = [ensemble.index[w] for w in ordered]
         top = rows.max(axis=1)  # clique count - 1
@@ -460,7 +441,7 @@ def full_distribution(
             at = np.flatnonzero(top == c)
             masks = _walker_masks(rows[at], walkers, c + 1, _mask_dtype(m))
             probs[at] = _closed_form_batch(
-                masks, states, cache, lambda i: graph_at(at[i]).to_json_obj()
+                masks, states, cache, lambda i: next(row_json_objs(rows[at[i : i + 1]], ordered))
             )
     return GraphDistribution._of_rows(rows, probs, ordered, k, ensemble)
 
@@ -468,9 +449,7 @@ def full_distribution(
 # --- steady state -----------------------------------------------------------
 
 
-def labelled_steady_state_pmf(
-    clique_sizes: Iterable[int], s_tilde: StateVector
-) -> float:
+def labelled_steady_state_pmf(clique_sizes: Iterable[int], s_tilde: StateVector) -> float:
     """Steady-state probability of any labelled graph with these clique sizes.
 
     With every walker on the stationary vector s, a labelled graph's
@@ -499,16 +478,12 @@ def labelled_steady_state_pmf(
         before = placed.copy()
         for j, power in enumerate(powers):
             lead = (slice(None),) * j
-            placed[lead + (slice(1, None),)] += (
-                before[lead + (slice(None, -1),)] * power[i]
-            )
+            placed[lead + (slice(1, None),)] += before[lead + (slice(None, -1),)] * power[i]
     total = float(placed[tuple(counts)]) * math.prod(math.factorial(c) for c in counts)
     return _clamp(total, lambda: f"steady-state probability of clique sizes {sizes}")
 
 
-def unlabelled_steady_state_pmf(
-    u: UnlabelledContactGraph, s_tilde: StateVector
-) -> float:
+def unlabelled_steady_state_pmf(u: UnlabelledContactGraph, s_tilde: StateVector) -> float:
     """Steady-state probability of an unlabelled contact graph.
 
     The labelled probability of one representative, scaled by the number of
@@ -516,15 +491,9 @@ def unlabelled_steady_state_pmf(
     ``unlabelled_steady_state_pmf_bruteforce`` is its oracle.
     """
     if u.n_cliques > s_tilde.n_states:
-        raise ValueError(
-            f"{u.n_cliques} cliques cannot occupy {s_tilde.n_states} states"
-        )
-    p = multiplicity(u.clique_sizes) * labelled_steady_state_pmf(
-        u.clique_sizes.parts, s_tilde
-    )
-    return _clamp(
-        p, lambda: f"unlabelled steady-state probability of {u.to_json_obj()}"
-    )
+        raise ValueError(f"{u.n_cliques} cliques cannot occupy {s_tilde.n_states} states")
+    p = multiplicity(u.clique_sizes) * labelled_steady_state_pmf(u.clique_sizes.parts, s_tilde)
+    return _clamp(p, lambda: f"unlabelled steady-state probability of {u.to_json_obj()}")
 
 
 def unlabelled_steady_state_pmf_bruteforce(

@@ -43,7 +43,7 @@ from typing import Hashable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .combinatorics import first_appearance_rows
-from .contact_graph import ContactGraph, compact_json, graph_rows, row_graph
+from .contact_graph import ContactGraph, compact_json, graph_rows, row_graphs
 from .markov import WalkerEnsemble
 from .pmf import GraphDistribution, clique_count_histogram, clique_size_histogram
 
@@ -54,7 +54,8 @@ class ContactSequence:
     It holds one row of ``first_appearance_rows`` per time step over the
     sorted walker labels, built by ``sample_sequence`` or converted once from
     ``ContactGraph`` snapshots by ``graph_rows``; ``snapshots`` is built from
-    the rows on first read, and ``sequence_to_jsonl`` writes from them.
+    the rows by ``row_graphs`` on first read, and ``sequence_to_jsonl``
+    writes from them.
     """
 
     def __init__(self, snapshots: Iterable[ContactGraph], seed: int):
@@ -71,7 +72,7 @@ class ContactSequence:
 
     @functools.cached_property
     def snapshots(self) -> tuple[ContactGraph, ...]:
-        return tuple(row_graph(row, self._labels) for row in self._rows)
+        return tuple(row_graphs(self._rows, self._labels))
 
     def __len__(self) -> int:
         return len(self._rows)

@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 import rwig.combinatorics as combinatorics
@@ -149,6 +150,59 @@ def test_pmf_malformed_ensemble_exits_one(tmp_path, capsys):
         "n_states": 2, "walkers": [{"label": 2, **walker}, {"label": 1, **walker}],
     }))
     assert main(["pmf", "--ensemble", bad.as_posix(), "--time", "0"]) == 0
+
+
+def test_ensemble_faults_name_the_walker(tmp_path, capsys):
+    # A walker's vector, policy or size fault is prefixed with the walker, as
+    # its JSON faults are; a repeated label is named; exit 1.
+    walker = {"s0": [0.5, 0.5], "policy": [[0.5, 0.5], [0.5, 0.5]]}
+    cases = (
+        ([{"label": "a", **walker},
+          {"label": "b", **walker, "policy": [[0.5, 0.6], [0.5, 0.5]]}],
+         "walker 1 ('b'): rows must sum to 1 within 1e-12 (worst error 1.000e-01)"),
+        ([{"label": "s0", **walker, "s0": [0.7, 0.7]}],
+         "walker 0 ('s0'): state vector must sum to 1 within 1e-12 (got 1.4)"),
+        ([{"label": "a", **walker, "policy": [[0.5, 0.5]]}],
+         "walker 0 ('a'): transition matrix must be square"),
+        ([{"label": "a", **walker}, {"label": "a", **walker}],
+         "walker labels must be distinct: 'a' is repeated"),
+        ([{"label": "a", **walker},
+          {"label": "b", "s0": [1.0, 0.0, 0.0], "policy": np.eye(3).tolist()}],
+         "walker 1 ('b') does not match n_states=2"),
+    )
+    path = tmp_path / "ens.json"
+    for walkers, named in cases:
+        path.write_text(json.dumps({"n_states": 2, "walkers": walkers}))
+        assert main(["pmf", "--ensemble", str(path), "--time", "0"]) == 1
+        assert capsys.readouterr().err == f"error: {named}\n"
+
+
+def test_out_of_range_counts_exit_one(uniform2, tmp_path, capsys):
+    assert main(["pmf", "--ensemble", uniform2, "--time", "-1"]) == 1
+    assert capsys.readouterr().err == "error: k must be non-negative\n"
+    vec = tmp_path / "vec.csv"
+    vec.write_text("0.5 0.5\n")
+    assert main(["steady", "--vector", str(vec), "--walkers", "0"]) == 1
+    assert capsys.readouterr().err == "error: m_walkers must be positive\n"
+
+
+def test_steady_vector_faults_are_named(tmp_path, capsys):
+    # A JSON "probs" that is not a flat list says so; an empty or non-finite
+    # one and a vector with no mass keep their own reasons.
+    cases = (
+        ("v.json", json.dumps({"probs": [[0.5, 0.5]]}),
+         'steady vector JSON "probs" must be a flat list of numbers'),
+        ("v.json", json.dumps({"probs": 0.5}),
+         'steady vector JSON "probs" must be a flat list of numbers'),
+        ("v.json", json.dumps({"probs": []}), "steady vector must be non-empty and finite"),
+        ("v.json", '{"probs": [0.5, NaN]}', "steady vector must be non-empty and finite"),
+        ("v.csv", "0 0\n", "steady vector must have positive mass"),
+    )
+    for name, text, named in cases:
+        path = tmp_path / name
+        path.write_text(text)
+        assert main(["steady", "--vector", str(path), "--walkers", "2"]) == 1
+        assert capsys.readouterr().err == f"error: {named}\n"
 
 
 def test_steady_from_vector_writes_outputs(tmp_path):

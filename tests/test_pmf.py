@@ -17,7 +17,7 @@ from rwig.contact_graph import (
     compact_json,
     enumerate_graphs,
     from_assignment,
-    row_graph,
+    row_graphs,
     to_unlabelled,
 )
 from rwig.markov import StateVector, TransitionMatrix, WalkerEnsemble
@@ -353,7 +353,7 @@ def test_row_writers_escape_labels_in_both_layouts(chunks, monkeypatch):
         buf = io.StringIO()
         dist.write_json(buf)
         assert buf.getvalue() == expected
-        graphs = [row_graph(row, labels).to_json_obj() for row in rows]
+        graphs = [g.to_json_obj() for g in row_graphs(rows, labels)]
         compact = [json.dumps(g, separators=(",", ":")) for g in graphs]
         assert list(compact_json(rows, labels)) == compact
         times = range(10, 10 + len(rows))
@@ -440,6 +440,28 @@ def test_total_reads_the_rows(built_graphs):
     assert "entries" not in vars(dist)
     assert total == math.fsum(dist.entries.values())
     assert total == pytest.approx(1.0, abs=1e-12)
+
+
+def test_argmax_and_sorted_items_read_the_rows(built_graphs):
+    # argmax builds the one graph it returns, the first maximum in row order
+    # as max over the entries picks it; sorted_items builds each graph once
+    # and leaves entries unbuilt.
+    for ens in (random_ensemble(5, 4, seed=4), uniform_ensemble(4, 4)):
+        dist = full_distribution(ens, 1)
+        built_graphs.clear()
+        best = dist.argmax()
+        assert built_graphs == [best]
+        items = dist.sorted_items()
+        assert "entries" not in vars(dist)
+        assert built_graphs[1:] == [g for g, _ in items]
+        assert len(set(built_graphs[1:])) == len(items) == len(dist._rows)
+        assert best == max(dist.entries, key=dist.entries.get)
+        ranked = sorted(dist.entries.items(), key=lambda kv: (-kv[1], kv[0].sort_key()))
+        assert items == ranked
+    steady = unlabelled_steady_state_distribution(6, table3_vector("multimodal", 5))
+    assert steady.argmax() == max(steady.entries, key=steady.entries.get)
+    with pytest.raises(ValueError):
+        GraphDistribution({}).argmax()
 
 
 def test_entries_are_read_only():
@@ -626,6 +648,18 @@ def test_unlabelled_distribution_matches_assignment_oracle():
     for u, p in oracle.items():
         assert dist.probability(u) == pytest.approx(p, abs=1e-12)
     assert dist.argmax() == max(oracle, key=oracle.get)
+
+
+def test_labelled_steady_state_edge_cases(monkeypatch):
+    # More cliques than states cannot be placed.
+    assert labelled_steady_state_pmf([1, 1, 1], StateVector([0.5, 0.5])) == 0.0
+    # Nine ninths sum to 1.0000000000000002, which is dust above one and
+    # comes back as exactly 1.0.
+    seen = []
+    real = pmf_module._clamp
+    monkeypatch.setattr(pmf_module, "_clamp", lambda p, what: seen.append(p) or real(p, what))
+    assert labelled_steady_state_pmf([1], StateVector(np.full(9, 1 / 9))) == 1.0
+    assert seen == [1.0000000000000002]
 
 
 def test_labelled_steady_state_sums_over_classes():
