@@ -3,7 +3,9 @@
 Exit codes: 0 success, 1 input or validation failure, 2 internal
 consistency violation (e.g. the closed form disagreeing with its oracle),
 so consistency checks are scriptable in CI.  All randomness flows from a
-single --seed flag; its absence means seed 0, never entropy.
+single --seed flag; its absence means seed 0, never entropy.  Each
+subcommand imports the modules it runs: ``rwig pmf`` loads only
+``combinatorics``, ``contact_graph``, ``markov`` and ``pmf``.
 """
 
 from __future__ import annotations
@@ -11,17 +13,15 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import sys
 from typing import Iterator, TextIO
 
 import numpy as np
 
-from . import bench as bench_mod
-from . import ingest as ingest_mod
 from . import pmf as pmf_mod
-from . import simulate as simulate_mod
 from .combinatorics import contact_graph_count, restricted_growth_strings
-from .contact_graph import compact_json, default_labels
+from .contact_graph import default_labels, json_blocks
 from .markov import (
     StateVector,
     SteadyStateError,
@@ -101,6 +101,12 @@ def _check_oracle(dist, reference, tol: float) -> None:
         )
 
 
+# Most state assignments the brute force of ``rwig steady --cross-check`` may
+# sum: N!/(N - m)! ordered tuples of distinct states for each clique multiset
+# with m cliques, at about 0.4 us each.
+CROSS_CHECK_ASSIGNMENTS = 10**7
+
+
 # --- subcommands -------------------------------------------------------------
 
 
@@ -112,7 +118,7 @@ def cmd_enumerate(args) -> int:
         blocks = restricted_growth_strings(args.walkers, min(args.walkers, args.states))
         with _output(args.output) as fh:
             for block in blocks:
-                fh.writelines(f"{g}\n" for g in compact_json(block, labels))
+                fh.writelines(json_blocks(block, labels, tail=("\n",)))
     return 0
 
 
@@ -132,9 +138,18 @@ def cmd_pmf(args) -> int:
 
 
 def cmd_steady(args) -> int:
+    from . import simulate as simulate_mod
+
     s_tilde = _steady_vector_from_args(args)
     dist = pmf_mod.unlabelled_steady_state_distribution(args.walkers, s_tilde)
     if args.cross_check:
+        n = s_tilde.n_states
+        assignments = sum(math.perm(n, u.n_cliques) for u in dist.entries)
+        if assignments > CROSS_CHECK_ASSIGNMENTS:
+            raise ValueError(
+                f"--cross-check would sum {assignments:,} brute-force state assignments, "
+                f"over the limit of {CROSS_CHECK_ASSIGNMENTS:,}"
+            )
         oracle = pmf_mod.unlabelled_steady_state_pmf_bruteforce
         reference = pmf_mod.GraphDistribution({u: oracle(u, s_tilde) for u in dist.entries})
         _check_oracle(dist, reference, 1e-10)
@@ -161,6 +176,8 @@ def cmd_steady(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    from . import simulate as simulate_mod
+
     ensemble = _load_ensemble(args.ensemble)
     seq = simulate_mod.sample_sequence(ensemble, args.horizon, args.seed)
     _write(simulate_mod.sequence_to_jsonl(seq), args.output)
@@ -168,6 +185,9 @@ def cmd_sample(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    from . import ingest as ingest_mod
+    from . import simulate as simulate_mod
+
     # utf-8-sig drops a leading byte-order mark, which is not part of the data.
     with open(args.input, "r", encoding="utf-8-sig") as fh:
         table = ingest_mod.read_colocation(fh)
@@ -199,6 +219,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    from . import bench as bench_mod
+
     cells = bench_mod.benchmark_grid(
         _parse_range(args.m_range, "--m-range"),
         _parse_range(args.n_range, "--n-range"),
@@ -251,7 +273,8 @@ def build_parser() -> _Parser:
     p.add_argument(
         "--cross-check",
         action="store_true",
-        help="recompute by state enumeration and fail beyond 1e-10 (small M only)",
+        help="recompute by state enumeration and fail beyond 1e-10; refused past "
+        f"{CROSS_CHECK_ASSIGNMENTS:,} state assignments (small M only)",
     )
     p.add_argument("-o", "--output", default=None, metavar="PREFIX")
     p.set_defaults(func=cmd_steady)

@@ -1,8 +1,10 @@
 """Contact graphs as partitions of the walker set into cliques.
 
 Distributions, sequences and edge lists hold graphs as rows of cell numbers:
-``graph_rows`` writes them, and ``row_json_objs`` is the one reader of rows
-into graphs' JSON forms, which ``row_graphs`` wraps in graph objects.
+``graph_rows`` writes them, ``row_json_objs`` is the one reader of rows
+into graphs' JSON forms, which ``row_graphs`` wraps in graph objects, and
+``json_blocks`` is the one writer of their JSON text, a block of rows to
+each ``"".join``, for every command that writes rows.
 """
 
 from __future__ import annotations
@@ -148,49 +150,79 @@ def cell_sizes(rows: np.ndarray) -> np.ndarray:
     return sizes.reshape(n_rows, width + 1)[:, 1:]
 
 
-# Most rows ``compact_json`` formats at once.
+# Most rows ``json_blocks`` formats into one block of text.
 _JSON_ROWS = 4096
 
 
-def compact_json(
+def json_blocks(
     rows: np.ndarray,
     labels: Sequence[Hashable],
+    head: Sequence = (),
+    tail: Sequence = (),
     layout=("[", "],[", ",", "]]"),
+    groups: np.ndarray | None = None,
 ) -> Iterator[str]:
-    """Yield the JSON text of ``g.to_json_obj()`` for the graph g of each
-    row, as ``row_json_objs`` reads it, by default as ``json.dumps(...,
-    separators=(",", ":"))`` writes it.
+    """Yield the text of the rows, ``_JSON_ROWS`` rows to a block.  Each row
+    is its ``head`` columns, the JSON text of ``g.to_json_obj()`` for its
+    graph g as ``row_json_objs`` reads it (by default as ``json.dumps(...,
+    separators=(",", ":"))`` writes it), then its ``tail`` columns.  A column
+    is one string for every row or a sequence of one string per row.
 
     Each label is encoded once: as ``json.dumps(w, separators=(",", ":"))``,
     or, when ``layout[2]`` breaks the line, as ``json.dumps(w, indent=2)`` with
     the indent that ends ``layout[2]`` after each line break, which lays out a
-    tuple label where an indented document holds it.  A row is "[", one piece
-    per label in cell order, and ``layout[3]`` ("]" without cells).  A label's
-    piece is its code after ``layout[0]`` when it opens the first cell,
-    ``layout[1]`` when it opens a later one and ``layout[2]`` inside a cell, or
-    nothing when it is absent.  Rows are formatted ``_JSON_ROWS`` at a time.
+    tuple label where an indented document holds it.  A graph is one piece
+    per label in cell order and ``layout[3]`` ("[]" without cells).  A
+    label's piece is its code after "[" and ``layout[0]`` when it opens the
+    first cell, ``layout[1]`` when it opens a later one and ``layout[2]``
+    inside a cell, or nothing when it is absent.
+
+    Labels come in cell order through ``groups``, the rows' stable argsort,
+    which a caller that has it passes; otherwise each block sorts its rows
+    (in their own dtype).  A block is one flat object array of (rows x
+    columns) pieces and one ``"".join``: no text is made per row.
     """
-    width = rows.shape[1]
+    n_rows, width = rows.shape
     if "\n" not in layout[2]:
         codes = [json.dumps(w, separators=(",", ":")) for w in labels]
     else:
         indent = "\n" + layout[2].rpartition("\n")[2]
         codes = [json.dumps(w, indent=2).replace("\n", indent) for w in labels]
-    pieces = np.array([""] * width + [p + c for p in layout[:3] for c in codes], dtype=object)
-    for lo in range(0, len(rows), _JSON_ROWS):
+    # Piece kinds: 0 absent, 1 inside a cell, 2 opens the first, 3 a later one.
+    opening = (layout[2], "[" + layout[0], layout[1])
+    pieces = np.array([""] * width + [p + c for p in opening for c in codes], object)
+    graph = len(head)
+    parts = np.empty((min(n_rows, _JSON_ROWS), graph + width + 1 + len(tail)), object)
+    per_row = []
+    for j, column in [*enumerate(head), *enumerate(tail, graph + width + 1)]:
+        if isinstance(column, str):
+            parts[:, j] = column
+        else:
+            per_row.append((j, column))
+    starts = np.arange(len(parts))[:, None] * width
+    for lo in range(0, n_rows, _JSON_ROWS):
         chunk = rows[lo : lo + _JSON_ROWS]
-        positions = np.argsort(chunk, axis=1, kind="stable")
-        cells = np.take_along_axis(chunk, positions, axis=1).astype(np.intp)
-        previous = np.full_like(cells, -1)
-        previous[:, 1:] = cells[:, :-1]
-        kind = np.where(
-            cells < 0, 0, np.where(cells == previous, 3, np.where(cells == 0, 1, 2))
-        )
-        parts = np.empty((len(chunk), width + 2), dtype=object)
-        parts[:, 0] = "["
-        parts[:, 1:-1] = pieces[kind * width + positions]
-        parts[:, -1] = np.where((cells >= 0).any(axis=1), layout[3], "]")
-        yield from map("".join, parts.tolist())
+        if groups is None:
+            positions = np.argsort(chunk, axis=1, kind="stable")
+        else:
+            positions = groups[lo : lo + _JSON_ROWS]
+        cells = chunk.ravel().take(positions + starts[: len(chunk)])
+        present = cells >= 0
+        # A present label opens a cell where its cell differs from the
+        # label's before it, and a later cell if that label is present too.
+        opens = present.copy()
+        np.not_equal(cells[:, 1:], cells[:, :-1], out=opens[:, 1:])
+        kind = present.astype(np.intp)
+        kind += opens
+        kind[:, 1:] += opens[:, 1:] & present[:, :-1]
+        kind *= width
+        kind += positions
+        block = parts[: len(chunk)]
+        for j, column in per_row:
+            block[:, j] = column[lo : lo + _JSON_ROWS]
+        block[:, graph : graph + width] = pieces[kind]
+        block[:, graph + width] = np.where(present.any(axis=1), layout[3], "[]")
+        yield "".join(block.ravel().tolist())
 
 
 def enumerate_graphs(

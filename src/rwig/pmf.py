@@ -21,9 +21,10 @@ partitions is evaluated as a recursion over subsets of cliques
 (``combinatorics.subset_expansion(m)``), about 3^(m-1)/2 terms per graph
 instead of one per partition.  Every ``GraphDistribution``, labelled or
 unlabelled, computed, sampled or built from a dict, keeps such rows for its
-whole life: it sorts and writes from them, its clique histograms count the
-rows' clique sizes, and two distributions over the same rows are compared as
-aligned probability arrays.
+whole life: it groups each row's labels by cell once, sorts on that grouping
+and writes from it through ``contact_graph.json_blocks``, its clique
+histograms count the rows' clique sizes, and two distributions over the same
+rows are compared as aligned probability arrays.
 
 In the steady state a graph's probability depends only on its clique sizes
 and is a sum of non-negative occupancy terms (the monomial symmetric
@@ -55,8 +56,8 @@ from .combinatorics import (
     subset_expansion,
 )
 from .contact_graph import (
-    _JSON_ROWS, ContactGraph, UnlabelledContactGraph, amass, any_labelling, cell_sizes,
-    compact_json, graph_rows, row_graphs, row_json_objs,
+    ContactGraph, UnlabelledContactGraph, amass, any_labelling, cell_sizes, graph_rows,
+    json_blocks, row_graphs, row_json_objs,
 )
 from .markov import StateVector, WalkerEnsemble
 
@@ -70,7 +71,7 @@ NEGATIVE_DUST = 1e-10
 _GATHER_CAP = 1 << 20
 
 # The graph of an entry as ``json.dumps(..., indent=2)`` lays out a list of
-# entries: the join pieces of ``compact_json``.
+# entries: the layout of ``json_blocks``.
 _INDENTED = ("\n      [\n        ", "\n      ],\n      [\n        ", ",\n        ",
              "\n      ]\n    ]")
 
@@ -292,7 +293,9 @@ class GraphDistribution:
     graphs build them, by ``contact_graph.row_graphs``: ``argmax`` one,
     ``sorted_items`` each once, and ``entries``, the read-only mapping that
     ``probability`` looks up, each once on first read, in row order.  Writing,
-    ``total``, the histograms and ``max_deviation`` over equal rows read the arrays.
+    ``total``, the histograms and ``max_deviation`` over equal rows read the
+    arrays; sorting and writing share one grouping of each row's labels by
+    cell, ``_groups``.
     """
 
     def __init__(
@@ -355,47 +358,74 @@ class GraphDistribution:
         graphs = row_json_objs(self._rows[order], self._labels)
         return [{"graph": g, "p": p} for g, p in zip(graphs, self._probs[order].tolist())]
 
+    @functools.cached_property
+    def _groups(self) -> np.ndarray:
+        """Each row's label positions grouped by cell: the rows' stable
+        argsort, sorted once in the rows' own dtype and kept in the smallest
+        dtype, which ``_row_order`` keys on and ``write_json`` hands to
+        ``json_blocks``."""
+        width = self._rows.shape[1]
+        return np.argsort(self._rows, axis=1, kind="stable").astype(np.min_scalar_type(width))
+
     def _row_order(self) -> np.ndarray:
         """Row indices by descending probability, ties in canonical graph
         order: one ``np.lexsort`` on (-p, clique count, cells key).  The
         cells key lists each cell's positions in the sorted labels, each
-        cell followed by a terminator below every position, so a cell that
+        position + 1 and each cell followed by a terminator 0, so a cell that
         is a prefix of another sorts first, as in ``ContactGraph.sort_key``.
         Unlabelled rows leave the clique count out: their cells key orders
-        them as their clique sizes, largest first, compare.
+        them as their clique sizes, largest first, compare.  The count and
+        the key, each column at most the width, are packed into as few int64
+        words as hold them, most significant column first.
         """
-        rows = self._rows
+        rows, positions = self._rows, self._groups
         n_graphs, width = rows.shape
-        counts = rows.max(axis=1, initial=0).astype(np.intp) + 1
-        positions = np.argsort(rows, axis=1, kind="stable")
+        counts = rows.max(axis=1, initial=0) + 1
+        lead = int(self._labels is not None)
+        dtype = np.min_scalar_type(2 * width + 1)
+        key = np.zeros((n_graphs, lead + width + int(counts.max(initial=0))), dtype)
+        if lead:
+            key[:, 0] = counts
         # Each position lands after one terminator per cell before its own.
-        slots = np.arange(width) + np.take_along_axis(rows, positions, axis=1)
-        key = np.full((n_graphs, width + counts.max(initial=0)), -1, np.min_scalar_type(~width))
-        np.put_along_axis(key, slots, positions, axis=1)
-        count = () if self._labels is None else (counts,)
-        return np.lexsort((*key.T[::-1], *count, -self._probs))
+        slots = np.take_along_axis(rows, positions, axis=1).astype(dtype)
+        slots += np.arange(lead, lead + width, dtype=dtype)
+        np.put_along_axis(key, slots, positions + 1, axis=1)
+        bits = max(width.bit_length(), 1)
+        words = []
+        for lo in range(0, key.shape[1], 63 // bits):
+            word = np.zeros(n_graphs, np.int64)
+            for column in key.T[lo : lo + 63 // bits]:
+                word <<= bits
+                word |= column
+            words.append(word)
+        return np.lexsort((*words[::-1], -self._probs))
 
     def write_json(self, fh: IO[str]) -> None:
         """Write ``json.dumps(self.to_json_obj(), indent=2)`` and a newline.
 
         Unlabelled and empty distributions are written by the json module.
-        Labelled rows are taken in ``_row_order``, each graph formatted by
-        ``compact_json`` in the ``_INDENTED`` layout and each probability by
-        ``float.__repr__``, as the json module does, and written
-        ``_JSON_ROWS`` entries at a time.
+        Labelled rows are written in ``_row_order`` by ``json_blocks``, in
+        the ``_INDENTED`` layout, on the shared ``_groups``: per entry its
+        head, its graph, and each probability by ``float.__repr__``, as the
+        json module writes it.
         """
         if self._labels is None or not len(self._rows):
             fh.write(json.dumps(self.to_json_obj(), indent=2) + "\n")
             return
         order = self._row_order()
-        rows, probs = self._rows[order], self._probs[order]
-        entry = '  {{\n    "graph": {},\n    "p": {}\n  }}'.format
-        separator = "[\n"
-        for lo in range(0, len(rows), _JSON_ROWS):
-            graphs = compact_json(rows[lo : lo + _JSON_ROWS], self._labels, _INDENTED)
-            texts = map(entry, graphs, map(repr, probs[lo : lo + _JSON_ROWS].tolist()))
-            fh.write(separator + ",\n".join(texts))
-            separator = ",\n"
+        heads = np.full(len(order), ',\n  {\n    "graph": ', object)
+        heads[0] = '[\n  {\n    "graph": '
+        # Equal probabilities are adjacent in this order, so each run of them
+        # is formatted once.  Runs compare bits: 0.0 and -0.0 print apart.
+        probs = self._probs[order]
+        raw = probs.view(np.int64)
+        runs = np.flatnonzero(np.r_[True, raw[1:] != raw[:-1]])
+        texts = np.array(list(map(repr, probs[runs].tolist())), object)
+        tail = (',\n    "p": ', texts.repeat(np.diff(runs, append=len(probs))), "\n  }")
+        blocks = json_blocks(
+            self._rows[order], self._labels, (heads,), tail, _INDENTED, self._groups[order]
+        )
+        fh.writelines(blocks)
         fh.write("\n]\n")
 
 
@@ -437,7 +467,8 @@ def full_distribution(
         walkers = [ensemble.index[w] for w in ordered]
         top = rows.max(axis=1)  # clique count - 1
         cache: dict = {}
-        for c in np.unique(top).tolist():
+        # Not np.unique: without indices it imports numpy.ma, about 20 ms.
+        for c in np.flatnonzero(np.bincount(top)).tolist():
             at = np.flatnonzero(top == c)
             masks = _walker_masks(rows[at], walkers, c + 1, _mask_dtype(m))
             probs[at] = _closed_form_batch(

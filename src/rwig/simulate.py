@@ -20,8 +20,10 @@ empirical distribution does.
 
 A sampled sequence stays an array from the walk to its JSON lines: the
 walkers' states at every step, renamed into one restricted growth string
-per snapshot, without a sort, by ``combinatorics.first_appearance_rows``.
-Its ``ContactGraph`` snapshots are built only when a caller reads them.
+per snapshot, without a sort, by ``combinatorics.first_appearance_rows``,
+and written by ``contact_graph.json_blocks``.  Equality, hashing and the
+clique histograms read the rows too; its ``ContactGraph`` snapshots are
+built only when a caller reads them.
 
 An empirical distribution walks its replicas together, as one (R, M) state
 array per step.  It builds no generator: ``_replica_uniforms`` runs numpy's
@@ -43,7 +45,7 @@ from typing import Hashable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .combinatorics import first_appearance_rows
-from .contact_graph import ContactGraph, compact_json, graph_rows, row_graphs
+from .contact_graph import ContactGraph, cell_sizes, graph_rows, json_blocks, row_graphs
 from .markov import WalkerEnsemble
 from .pmf import GraphDistribution, clique_count_histogram, clique_size_histogram
 
@@ -55,7 +57,8 @@ class ContactSequence:
     sorted walker labels, built by ``sample_sequence`` or converted once from
     ``ContactGraph`` snapshots by ``graph_rows``; ``snapshots`` is built from
     the rows by ``row_graphs`` on first read, and ``sequence_to_jsonl``
-    writes from them.
+    writes from them.  Two sequences are equal when their rows hold the same
+    values, whatever their dtypes, over the same labels and seed.
     """
 
     def __init__(self, snapshots: Iterable[ContactGraph], seed: int):
@@ -80,10 +83,14 @@ class ContactSequence:
     def __eq__(self, other) -> bool:
         if not isinstance(other, ContactSequence):
             return NotImplemented
-        return (self.snapshots, self.seed) == (other.snapshots, other.seed)
+        return (self._labels, self.seed) == (other._labels, other.seed) and np.array_equal(
+            self._rows, other._rows
+        )
 
     def __hash__(self) -> int:
-        return hash((self.snapshots, self.seed))
+        # Rows come in different dtypes: hash their values.
+        rows = self._rows.astype(np.int64, copy=False)
+        return hash((rows.shape, rows.tobytes(), self._labels, self.seed))
 
 
 # Most numbers one array of the walk holds: the step table, or a chunk's
@@ -367,15 +374,20 @@ def empirical_distribution(
 
 def _snapshot_sizes(source: Iterable) -> np.ndarray:
     """The clique sizes of every snapshot in ``source``, one row each, 0
-    past its last clique, as ``contact_graph.cell_sizes`` lays them out."""
-    sizes = []
+    past its last clique, as ``contact_graph.cell_sizes`` lays them out: a
+    sequence's from its rows, a graph's from its cells."""
+    blocks, graphs = [], []
     for item in source:
-        if not isinstance(item, (ContactSequence, ContactGraph)):
+        if isinstance(item, ContactSequence):
+            blocks.append(cell_sizes(item._rows))
+        elif isinstance(item, ContactGraph):
+            graphs.append(item.clique_sizes)
+        else:
             raise TypeError(f"expected ContactSequence or ContactGraph, got {item!r}")
-        sizes += [g.clique_sizes for g in getattr(item, "snapshots", [item])]
-    width = max(map(len, sizes), default=0)
-    padded = [q + (0,) * (width - len(q)) for q in sizes]
-    return np.array(padded, np.intp).reshape(len(sizes), width)
+    width = max([len(q) for q in graphs] + [b.shape[1] for b in blocks], default=0)
+    padded = [q + (0,) * (width - len(q)) for q in graphs]
+    blocks.append(np.array(padded, np.intp).reshape(len(graphs), width))
+    return np.concatenate([np.pad(b, ((0, 0), (0, width - b.shape[1]))) for b in blocks])
 
 
 def clique_size_distribution(source: Iterable, min_size: int = 2) -> dict[int, float]:
@@ -411,11 +423,10 @@ def rows_to_jsonl(
 ) -> str:
     """One line {"t": t, "graph": [[...], ...]} per row of
     ``first_position_rows`` over the sorted ``labels``, as
-    ``json.dumps(..., separators=(",", ":"))`` writes it."""
-    lines = [
-        f'{{"t":{t},"graph":{g}}}' for t, g in zip(times, compact_json(rows, labels))
-    ]
-    return "\n".join(lines) + "\n"
+    ``json.dumps(..., separators=(",", ":"))`` writes it, by ``json_blocks``;
+    no rows are one empty line."""
+    head = ('{"t":', list(map(str, times)), ',"graph":')
+    return "".join(json_blocks(rows, labels, head, ("}\n",))) or "\n"
 
 
 def snapshots_to_jsonl(snapshots: Iterable[tuple[int, ContactGraph]]) -> str:

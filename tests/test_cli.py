@@ -1,9 +1,16 @@
+import importlib
 import json
 import math
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rwig
 import rwig.combinatorics as combinatorics
 import rwig.ingest as ingest
 from rwig.bench import random_ensemble
@@ -67,6 +74,43 @@ def test_pmf_two_uniform_walkers(uniform2, tmp_path, capsys):
     assert main(["pmf", "--ensemble", uniform2, "--time", "1", "-o", str(out)]) == 0
     entries = json.loads(out.read_text())
     assert sorted(e["p"] for e in entries) == [0.5, 0.5]
+
+
+def test_pmf_imports_only_what_it_runs(tmp_path):
+    # ``python -m rwig.cli pmf`` in a fresh interpreter, which then lists
+    # the rwig modules it loaded.
+    ens = write_ensemble(tmp_path / "ens.json", uniform_ensemble(3, 2))
+    argv = ["rwig", "pmf", "--ensemble", ens, "--time", "1", "-o", str(tmp_path / "p.json")]
+    script = (
+        "import runpy, sys\n"
+        f"sys.argv = {argv!r}\n"
+        "try:\n"
+        "    runpy.run_module('rwig.cli', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exc:\n"
+        "    assert not exc.code, exc.code\n"
+        "print(*sorted(m for m in sys.modules if m.startswith('rwig')))\n"
+    )
+    src = str(Path(rwig.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    loaded = set(done.stdout.split())
+    assert {"rwig.combinatorics", "rwig.contact_graph", "rwig.markov", "rwig.pmf"} <= loaded
+    assert not loaded & {"rwig.ingest", "rwig.simulate", "rwig.bench"}
+    assert len(json.loads((tmp_path / "p.json").read_text())) == 4
+
+
+def test_package_resolves_its_names_lazily():
+    namespace: dict = {}
+    exec("from rwig import *", namespace)
+    assert len(rwig.__all__) == len(set(rwig.__all__)) == 48
+    for name in rwig.__all__:
+        home = importlib.import_module(f"rwig.{rwig._MODULE_OF[name]}")
+        assert getattr(rwig, name) is namespace[name] is getattr(home, name)
+    assert set(rwig.__all__) <= set(dir(rwig))
+    with pytest.raises(AttributeError, match="module 'rwig' has no attribute 'no_such_name'"):
+        rwig.no_such_name
 
 
 def test_pmf_oracle_passes_on_random_ensemble(tmp_path):
@@ -394,6 +438,27 @@ def test_steady_cross_check_mismatch_exits_two(tmp_path, capsys, monkeypatch):
     code = main(["steady", "--vector", str(vec), "--walkers", "4", "--cross-check"])
     assert code == 2
     assert "oracle mismatch" in capsys.readouterr().err
+
+
+def test_steady_cross_check_refuses_past_its_budget(tmp_path, capsys, monkeypatch):
+    # M = 11 on 15 states: the brute force would sum 5.4e10 assignments for
+    # the 11-clique multiset alone.  It is refused before the oracle runs.
+    import rwig.cli as cli_module
+
+    def refuse(u, s_tilde):
+        raise AssertionError("the brute force ran")
+
+    monkeypatch.setattr(cli_module.pmf_mod, "unlabelled_steady_state_pmf_bruteforce", refuse)
+    vec = tmp_path / "vec.csv"
+    vec.write_text(",".join(map(str, range(1, 16))) + "\n")
+    start = time.perf_counter()
+    code = main(["steady", "--vector", str(vec), "--walkers", "11", "--cross-check"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    count = sum(math.perm(15, q.n_parts) for q in combinatorics.integer_partitions(11))
+    err = capsys.readouterr().err
+    assert f"{count:,} brute-force state assignments" in err
+    assert f"limit of {cli_module.CROSS_CHECK_ASSIGNMENTS:,}" in err
 
 
 def test_steady_from_ensemble_equals_its_shared_policy(tmp_path, capsys):

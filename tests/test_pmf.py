@@ -14,9 +14,9 @@ from rwig.contact_graph import (
     UnlabelledContactGraph,
     amass,
     cell_sizes,
-    compact_json,
     enumerate_graphs,
     from_assignment,
+    json_blocks,
     row_graphs,
     to_unlabelled,
 )
@@ -332,11 +332,8 @@ def test_write_json_matches_json_dumps():
 @pytest.mark.parametrize("chunks", [None, (3, 5)])
 def test_row_writers_escape_labels_in_both_layouts(chunks, monkeypatch):
     # Labels the json module escapes or writes as non-ASCII escapes, in a
-    # computed and a sampled row distribution.  With chunks, write_json
-    # writes 3 entries at a time while compact_json formats 5 rows at once.
-    if chunks is not None:
-        monkeypatch.setattr(pmf_module, "_JSON_ROWS", chunks[0])
-        monkeypatch.setattr(contact_graph_module, "_JSON_ROWS", chunks[1])
+    # computed and a sampled row distribution.  With chunks, every writer
+    # runs with json_blocks formatting 3, then 5 rows to a block.
     quoted = ['say "hi"', "back\\slash", "\u00e9t\u00e9", "\u96ea"]
     ens = WalkerEnsemble(
         [(q, s0, p) for q, (_, s0, p) in zip(quoted, random_ensemble(4, 3, seed=8).walkers)]
@@ -344,28 +341,31 @@ def test_row_writers_escape_labels_in_both_layouts(chunks, monkeypatch):
     computed = full_distribution(ens, 2)
     sampled = empirical_distribution(ens, 2, 20, seed=5)
     assert (len(computed.entries), len(sampled.entries)) == (14, 9)
-    for dist in (computed, sampled):
-        rows, labels = dist._rows, dist._labels
-        assert labels == tuple(sorted(quoted))
-        expected = json.dumps(dist.to_json_obj(), indent=2) + "\n"
-        copy = GraphDistribution(dict(dist.entries))
-        assert expected == json.dumps(copy.to_json_obj(), indent=2) + "\n"
-        buf = io.StringIO()
-        dist.write_json(buf)
-        assert buf.getvalue() == expected
-        graphs = [g.to_json_obj() for g in row_graphs(rows, labels)]
-        compact = [json.dumps(g, separators=(",", ":")) for g in graphs]
-        assert list(compact_json(rows, labels)) == compact
-        times = range(10, 10 + len(rows))
-        assert rows_to_jsonl(times, rows, labels) == "".join(
-            json.dumps({"t": t, "graph": g}, separators=(",", ":")) + "\n"
-            for t, g in zip(times, graphs)
-        )
+    for block_rows in chunks or (None,):
+        if block_rows is not None:
+            monkeypatch.setattr(contact_graph_module, "_JSON_ROWS", block_rows)
+        for dist in (computed, sampled):
+            rows, labels = dist._rows, dist._labels
+            assert labels == tuple(sorted(quoted))
+            expected = json.dumps(dist.to_json_obj(), indent=2) + "\n"
+            copy = GraphDistribution(dict(dist.entries))
+            assert expected == json.dumps(copy.to_json_obj(), indent=2) + "\n"
+            buf = io.StringIO()
+            dist.write_json(buf)
+            assert buf.getvalue() == expected
+            graphs = [g.to_json_obj() for g in row_graphs(rows, labels)]
+            compact = [json.dumps(g, separators=(",", ":")) + "\n" for g in graphs]
+            assert "".join(json_blocks(rows, labels, tail=("\n",))) == "".join(compact)
+            times = range(10, 10 + len(rows))
+            assert rows_to_jsonl(times, rows, labels) == "".join(
+                json.dumps({"t": t, "graph": g}, separators=(",", ":")) + "\n"
+                for t, g in zip(times, graphs)
+            )
 
 
-def test_write_json_breaks_ties_in_graph_order():
-    # Computed distributions sort from arrays; they must match a plain-dict
-    # copy sorted by (-p, ContactGraph.sort_key) entry for entry.
+def tie_cases() -> dict:
+    """Ensembles whose distributions at k = 1 hold long runs of equal
+    probabilities, and their graph counts."""
     uniform = StateVector(np.full(3, 1 / 3))
     concentrated = WalkerEnsemble.common_policy(
         ["a", "b", "c", "d", "e"],
@@ -375,15 +375,27 @@ def test_write_json_breaks_ties_in_graph_order():
     integers = WalkerEnsemble.common_policy(
         [10, 2, 33, 1, 4], [uniform] * 5, TransitionMatrix(np.full((3, 3), 1 / 3))
     )
-    cases = (
-        (uniform_ensemble(6, 4), 187),  # heavy ties
-        (concentrated, 41),  # exact zeros
-        (uniform_ensemble(10, 2), 512),  # "w10" sorts before "w2"
-        (integers, 41),
-    )
-    for ens, size in cases:
+    return {
+        "heavy ties": (uniform_ensemble(6, 4), 187),
+        "exact zeros": (concentrated, 41),
+        '"w10" sorts before "w2"': (uniform_ensemble(10, 2), 512),
+        "integers": (integers, 41),
+    }
+
+
+def ranked_by_graph_order(ens) -> list:
+    """A plain-dict copy of ``full_distribution(ens, 1)`` sorted by
+    (-p, ContactGraph.sort_key)."""
+    copy = GraphDistribution(dict(full_distribution(ens, 1).entries))
+    return sorted(copy.entries.items(), key=lambda kv: (-kv[1], kv[0].sort_key()))
+
+
+def test_write_json_breaks_ties_in_graph_order():
+    # Computed distributions sort from arrays; they must match a plain-dict
+    # copy sorted by (-p, ContactGraph.sort_key) entry for entry.
+    for ens, size in tie_cases().values():
         copy = GraphDistribution(dict(full_distribution(ens, 1).entries))
-        ranked = sorted(copy.entries.items(), key=lambda kv: (-kv[1], kv[0].sort_key()))
+        ranked = ranked_by_graph_order(ens)
         expected = [{"graph": g.to_json_obj(), "p": p} for g, p in ranked]
         assert len(expected) == size
         assert len({e["p"] for e in expected}) < size / 4
@@ -394,8 +406,35 @@ def test_write_json_breaks_ties_in_graph_order():
         full_distribution(ens, 1).write_json(buf)
         assert buf.getvalue() == json.dumps(expected, indent=2) + "\n"
     assert copy.probability(ContactGraph.from_cells([[1, 2], [4, 10, 33]])) > 0.0
-    zeros = full_distribution(concentrated, 1).entries.values()
+    zeros = full_distribution(tie_cases()["exact zeros"][0], 1).entries.values()
     assert sum(p == 0.0 for p in zeros) > 1
+
+
+@pytest.mark.parametrize("case", ["heavy ties", "exact zeros"])
+def test_write_json_breaks_ties_across_blocks(case, monkeypatch):
+    # Seven rows to a block: runs of equal probabilities straddle blocks.
+    monkeypatch.setattr(contact_graph_module, "_JSON_ROWS", 7)
+    ens, size = tie_cases()[case]
+    ranked = ranked_by_graph_order(ens)
+    probs = [p for _, p in ranked]
+    assert any(probs[i - 1] == probs[i] for i in range(7, size, 7))
+    buf = io.StringIO()
+    full_distribution(ens, 1).write_json(buf)
+    expected = [{"graph": g.to_json_obj(), "p": p} for g, p in ranked]
+    assert buf.getvalue() == json.dumps(expected, indent=2) + "\n"
+
+
+def test_row_order_breaks_ties_on_keys_of_several_words():
+    # 20 walkers on 3 states: the packed tie-break key spans two int64 words,
+    # and most sampled graphs tie on a count of 1 in 200.
+    dist = empirical_distribution(random_ensemble(20, 3, seed=2), 1, 200, seed=4)
+    ranked = sorted(dist.entries.items(), key=lambda kv: (-kv[1], kv[0].sort_key()))
+    assert len({p for _, p in ranked}) < len(ranked) / 4
+    assert dist.sorted_items() == ranked
+    buf = io.StringIO()
+    dist.write_json(buf)
+    expected = [{"graph": g.to_json_obj(), "p": p} for g, p in ranked]
+    assert buf.getvalue() == json.dumps(expected, indent=2) + "\n"
 
 
 def test_full_distribution_writes_without_building_graphs(built_graphs, monkeypatch):

@@ -63,6 +63,26 @@ def test_sampling_is_deterministic_given_seed():
     assert a != c
 
 
+def test_sequence_equality_reads_rows(built_graphs):
+    # A sequence converted from graphs holds intp rows, a sampled one small
+    # rows: they compare and hash by value, without building snapshots.
+    sampled = sample_sequence(random_ensemble(5, 3, seed=6), 40, seed=11)
+    graphs = list(sampled.snapshots)
+    other = ContactGraph.from_cells([[w] for w in sampled._labels])
+    assert other != graphs[17]
+    changed = graphs[:17] + [other] + graphs[18:]
+    built_graphs.clear()
+    fresh = sample_sequence(random_ensemble(5, 3, seed=6), 40, seed=11)
+    converted = ContactSequence(graphs, seed=11)
+    assert converted._rows.dtype != fresh._rows.dtype
+    assert converted == fresh and hash(converted) == hash(fresh)
+    assert len({converted, fresh}) == 1
+    assert ContactSequence(changed, seed=11) != fresh
+    assert ContactSequence(graphs, seed=12) != fresh
+    assert built_graphs == []
+    assert "snapshots" not in vars(fresh) and "snapshots" not in vars(converted)
+
+
 def test_replica_seed_rule():
     assert replica_seed(5, 0) == 5
     assert replica_seed(5, 3) == 5 ^ 3
@@ -123,6 +143,31 @@ def test_clique_size_distribution_pools_sequences():
     )
     hist = clique_size_distribution([seq], min_size=2)
     assert hist == {2: 0.5, 3: 0.5}
+
+
+def test_clique_histograms_read_sequence_rows(built_graphs):
+    # Sequences of 6 and 4 walkers, pooled with loose graphs: the histograms
+    # of their rows equal those of their snapshots, and build no graph.
+    def source():
+        return [
+            sample_sequence(random_ensemble(6, 3, seed=2), 30, seed=5),
+            ContactGraph.from_cells([["x", "y", "z"]]),
+            sample_sequence(random_ensemble(4, 2, seed=3), 25, seed=8),
+        ]
+
+    graphs = [g for item in source() for g in getattr(item, "snapshots", [item])]
+    readers = (
+        lambda s: clique_size_distribution(s),
+        lambda s: clique_size_distribution(s, min_size=1),
+        lambda s: clique_count_distribution(s),
+        lambda s: clique_count_distribution(s, include_singletons=False),
+        lambda s: mean_clique_size(s),
+    )
+    expected = [read(graphs) for read in readers]
+    sequences = source()
+    built_graphs.clear()
+    assert [read(sequences) for read in readers] == expected
+    assert built_graphs == []
 
 
 def test_clique_count_distribution():
