@@ -4,8 +4,8 @@ Exit codes: 0 success, 1 input or validation failure, 2 internal
 consistency violation (e.g. the closed form disagreeing with its oracle),
 so consistency checks are scriptable in CI.  All randomness flows from a
 single --seed flag; its absence means seed 0, never entropy.  Each
-subcommand imports the modules it runs: ``rwig pmf`` loads only
-``combinatorics``, ``contact_graph``, ``markov`` and ``pmf``.
+subcommand imports the modules it runs: ``rwig pmf`` and ``rwig steady``
+load only ``combinatorics``, ``contact_graph``, ``markov`` and ``pmf``.
 """
 
 from __future__ import annotations
@@ -138,8 +138,6 @@ def cmd_pmf(args) -> int:
 
 
 def cmd_steady(args) -> int:
-    from . import simulate as simulate_mod
-
     s_tilde = _steady_vector_from_args(args)
     dist = pmf_mod.unlabelled_steady_state_distribution(args.walkers, s_tilde)
     if args.cross_check:
@@ -160,9 +158,9 @@ def cmd_steady(args) -> int:
     if args.output:
         with _output(f"{args.output}_distribution.json") as fh:
             dist.write_json(fh)
-        _write(simulate_mod.histogram_to_csv(size_hist), f"{args.output}_clique_sizes.csv")
+        _write(pmf_mod.histogram_to_csv(size_hist), f"{args.output}_clique_sizes.csv")
         _write(
-            simulate_mod.histogram_to_csv(count_hist), f"{args.output}_clique_counts.csv"
+            pmf_mod.histogram_to_csv(count_hist), f"{args.output}_clique_counts.csv"
         )
     else:
         document = {
@@ -204,9 +202,9 @@ def cmd_analyze(args) -> int:
             simulate_mod.rows_to_jsonl(table.times, rows, table.nodes),
             f"{args.output}_graphs.jsonl",
         )
-        _write(simulate_mod.histogram_to_csv(size_hist), f"{args.output}_clique_sizes.csv")
+        _write(pmf_mod.histogram_to_csv(size_hist), f"{args.output}_clique_sizes.csv")
         _write(
-            simulate_mod.histogram_to_csv(count_hist), f"{args.output}_clique_counts.csv"
+            pmf_mod.histogram_to_csv(count_hist), f"{args.output}_clique_counts.csv"
         )
     else:
         document = {

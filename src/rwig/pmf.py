@@ -12,12 +12,12 @@ The brute force is the oracle; it is slower by design and must never be
 once, as blocks of restricted growth strings
 (``combinatorics.restricted_growth_strings``), for either route.  The brute
 force evaluates each row through the ``ContactGraph`` it describes.  The
-closed form never builds a graph object: it takes each graph's clique
-walker masks from its row and evaluates batches of graphs with the same
-clique count m.  The walker sets of every subset of each graph's cliques
-come from one integer product, sigma is computed once per distinct walker
-set in one numpy product and cached across batches, and the sum over
-partitions is evaluated as a recursion over subsets of cliques
+closed form never builds a graph object: it evaluates batches of graphs
+with the same clique count m from their rows.  Each graph's clique weights
+w[c, i], the probability that every walker of clique c sits in state i,
+give the sigma of every subset of its cliques as sum_i prod_c w[c, i], the
+products doubled one clique at a time, and the sum over partitions is
+evaluated as a recursion over subsets of cliques
 (``combinatorics.subset_expansion(m)``), about 3^(m-1)/2 terms per graph
 instead of one per partition.  Every ``GraphDistribution``, labelled or
 unlabelled, computed, sampled or built from a dict, keeps such rows for its
@@ -65,9 +65,10 @@ NEGATIVE_DUST = 1e-10
 
 # Most elements one chunk of a batched expansion holds in its working arrays
 # (8 MB of floats), so working memory stays fixed however many graphs share a
-# clique count.  A chunk holds at least one graph, which needs about eight
-# 2^m-wide arrays (the unions, np.unique's work arrays and inverse, sigma, the
-# recursion's values) and three as wide as the widest recursion level.
+# clique count.  A chunk holds at least one graph, which needs its m x N
+# clique weights, four 2^m-wide arrays (the products at one state, sigma and
+# its graph-major copy, the recursion's values) and three as wide as the
+# widest recursion level.
 _GATHER_CAP = 1 << 20
 
 # The graph of an entry as ``json.dumps(..., indent=2)`` lays out a list of
@@ -97,11 +98,16 @@ def sigma(subset: Iterable[Hashable], ensemble: WalkerEnsemble, k: int) -> float
     """Probability that all walkers in ``subset`` share a state at time k.
 
     The entrywise product of the walkers' k-step distributions, summed over
-    states.  Singletons give exactly 1.
+    states.  A singleton gives its walker's row sum, 1 up to rounding.  An
+    empty subset or a repeated walker raises ValueError.
     """
+    subset = list(subset)
     rows = [ensemble.index[w] for w in subset]
     if not rows:
         raise ValueError("sigma of an empty walker subset is undefined")
+    if len(set(rows)) < len(rows):
+        repeated = next(w for w in subset if subset.count(w) > 1)
+        raise ValueError(f"walker {repeated!r} is repeated in the subset")
     states = ensemble.state_matrix(k)
     return float(states[rows].prod(axis=0).sum())
 
@@ -147,70 +153,52 @@ def _check_graph(g: ContactGraph, ensemble: WalkerEnsemble) -> None:
         raise ValueError("graph does not partition the ensemble's walker set")
 
 
-def _mask_dtype(n_walkers: int):
-    # A walker mask has a bit per walker; int64 holds 63 of them.
-    return np.int64 if n_walkers < 64 else object
+def _clique_weights(rows: np.ndarray, walker_rows: np.ndarray, m: int) -> np.ndarray:
+    """(G, m, N) clique weights of restricted growth strings with m blocks.
 
-
-def _sigmas(masks: list[int], states: np.ndarray) -> np.ndarray:
-    """Sigma of each walker mask (bit i for walker i), all in one product.
-
-    Walkers outside a mask contribute a factor 1.0, so each value is the
-    product of its walkers' rows summed over states, as ``sigma`` computes it.
+    Position p of a row is the walker whose k-step distribution is
+    ``walker_rows[p]``; ``w[g, c, i]`` is the product of those rows at state
+    i over the positions p with ``rows[g, p] == c``, the probability that
+    every walker of clique c of graph g sits in state i.
     """
-    walkers = np.arange(states.shape[0]).astype(_mask_dtype(states.shape[0]))
-    step = max(1, _GATHER_CAP // states.size)
-    chunks = []
-    for lo in range(0, len(masks), step):
-        block = np.array(masks[lo : lo + step], dtype=walkers.dtype)
-        member = (block[:, None] >> walkers & 1).astype(bool)
-        chunks.append(np.where(member[:, :, None], states, 1.0).prod(axis=1).sum(axis=1))
-    return np.concatenate(chunks)
-
-
-def _walker_masks(rows: np.ndarray, walkers: Sequence[int], m: int, dtype) -> np.ndarray:
-    """(G, m) clique masks of restricted growth strings with m blocks.
-
-    Clique c of row g holds the positions i with ``rows[g, i] == c``, and
-    position i is walker ``walkers[i]`` (bit ``walkers[i]`` of the mask).
-    """
-    bits = np.array([1 << w for w in walkers], dtype=dtype)
-    masks = np.empty((len(rows), m), dtype=dtype)
-    for c in range(m):
-        masks[:, c] = np.where(rows == c, bits, 0).sum(axis=1)
-    return masks
+    w = np.ones((len(rows), m, walker_rows.shape[1]))
+    graphs = np.arange(len(rows))
+    for p, row in enumerate(walker_rows):
+        w[graphs, rows[:, p]] *= row
+    return w
 
 
 def _closed_form_batch(
-    masks: np.ndarray,
-    states: np.ndarray,
-    cache: dict,
+    rows: np.ndarray,
+    walker_rows: np.ndarray,
+    m: int,
     describe: Callable[[int], list],
 ) -> np.ndarray:
     """Closed-form probabilities of graphs that all have the same m cliques.
 
-    ``masks[g, c]`` is the walker mask of clique c of graph g (bit i for
-    walker i).  Per chunk of graphs, ``unions[g, s]`` is the walker mask of
-    the cliques in subset s (bit i for clique i) of graph g; cliques are
-    disjoint, so it is one integer product of the clique masks with the
-    subset bits.  Sigma is computed once per distinct mask missing from
-    ``cache`` (walker mask -> sigma; mask 0, the empty subset, reads 1) and
-    the expansion is the recursion ``subset_expansion(m)`` over the (G, 2^m)
-    sigma array.  ``describe(g)`` names graph g if its value is out of range.
+    Per chunk of graphs, the rows' clique weights ``w`` (``_clique_weights``)
+    give every subset s of cliques (bit i for clique i) its sigma,
+    ``sig[g, s] = sum_i prod_(c in s) w[g, c, i]``: the products over all
+    subsets at one state are doubled one clique at a time and added up state
+    by state.  The expansion is the recursion ``subset_expansion(m)`` over
+    the (G, 2^m) sigma array.  ``describe(g)`` names graph g if its value is
+    out of range.
     """
-    n_graphs, m = masks.shape
-    bits = (np.arange(2**m) >> np.arange(m)[:, None] & 1).astype(masks.dtype)
+    n_graphs, n_states = len(rows), walker_rows.shape[1]
     levels = subset_expansion(m)
-    step = max(1, _GATHER_CAP // (8 * 2**m + 3 * max(len(level[1]) for level in levels)))
+    widest = max(len(level[1]) for level in levels)
+    step = max(1, _GATHER_CAP // (m * n_states + 4 * 2**m + 3 * widest))
     probs = np.empty(n_graphs)
     for lo in range(0, n_graphs, step):
-        unions = masks[lo : lo + step] @ bits
-        distinct, inverse = np.unique(unions, return_inverse=True)
-        keys = distinct.tolist()[1:]  # distinct[0] is mask 0
-        new = [u for u in keys if u not in cache]
-        if new:
-            cache.update(zip(new, _sigmas(new, states).tolist()))
-        sig = np.array([1.0] + [cache[u] for u in keys])[inverse].reshape(unions.shape)
+        w = _clique_weights(rows[lo : lo + step], walker_rows, m)
+        # Built subset by graph, so that each product is one row of graphs.
+        products = np.ones((2**m, len(w)))
+        sig = np.zeros_like(products)
+        for i in range(n_states):
+            for c in range(m):
+                np.multiply(products[: 1 << c], w[:, c, i], out=products[1 << c : 2 << c])
+            sig += products
+        sig = sig.T.copy()
         expansion = np.empty_like(sig)
         expansion[:, 0] = 1.0
         for subsets, blocks, rests, weights, offsets in levels:
@@ -238,21 +226,27 @@ def pmf_closed_form(
     """Probability of contact graph ``g`` at time k, by sigma expansion.
 
     Graphs with more cliques than states have probability 0 and are not
-    evaluated.  ``_states`` and ``_sigma_cache`` (walker mask -> sigma) let
-    a caller evaluating many graphs at one time step share propagation work
-    and sigma terms.
+    evaluated.  ``_states`` lets a caller evaluating many graphs at one time
+    step share the propagation.  ``_sigma_cache`` is only written: it
+    collects as keys the walker mask (bit i for walker i) of each non-empty
+    union of g's cliques, which the benchmark's trace counts as sigma
+    evaluations until the library counts them itself.
     """
     _check_graph(g, ensemble)
     if g.n_cliques > ensemble.n_states:
         return 0.0
     states = ensemble.state_matrix(k) if _states is None else _states
-    cache = {} if _sigma_cache is None else _sigma_cache
     index = ensemble.index
-    masks = np.array(
-        [[sum(1 << index[w] for w in cell) for cell in g.cliques.cells]],
-        dtype=_mask_dtype(ensemble.n_walkers),
-    )
-    return float(_closed_form_batch(masks, states, cache, lambda _: g.to_json_obj())[0])
+    row = np.empty((1, ensemble.n_walkers), np.intp)
+    for c, cell in enumerate(g.cliques.cells):
+        row[0, [index[w] for w in cell]] = c
+    if _sigma_cache is not None:
+        unions = [0]
+        for cell in g.cliques.cells:
+            mask = sum(1 << index[w] for w in cell)
+            unions += [u | mask for u in unions]
+        _sigma_cache.update(dict.fromkeys(unions[1:]))
+    return float(_closed_form_batch(row, states, g.n_cliques, lambda _: g.to_json_obj())[0])
 
 
 def pmf_bruteforce(
@@ -444,7 +438,7 @@ def full_distribution(
     sorted labels, and the distribution holds those rows.  ``method``
     ("closed_form" or "bruteforce", which the benchmark harness times
     against each other) selects only how they are evaluated: the closed
-    form in one batch per clique count from their walker masks, the brute
+    form in one batch per clique count from their clique weights, the brute
     force one row at a time, through the ``ContactGraph`` it describes.
     """
     m, n = ensemble.n_walkers, ensemble.n_states
@@ -464,15 +458,14 @@ def full_distribution(
         for row, g in enumerate(row_graphs(rows, ordered)):
             probs[row] = pmf_bruteforce(g, ensemble, k, _states=states)
     else:
-        walkers = [ensemble.index[w] for w in ordered]
+        walker_rows = states[[ensemble.index[w] for w in ordered]]
         top = rows.max(axis=1)  # clique count - 1
-        cache: dict = {}
         # Not np.unique: without indices it imports numpy.ma, about 20 ms.
         for c in np.flatnonzero(np.bincount(top)).tolist():
             at = np.flatnonzero(top == c)
-            masks = _walker_masks(rows[at], walkers, c + 1, _mask_dtype(m))
             probs[at] = _closed_form_batch(
-                masks, states, cache, lambda i: next(row_json_objs(rows[at[i : i + 1]], ordered))
+                rows[at], walker_rows, c + 1,
+                lambda i: next(row_json_objs(rows[at[i : i + 1]], ordered)),
             )
     return GraphDistribution._of_rows(rows, probs, ordered, k, ensemble)
 
@@ -596,6 +589,23 @@ def tally_histogram(
     if total == 0.0:
         raise ValueError(f"empty histogram: {empty}")
     return {value: w / total for value, w in zip(seen.tolist(), sums)}
+
+
+def histogram_to_csv(hist: dict[int, float]) -> str:
+    lines = ["value,probability"]
+    lines += [f"{value},{p!r}" for value, p in sorted(hist.items())]
+    return "\n".join(lines) + "\n"
+
+
+def histogram_from_csv(text: str) -> dict[int, float]:
+    lines = [l for l in text.splitlines() if l.strip()]
+    if not lines or lines[0] != "value,probability":
+        raise ValueError("histogram CSV must start with 'value,probability'")
+    hist = {}
+    for line in lines[1:]:
+        value, p = line.split(",")
+        hist[int(value)] = float(p)
+    return hist
 
 
 def clique_size_histogram(

@@ -47,7 +47,13 @@ import numpy as np
 from .combinatorics import first_appearance_rows
 from .contact_graph import ContactGraph, cell_sizes, graph_rows, json_blocks, row_graphs
 from .markov import WalkerEnsemble
-from .pmf import GraphDistribution, clique_count_histogram, clique_size_histogram
+from .pmf import (
+    GraphDistribution,
+    clique_count_histogram,
+    clique_size_histogram,
+    histogram_from_csv,  # re-exported, with histogram_to_csv: both are read from here too
+    histogram_to_csv,
+)
 
 
 class ContactSequence:
@@ -444,23 +450,6 @@ def sequence_to_jsonl(seq: ContactSequence) -> str:
 def snapshots_from_jsonl(text: str) -> list[tuple[int, ContactGraph]]:
     objs = (json.loads(line) for line in text.splitlines() if line.strip())
     return [(obj["t"], ContactGraph.from_json_obj(obj["graph"])) for obj in objs]
-
-
-def histogram_to_csv(hist: dict[int, float]) -> str:
-    lines = ["value,probability"]
-    lines += [f"{value},{p!r}" for value, p in sorted(hist.items())]
-    return "\n".join(lines) + "\n"
-
-
-def histogram_from_csv(text: str) -> dict[int, float]:
-    lines = [l for l in text.splitlines() if l.strip()]
-    if not lines or lines[0] != "value,probability":
-        raise ValueError("histogram CSV must start with 'value,probability'")
-    hist = {}
-    for line in lines[1:]:
-        value, p = line.split(",")
-        hist[int(value)] = float(p)
-    return hist
 
 
 def histogram_mean(hist: dict[int, float]) -> float:

@@ -77,28 +77,36 @@ def test_pmf_two_uniform_walkers(uniform2, tmp_path, capsys):
 
 
 def test_pmf_imports_only_what_it_runs(tmp_path):
-    # ``python -m rwig.cli pmf`` in a fresh interpreter, which then lists
-    # the rwig modules it loaded.
+    # ``python -m rwig.cli pmf`` and ``steady`` in a fresh interpreter, which
+    # then lists the rwig modules it loaded.
     ens = write_ensemble(tmp_path / "ens.json", uniform_ensemble(3, 2))
-    argv = ["rwig", "pmf", "--ensemble", ens, "--time", "1", "-o", str(tmp_path / "p.json")]
-    script = (
-        "import runpy, sys\n"
-        f"sys.argv = {argv!r}\n"
-        "try:\n"
-        "    runpy.run_module('rwig.cli', run_name='__main__', alter_sys=True)\n"
-        "except SystemExit as exc:\n"
-        "    assert not exc.code, exc.code\n"
-        "print(*sorted(m for m in sys.modules if m.startswith('rwig')))\n"
+    vec = tmp_path / "vec.csv"
+    vec.write_text("0.5 0.5\n")
+    runs = (
+        (["pmf", "--ensemble", ens, "--time", "1", "-o", str(tmp_path / "p.json")],
+         tmp_path / "p.json", 4),
+        (["steady", "--vector", str(vec), "--walkers", "3", "-o", str(tmp_path / "s")],
+         tmp_path / "s_distribution.json", 2),
     )
     src = str(Path(rwig.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
-    done = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
-    )
-    loaded = set(done.stdout.split())
-    assert {"rwig.combinatorics", "rwig.contact_graph", "rwig.markov", "rwig.pmf"} <= loaded
-    assert not loaded & {"rwig.ingest", "rwig.simulate", "rwig.bench"}
-    assert len(json.loads((tmp_path / "p.json").read_text())) == 4
+    for args, output, entries in runs:
+        script = (
+            "import runpy, sys\n"
+            f"sys.argv = {['rwig', *args]!r}\n"
+            "try:\n"
+            "    runpy.run_module('rwig.cli', run_name='__main__', alter_sys=True)\n"
+            "except SystemExit as exc:\n"
+            "    assert not exc.code, exc.code\n"
+            "print(*sorted(m for m in sys.modules if m.startswith('rwig')))\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+        )
+        loaded = set(done.stdout.split())
+        assert {"rwig.combinatorics", "rwig.contact_graph", "rwig.markov", "rwig.pmf"} <= loaded
+        assert not loaded & {"rwig.ingest", "rwig.simulate", "rwig.bench"}
+        assert len(json.loads(output.read_text())) == entries
 
 
 def test_package_resolves_its_names_lazily():

@@ -95,6 +95,10 @@ def test_sigma_rejects_bad_subsets():
         sigma([], ens, 0)
     with pytest.raises(KeyError):
         sigma(["nope"], ens, 0)
+    # A repeated walker would count its row twice.
+    ens = random_ensemble(3, 3, seed=1)
+    with pytest.raises(ValueError, match="walker 'w1' is repeated"):
+        sigma(["w1", "w2", "w1"], ens, 2)
 
 
 # --- closed form vs oracle ------------------------------------------------------
@@ -161,6 +165,10 @@ def test_routes_agree_on_random_ensembles():
                     brute = pmf_bruteforce(g, ens, k, _states=states)
                     assert closed == pytest.approx(brute, abs=1e-10)
                     assert abs(batched.entries[g] - closed) <= 1e-15
+                # The trace counts every non-empty walker set that is a union
+                # of some graph's cliques: all of them, or on one state only
+                # the full set.
+                assert len(cache) == (2**m - 1 if n >= 2 else 1)
 
 
 def test_closed_form_matches_assignment_oracle():
@@ -252,11 +260,22 @@ def test_full_distribution_is_independent_of_the_chunk_cap(monkeypatch):
 
 def test_full_distribution_many_walkers_on_one_state():
     # One graph, evaluated without a table over the 2^M walker subsets; 70
-    # walkers overflow 64-bit walker masks.
+    # walkers are more than a 64-bit word has bits.
     for m in (40, 70):
         ens = uniform_ensemble(m, 1)
         dist = full_distribution(ens, 3)
         assert dist.entries == {ContactGraph.from_cells([ens.labels]): 1.0}
+
+
+def test_closed_form_many_walkers_on_several_states():
+    # Three cliques of 70 walkers on 3 states.  Both values are near 1.6e-32,
+    # so only a relative bound can see an error.
+    ens = random_ensemble(70, 3, seed=70)
+    labels = ens.labels
+    g = ContactGraph.from_cells([labels[:30], labels[30:55], labels[55:]])
+    closed, brute = pmf_closed_form(g, ens, 2), pmf_bruteforce(g, ens, 2)
+    assert 0.0 < brute < 1e-30
+    assert abs(closed - brute) <= 1e-12 * brute
 
 
 def test_closed_form_many_singleton_cliques():
