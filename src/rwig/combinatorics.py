@@ -285,6 +285,31 @@ def subset_expansion(m: int) -> tuple[tuple[np.ndarray, ...], ...]:
     return tuple(levels)
 
 
+@lru_cache(maxsize=None)
+def subset_levels(m: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Every subset S of m cliques with each way to take one clique c out.
+
+    Level l (1 to m, at index l - 1) lists the subsets of size l in
+    ascending bitmask order (bit i for clique i), and for the j-th lowest
+    clique c of each S, term j * C(m, l) + (S's index) holds c and the index
+    of S - c in level l - 1.  Returns read-only intp arrays (cliques, rests).
+    """
+    masks = np.arange(1 << m)
+    popcounts = np.bitwise_count(masks)
+    index = np.empty_like(masks)
+    levels = []
+    for size in range(m + 1):
+        subsets = masks[popcounts == size]
+        index[subsets] = np.arange(len(subsets))
+        if size:
+            which, cliques = np.nonzero(subsets[:, None] >> np.arange(m) & 1)
+            which, cliques = (a.reshape(-1, size).T.ravel() for a in (which, cliques))
+            levels.append((cliques, index[subsets[which] ^ 1 << cliques]))
+            for a in levels[-1]:
+                a.setflags(write=False)
+    return tuple(levels)
+
+
 def multiplicity(q: IntegerPartition) -> int:
     """Number of labelled clique partitions sharing the clique-size multiset q.
 

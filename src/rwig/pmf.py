@@ -1,30 +1,39 @@
 """Exact contact-graph probabilities.
 
-Two independent evaluation routes are kept side by side:
+Three routes evaluate a labelled graph:
 
-* a closed form that expands a graph's probability into a signed sum of
-  co-location (sigma) products over all partitions of its cliques, and
+* a dynamic program over states, the default: a graph's probability is
+  the sum, over every way to put its cliques on distinct states, of the
+  product of their clique weights w[c, i], the probability that every
+  walker of clique c sits in state i (a rectangular permanent), built up
+  state by state over subsets of cliques from non-negative terms only;
+* the paper's closed form, which expands the probability into a signed sum
+  of co-location (sigma) products over all partitions of its cliques; and
 * a combinatorial brute force that sums over every ordered assignment of
   cliques to distinct states.
 
 The brute force is the oracle; it is slower by design and must never be
-"optimized" into the closed form.  ``full_distribution`` enumerates graphs
+"optimized" into a fast route.  ``full_distribution`` enumerates graphs
 once, as blocks of restricted growth strings
-(``combinatorics.restricted_growth_strings``), for either route.  The brute
-force evaluates each row through the ``ContactGraph`` it describes.  The
-closed form never builds a graph object: it evaluates batches of graphs
-with the same clique count m from their rows.  Each graph's clique weights
-w[c, i], the probability that every walker of clique c sits in state i,
-give the sigma of every subset of its cliques as sum_i prod_c w[c, i], the
-products doubled one clique at a time, and the sum over partitions is
-evaluated as a recursion over subsets of cliques
-(``combinatorics.subset_expansion(m)``), about 3^(m-1)/2 terms per graph
-instead of one per partition.  Every ``GraphDistribution``, labelled or
-unlabelled, computed, sampled or built from a dict, keeps such rows for its
-whole life: it groups each row's labels by cell once, sorts on that grouping
-and writes from it through ``contact_graph.json_blocks``, its clique
-histograms count the rows' clique sizes, and two distributions over the same
-rows are compared as aligned probability arrays.
+(``combinatorics.restricted_growth_strings``), for every route.  The brute
+force evaluates each row through the ``ContactGraph`` it describes.  The DP
+and the closed form never build a graph object: they evaluate batches of
+graphs with the same clique count m from their rows, reading each graph's
+w from tables of the walkers' products over subsets of walkers.  The DP
+costs at most N m 2^(m-1) multiply-adds per graph, and nothing cancels: on
+the benchmark's seed-201 inputs its worst relative error against the brute
+force is 6.8e-16.  The closed form gives the sigma of every subset of
+cliques as sum_i prod_c w[c, i], the products doubled one clique at a time,
+and evaluates the sum over partitions as a recursion over subsets of
+cliques (``combinatorics.subset_expansion(m)``), about 3^(m-1)/2 terms per
+graph instead of one per partition.  Its accuracy is absolute only, about
+1e-15: its signed terms are far larger than small probabilities, which it
+can return as 0.  Every ``GraphDistribution``, labelled or unlabelled,
+computed, sampled or built from a dict, keeps such rows for its whole life:
+it groups each row's labels by cell once, sorts on that grouping and writes
+from it through ``contact_graph.json_blocks``, its clique histograms count
+the rows' clique sizes, and two distributions over the same rows are
+compared as aligned probability arrays.
 
 In the steady state a graph's probability depends only on its clique sizes
 and is a sum of non-negative occupancy terms (the monomial symmetric
@@ -54,6 +63,7 @@ from .combinatorics import (
     restricted_growth_strings,
     set_partitions,
     subset_expansion,
+    subset_levels,
 )
 from .contact_graph import (
     ContactGraph, UnlabelledContactGraph, amass, any_labelling, cell_sizes, graph_rows,
@@ -63,13 +73,20 @@ from .markov import StateVector, WalkerEnsemble
 
 NEGATIVE_DUST = 1e-10
 
-# Most elements one chunk of a batched expansion holds in its working arrays
-# (8 MB of floats), so working memory stays fixed however many graphs share a
-# clique count.  A chunk holds at least one graph, which needs its m x N
-# clique weights, four 2^m-wide arrays (the products at one state, sigma and
-# its graph-major copy, the recursion's values) and three as wide as the
+# Most elements one chunk of a batch holds in its working arrays (1 MB of
+# floats), so working memory stays fixed however many graphs share a clique
+# count, and a chunk's arrays stay in cache: on the benchmark's pmf inputs
+# the DP ran fastest at this cap, about 1.6 times as fast as at 2^20.  A
+# chunk holds at least one graph.  In the DP a graph needs its N x m clique
+# weights, its 2^m subset values (one level per subset size) and two terms
+# per pair (subset, clique in it) of the widest level; in the closed form
+# its clique weights, four 2^m-wide arrays (the products at one state, sigma
+# and its graph-major copy, the recursion's values) and three as wide as the
 # widest recursion level.
-_GATHER_CAP = 1 << 20
+_GATHER_CAP = 1 << 17
+
+# Most walkers one product table of ``_walker_tables`` covers (2^16 rows).
+_TABLE_WALKERS = 16
 
 # The graph of an entry as ``json.dumps(..., indent=2)`` lays out a list of
 # entries: the layout of ``json_blocks``.
@@ -153,24 +170,53 @@ def _check_graph(g: ContactGraph, ensemble: WalkerEnsemble) -> None:
         raise ValueError("graph does not partition the ensemble's walker set")
 
 
-def _clique_weights(rows: np.ndarray, walker_rows: np.ndarray, m: int) -> np.ndarray:
-    """(G, m, N) clique weights of restricted growth strings with m blocks.
+def _walker_tables(walker_rows: np.ndarray) -> list[tuple[int, np.ndarray]]:
+    """The (M, N) walker rows as products over walker subsets, block by block.
 
-    Position p of a row is the walker whose k-step distribution is
-    ``walker_rows[p]``; ``w[g, c, i]`` is the product of those rows at state
-    i over the positions p with ``rows[g, p] == c``, the probability that
-    every walker of clique c of graph g sits in state i.
+    The walkers are split, as evenly as they come, into blocks of at most
+    ``_TABLE_WALKERS`` consecutive walkers.  A block from walker ``lo`` on
+    gives ``(lo, table)``, where ``table[s]`` is the product, in increasing
+    walker order, of the rows of its walkers in s (bit j for walker lo + j),
+    doubled one walker at a time: one block multiplies in the order of a
+    loop over the walkers, bit for bit.
     """
-    w = np.ones((len(rows), m, walker_rows.shape[1]))
-    graphs = np.arange(len(rows))
-    for p, row in enumerate(walker_rows):
-        w[graphs, rows[:, p]] *= row
-    return w
+    n_walkers, n_states = walker_rows.shape
+    size = -(-n_walkers // -(-n_walkers // _TABLE_WALKERS))
+    tables = []
+    for lo in range(0, n_walkers, size):
+        block = walker_rows[lo : lo + size]
+        table = np.ones((1 << len(block), n_states))
+        for j, row in enumerate(block):
+            np.multiply(table[: 1 << j], row, out=table[1 << j : 2 << j])
+        tables.append((lo, table))
+    return tables
+
+
+def _clique_weights(rows: np.ndarray, tables: list, m: int) -> np.ndarray:
+    """(N, m, G) clique weights of restricted growth strings with m blocks.
+
+    Position p of a row is walker p of ``_walker_tables``; ``w[i, c, g]`` is
+    the product at state i of the rows of the walkers p with
+    ``rows[g, p] == c``, the probability that every walker of clique c of
+    graph g sits in state i.  Per table, one ``np.bincount`` gives every
+    clique its block's walkers as a bitmask and one gather reads the
+    products; the blocks' products are multiplied in walker order.
+    """
+    n_graphs = len(rows)
+    cells = rows.T.astype(np.intp) * n_graphs + np.arange(n_graphs)
+    w = None
+    for lo, table in tables:
+        b = table.shape[0].bit_length() - 1
+        bits = np.repeat(np.ldexp(1.0, np.arange(b)), n_graphs)
+        masks = np.bincount(cells[lo : lo + b].ravel(), bits, m * n_graphs).astype(np.intp)
+        block = table.T.take(masks, axis=1)
+        w = block if w is None else np.multiply(w, block, out=w)
+    return w.reshape(-1, m, n_graphs)
 
 
 def _closed_form_batch(
     rows: np.ndarray,
-    walker_rows: np.ndarray,
+    tables: list,
     m: int,
     describe: Callable[[int], list],
 ) -> np.ndarray:
@@ -178,25 +224,25 @@ def _closed_form_batch(
 
     Per chunk of graphs, the rows' clique weights ``w`` (``_clique_weights``)
     give every subset s of cliques (bit i for clique i) its sigma,
-    ``sig[g, s] = sum_i prod_(c in s) w[g, c, i]``: the products over all
+    ``sig[g, s] = sum_i prod_(c in s) w[i, c, g]``: the products over all
     subsets at one state are doubled one clique at a time and added up state
     by state.  The expansion is the recursion ``subset_expansion(m)`` over
     the (G, 2^m) sigma array.  ``describe(g)`` names graph g if its value is
     out of range.
     """
-    n_graphs, n_states = len(rows), walker_rows.shape[1]
+    n_graphs, n_states = len(rows), tables[0][1].shape[1]
     levels = subset_expansion(m)
     widest = max(len(level[1]) for level in levels)
     step = max(1, _GATHER_CAP // (m * n_states + 4 * 2**m + 3 * widest))
     probs = np.empty(n_graphs)
     for lo in range(0, n_graphs, step):
-        w = _clique_weights(rows[lo : lo + step], walker_rows, m)
+        w = _clique_weights(rows[lo : lo + step], tables, m)
         # Built subset by graph, so that each product is one row of graphs.
-        products = np.ones((2**m, len(w)))
+        products = np.ones((2**m, w.shape[2]))
         sig = np.zeros_like(products)
         for i in range(n_states):
             for c in range(m):
-                np.multiply(products[: 1 << c], w[:, c, i], out=products[1 << c : 2 << c])
+                np.multiply(products[: 1 << c], w[i, c], out=products[1 << c : 2 << c])
             sig += products
         sig = sig.T.copy()
         expansion = np.empty_like(sig)
@@ -213,6 +259,44 @@ def _closed_form_batch(
         i = bad[0]
         _clamp(float(probs[i]), lambda: f"closed-form probability of {describe(i)}")
     return np.clip(probs, 0.0, 1.0, out=probs)
+
+
+def _dp_batch(rows: np.ndarray, tables: list, m: int) -> np.ndarray:
+    """Probabilities of graphs that all have the same m cliques, by a DP
+    over states.
+
+    P(g) sums, over every way to put g's cliques on distinct states, the
+    product of their clique weights there: a rectangular permanent of w
+    (Ryser, *Combinatorial Mathematics*, 1963).  ``f[S]``, for a subset S
+    of cliques, sums the products that put exactly the cliques of S on the
+    states seen so far, so state i, taking at most one clique, adds
+    ``sum_(c in S) w[i, c] f[S - c]`` to each ``f[S]``, and P(g) is f of
+    all m cliques after the last state.  Every term is non-negative, so
+    nothing cancels and each probability carries a small relative error.
+    f is held per subset size (``subset_levels``), the sizes updated
+    largest first so that each reads the smaller size of the state before;
+    a state updates only the sizes that the states so far can fill and the
+    states left can still complete to m.
+    """
+    n_graphs, n_states = len(rows), tables[0][1].shape[1]
+    levels = subset_levels(m)
+    widest = max(len(cliques) for cliques, _ in levels)
+    step = max(1, _GATHER_CAP // (m * n_states + 2**m + 2 * widest))
+    probs = np.empty(n_graphs)
+    for lo in range(0, n_graphs, step):
+        w = _clique_weights(rows[lo : lo + step], tables, m)
+        width = w.shape[2]
+        f = [np.ones((1, width))]
+        f += [np.zeros((len(rests) // size, width)) for size, (_, rests) in enumerate(levels, 1)]
+        for i in range(n_states):
+            for size in range(min(i + 1, m), max(0, m - n_states + i), -1):
+                cliques, rests = levels[size - 1]
+                terms = w[i].take(cliques, axis=0)
+                terms *= f[size - 1].take(rests, axis=0)
+                for part in terms.reshape(size, -1, width):
+                    f[size] += part
+        probs[lo : lo + step] = f[m][0]
+    return probs
 
 
 def pmf_closed_form(
@@ -246,7 +330,8 @@ def pmf_closed_form(
             mask = sum(1 << index[w] for w in cell)
             unions += [u | mask for u in unions]
         _sigma_cache.update(dict.fromkeys(unions[1:]))
-    return float(_closed_form_batch(row, states, g.n_cliques, lambda _: g.to_json_obj())[0])
+    tables = _walker_tables(states)
+    return float(_closed_form_batch(row, tables, g.n_cliques, lambda _: g.to_json_obj())[0])
 
 
 def pmf_bruteforce(
@@ -363,16 +448,25 @@ class GraphDistribution:
 
     def _row_order(self) -> np.ndarray:
         """Row indices by descending probability, ties in canonical graph
-        order: one ``np.lexsort`` on (-p, clique count, cells key).  The
-        cells key lists each cell's positions in the sorted labels, each
-        position + 1 and each cell followed by a terminator 0, so a cell that
-        is a prefix of another sorts first, as in ``ContactGraph.sort_key``.
-        Unlabelled rows leave the clique count out: their cells key orders
-        them as their clique sizes, largest first, compare.  The count and
-        the key, each column at most the width, are packed into as few int64
-        words as hold them, most significant column first.
+        order: one stable ``np.argsort`` on -p, then one ``np.lexsort`` of
+        the rows inside runs of equal probability (0.0 equals -0.0) on (run,
+        clique count, cells key).  The cells key lists each cell's positions
+        in the sorted labels, each position + 1 and each cell followed by a
+        terminator 0, so a cell that is a prefix of another sorts first, as
+        in ``ContactGraph.sort_key``.  Unlabelled rows leave the clique count
+        out: their cells key orders them as their clique sizes, largest
+        first, compare.  The count and the key, each column at most the
+        width, are packed into as few int64 words as hold them, most
+        significant column first.
         """
-        rows, positions = self._rows, self._groups
+        order = np.argsort(-self._probs, kind="stable")
+        probs = self._probs[order]
+        tied = probs[1:] == probs[:-1]
+        runs = np.r_[False, tied] | np.r_[tied, False]
+        if not runs.any():
+            return order
+        tied_rows = order[runs]
+        rows, positions = self._rows[tied_rows], self._groups[tied_rows]
         n_graphs, width = rows.shape
         counts = rows.max(axis=1, initial=0) + 1
         lead = int(self._labels is not None)
@@ -392,23 +486,23 @@ class GraphDistribution:
                 word <<= bits
                 word |= column
             words.append(word)
-        return np.lexsort((*words[::-1], -self._probs))
+        run = np.cumsum(np.r_[True, ~tied])[runs]
+        order[runs] = tied_rows[np.lexsort((*words[::-1], run))]
+        return order
 
     def write_json(self, fh: IO[str]) -> None:
         """Write ``json.dumps(self.to_json_obj(), indent=2)`` and a newline.
 
         Unlabelled and empty distributions are written by the json module.
         Labelled rows are written in ``_row_order`` by ``json_blocks``, in
-        the ``_INDENTED`` layout, on the shared ``_groups``: per entry its
-        head, its graph, and each probability by ``float.__repr__``, as the
-        json module writes it.
+        the ``_INDENTED`` layout, on the shared ``_groups``: per entry the
+        comma before it (an opening bracket for the first), its graph, and
+        its probability by ``float.__repr__``, as the json module writes it.
         """
         if self._labels is None or not len(self._rows):
             fh.write(json.dumps(self.to_json_obj(), indent=2) + "\n")
             return
         order = self._row_order()
-        heads = np.full(len(order), ',\n  {\n    "graph": ', object)
-        heads[0] = '[\n  {\n    "graph": '
         # Equal probabilities are adjacent in this order, so each run of them
         # is formatted once.  Runs compare bits: 0.0 and -0.0 print apart.
         probs = self._probs[order]
@@ -417,8 +511,11 @@ class GraphDistribution:
         texts = np.array(list(map(repr, probs[runs].tolist())), object)
         tail = (',\n    "p": ', texts.repeat(np.diff(runs, append=len(probs))), "\n  }")
         blocks = json_blocks(
-            self._rows[order], self._labels, (heads,), tail, _INDENTED, self._groups[order]
+            self._rows[order], self._labels, (',\n  {\n    "graph": ',), tail, _INDENTED,
+            self._groups[order],
         )
+        # Every entry opens with the comma between entries but the first.
+        fh.write("[" + next(blocks)[1:])
         fh.writelines(blocks)
         fh.write("\n]\n")
 
@@ -428,7 +525,7 @@ def full_distribution(
     k: int,
     *,
     budget: int = 10**6,
-    method: str = "closed_form",
+    method: str = "dp",
 ) -> GraphDistribution:
     """Exact distribution over every admissible contact graph at time k.
 
@@ -436,10 +533,10 @@ def full_distribution(
     few states the unlabelled steady-state route is the tractable one.
     The graphs are enumerated once as restricted growth strings over the
     sorted labels, and the distribution holds those rows.  ``method``
-    ("closed_form" or "bruteforce", which the benchmark harness times
-    against each other) selects only how they are evaluated: the closed
-    form in one batch per clique count from their clique weights, the brute
-    force one row at a time, through the ``ContactGraph`` it describes.
+    selects only how they are evaluated: "dp", the default, and
+    "closed_form" (which ``rwig bench`` times against "bruteforce") in one
+    batch per clique count from one set of walker tables, the brute force
+    one row at a time, through the ``ContactGraph`` it describes.
     """
     m, n = ensemble.n_walkers, ensemble.n_states
     size = contact_graph_count(m, n)
@@ -448,7 +545,7 @@ def full_distribution(
             f"state space has {size} graphs, over the budget of {budget}; "
             "consider the unlabelled steady-state distribution instead"
         )
-    if method not in ("closed_form", "bruteforce"):
+    if method not in ("dp", "closed_form", "bruteforce"):
         raise ValueError(f"unknown method {method!r}")
     states = ensemble.state_matrix(k)
     ordered = tuple(sorted(ensemble.labels))
@@ -458,15 +555,18 @@ def full_distribution(
         for row, g in enumerate(row_graphs(rows, ordered)):
             probs[row] = pmf_bruteforce(g, ensemble, k, _states=states)
     else:
-        walker_rows = states[[ensemble.index[w] for w in ordered]]
+        tables = _walker_tables(states[[ensemble.index[w] for w in ordered]])
         top = rows.max(axis=1)  # clique count - 1
         # Not np.unique: without indices it imports numpy.ma, about 20 ms.
         for c in np.flatnonzero(np.bincount(top)).tolist():
             at = np.flatnonzero(top == c)
-            probs[at] = _closed_form_batch(
-                rows[at], walker_rows, c + 1,
-                lambda i: next(row_json_objs(rows[at[i : i + 1]], ordered)),
-            )
+            if method == "dp":
+                probs[at] = _dp_batch(rows[at], tables, c + 1)
+            else:
+                probs[at] = _closed_form_batch(
+                    rows[at], tables, c + 1,
+                    lambda i: next(row_json_objs(rows[at[i : i + 1]], ordered)),
+                )
     return GraphDistribution._of_rows(rows, probs, ordered, k, ensemble)
 
 

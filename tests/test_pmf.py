@@ -8,7 +8,7 @@ import pytest
 
 import rwig.contact_graph as contact_graph_module
 import rwig.pmf as pmf_module
-from rwig.combinatorics import integer_partitions
+from rwig.combinatorics import integer_partitions, restricted_growth_strings
 from rwig.contact_graph import (
     ContactGraph,
     UnlabelledContactGraph,
@@ -310,13 +310,96 @@ def test_batched_range_check_names_the_first_offending_graph(monkeypatch):
     for factor, where in ((3, "well above one"), (-1, "well below zero")):
         monkeypatch.setattr(pmf_module, "subset_expansion", scaled(factor))
         with pytest.raises(ProbabilityError) as err:
-            full_distribution(ens, 0)
+            full_distribution(ens, 0, method="closed_form")
         message = str(err.value)
         assert "closed-form probability of [['w1', 'w3'], ['w2']]" in message
         assert where in message
     # Dust below zero is clamped, not raised.
     monkeypatch.setattr(pmf_module, "subset_expansion", scaled(-1e-12))
-    assert set(full_distribution(ens, 0).entries.values()) == {0.0}
+    assert set(full_distribution(ens, 0, method="closed_form").entries.values()) == {0.0}
+
+
+def concentrated_ensemble(m_walkers, n_states, off_mass, seed):
+    """Walkers that sit on state 0: ``off_mass`` of s0 and of each policy row
+    is spread (flat Dirichlet) over the other states."""
+    rng = np.random.default_rng(seed)
+    walkers = []
+    for i in range(m_walkers):
+        s0 = np.empty(n_states)
+        s0[0] = 1.0 - off_mass
+        s0[1:] = off_mass * rng.dirichlet(np.ones(n_states - 1))
+        rows = np.empty((n_states, n_states))
+        rows[:, 0] = 1.0 - off_mass
+        rows[:, 1:] = off_mass * rng.dirichlet(np.ones(n_states - 1), size=n_states)
+        walkers.append((f"w{i + 1}", StateVector(s0), TransitionMatrix(rows)))
+    return WalkerEnsemble(walkers)
+
+
+@pytest.mark.parametrize("m, n", [(8, 8), (10, 4)])
+def test_dp_is_relatively_accurate_on_concentrated_walkers(m, n):
+    # Most graphs here sit far below 1e-8, where the closed form's signed
+    # terms cancel; the DP must keep 12 digits on every one of them.
+    ens = concentrated_ensemble(m, n, 1e-3, seed=201)
+    dist = full_distribution(ens, 2)
+    sample = np.random.default_rng(1).choice(len(dist._rows), 200, replace=False)
+    small = sample[dist._probs[sample] < 1e-8]
+    assert len(small) >= 20
+    states = ens.state_matrix(2)
+    for row, g in zip(small.tolist(), row_graphs(dist._rows[small], dist._labels)):
+        brute = pmf_bruteforce(g, ens, 2, _states=states)
+        assert abs(dist._probs[row] - brute) <= 1e-12 * brute
+    # Every graph is possible, and every one is written as a positive number.
+    buf = io.StringIO()
+    dist.write_json(buf)
+    written = [e["p"] for e in json.loads(buf.getvalue())]
+    assert len(written) == len(dist._rows) and min(written) > 0.0
+    assert sorted(written) == sorted(dist._probs.tolist())
+    assert abs(math.fsum(written) - 1.0) <= 1e-12
+
+
+def looped_clique_weights(rows, walker_rows, m):
+    """(N, m, G) clique weights by one product per walker, in walker order."""
+    w = np.ones((walker_rows.shape[1], m, len(rows)))
+    graphs = np.arange(len(rows))
+    for p, row in enumerate(walker_rows):
+        w[:, rows[:, p], graphs] *= row[:, None]
+    return w
+
+
+def test_clique_weights_match_a_loop_over_walkers(monkeypatch):
+    ens = random_ensemble(9, 4, seed=11)
+    walker_rows = ens.state_matrix(2)
+    rows = np.concatenate(list(restricted_growth_strings(9, 4)))
+    top = rows.max(axis=1)
+    # One table multiplies in the loop's order, bit for bit.
+    tables = pmf_module._walker_tables(walker_rows)
+    assert len(tables) == 1
+    for c in range(4):
+        at = top == c
+        looped = looped_clique_weights(rows[at], walker_rows, c + 1)
+        assert np.array_equal(pmf_module._clique_weights(rows[at], tables, c + 1), looped)
+    # Several tables group the factors differently: each side is within
+    # (M - 1) / 2 eps relative of the exact product.
+    monkeypatch.setattr(pmf_module, "_TABLE_WALKERS", 4)
+    tables = pmf_module._walker_tables(walker_rows)
+    assert [lo for lo, _ in tables] == [0, 3, 6]
+    for c in range(4):
+        at = top == c
+        looped = looped_clique_weights(rows[at], walker_rows, c + 1)
+        blocked = pmf_module._clique_weights(rows[at], tables, c + 1)
+        assert np.all(np.abs(blocked - looped) <= (9 - 1) * np.finfo(float).eps * looped)
+    monkeypatch.undo()
+    # One graph on one state, past 64 walkers.
+    rng = np.random.default_rng(5)
+    for m_walkers in (70, 300):
+        walker_rows = rng.uniform(0.99, 1.0, (m_walkers, 1))
+        row = np.zeros((1, m_walkers), np.uint8)
+        tables = pmf_module._walker_tables(walker_rows)
+        assert len(tables) == -(-m_walkers // 16)
+        looped = looped_clique_weights(row, walker_rows, 1)
+        blocked = pmf_module._clique_weights(row, tables, 1)
+        assert 0.99**m_walkers < looped[0, 0, 0] < 1.0
+        assert abs(blocked - looped) <= (m_walkers - 1) * np.finfo(float).eps * looped
 
 
 def test_write_json_matches_json_dumps():
@@ -454,6 +537,28 @@ def test_row_order_breaks_ties_on_keys_of_several_words():
     dist.write_json(buf)
     expected = [{"graph": g.to_json_obj(), "p": p} for g, p in ranked]
     assert buf.getvalue() == json.dumps(expected, indent=2) + "\n"
+
+
+def test_row_order_sorts_only_tied_runs_by_graph():
+    # Runs of equal probabilities among distinct ones: a uniform ensemble,
+    # sampled counts, and 0.0 beside -0.0, which tie but print apart.  The
+    # graphs come in reverse, so that their rows' order is not the key's.
+    graphs = list(enumerate_graphs(4, 3))[::-1]
+    values = [0.25, 0.0, -0.0, 1e-300, 0.125, -0.0, 0.25, 0.5, 0.0]
+    signed = GraphDistribution({g: values[i % len(values)] for i, g in enumerate(graphs)})
+    sampled = empirical_distribution(random_ensemble(6, 3, seed=5), 1, 300, seed=3)
+    for dist in (full_distribution(uniform_ensemble(5, 3), 1), sampled, signed):
+        items = list(dist.entries.items())
+        reference = sorted(range(len(items)), key=lambda i: (-items[i][1], items[i][0].sort_key()))
+        probs = dist._probs.tolist()
+        assert any(probs.count(p) > 1 for p in probs)
+        assert dist._row_order().tolist() == reference
+        buf = io.StringIO()
+        dist.write_json(buf)
+        expected = [{"graph": items[i][0].to_json_obj(), "p": items[i][1]} for i in reference]
+        assert buf.getvalue() == json.dumps(expected, indent=2) + "\n"
+    assert '"p": -0.0' in json.dumps(signed.to_json_obj())
+    assert min(len(set(d._probs.tolist())) for d in (sampled, signed)) >= 5
 
 
 def test_full_distribution_writes_without_building_graphs(built_graphs, monkeypatch):
