@@ -561,6 +561,16 @@ def test_row_order_sorts_only_tied_runs_by_graph():
     assert min(len(set(d._probs.tolist())) for d in (sampled, signed)) >= 5
 
 
+def test_groups_are_the_rows_stable_argsort():
+    # Keys of 8, 16 and 32 bits: 6, 20 and 300 walkers.
+    for dist in (
+        full_distribution(random_ensemble(6, 4, seed=2), 2),
+        empirical_distribution(random_ensemble(20, 3, seed=2), 1, 200, seed=4),
+        empirical_distribution(random_ensemble(300, 5, seed=1), 3, 50, seed=7),
+    ):
+        assert np.array_equal(dist._groups, np.argsort(dist._rows, axis=1, kind="stable"))
+
+
 def test_full_distribution_writes_without_building_graphs(built_graphs, monkeypatch):
     ens = random_ensemble(5, 4, seed=4)
     expected = io.StringIO()
