@@ -3,10 +3,11 @@
 Exit codes: 0 success, 1 input or validation failure, 2 internal
 consistency violation (e.g. ``rwig pmf --oracle`` finding the default DP
 over states, accurate to about 1e-15 relative, more than 1e-9 from the
-brute force), so consistency checks are scriptable in CI.  All randomness flows from a
-single --seed flag; its absence means seed 0, never entropy.  Each
-subcommand imports the modules it runs: ``rwig pmf`` and ``rwig steady``
-load only ``combinatorics``, ``contact_graph``, ``markov`` and ``pmf``.
+brute force), so consistency checks are scriptable in CI.  All randomness
+flows from a single --seed flag; its absence means seed 0, never entropy.
+Each subcommand imports the modules it runs: ``rwig pmf`` and ``rwig
+steady`` load only ``combinatorics``, ``contact_graph``, ``markov`` and
+``pmf``.
 """
 
 from __future__ import annotations

@@ -175,19 +175,20 @@ def _walker_tables(walker_rows: np.ndarray) -> list[tuple[int, np.ndarray]]:
 
     The walkers are split, as evenly as they come, into blocks of at most
     ``_TABLE_WALKERS`` consecutive walkers.  A block from walker ``lo`` on
-    gives ``(lo, table)``, where ``table[s]`` is the product, in increasing
+    gives ``(lo, table)``, where ``table[:, s]`` is the product, in increasing
     walker order, of the rows of its walkers in s (bit j for walker lo + j),
     doubled one walker at a time: one block multiplies in the order of a
-    loop over the walkers, bit for bit.
+    loop over the walkers, bit for bit.  Each table is held state-major,
+    (N, 2^b), so that ``_clique_weights`` gathers from it without a copy.
     """
     n_walkers, n_states = walker_rows.shape
     size = -(-n_walkers // -(-n_walkers // _TABLE_WALKERS))
     tables = []
     for lo in range(0, n_walkers, size):
         block = walker_rows[lo : lo + size]
-        table = np.ones((1 << len(block), n_states))
+        table = np.ones((n_states, 1 << len(block)))
         for j, row in enumerate(block):
-            np.multiply(table[: 1 << j], row, out=table[1 << j : 2 << j])
+            np.multiply(table[:, : 1 << j], row[:, None], out=table[:, 1 << j : 2 << j])
         tables.append((lo, table))
     return tables
 
@@ -206,10 +207,10 @@ def _clique_weights(rows: np.ndarray, tables: list, m: int) -> np.ndarray:
     cells = rows.T.astype(np.intp) * n_graphs + np.arange(n_graphs)
     w = None
     for lo, table in tables:
-        b = table.shape[0].bit_length() - 1
+        b = table.shape[1].bit_length() - 1
         bits = np.repeat(np.ldexp(1.0, np.arange(b)), n_graphs)
         masks = np.bincount(cells[lo : lo + b].ravel(), bits, m * n_graphs).astype(np.intp)
-        block = table.T.take(masks, axis=1)
+        block = table.take(masks, axis=1)
         w = block if w is None else np.multiply(w, block, out=w)
     return w.reshape(-1, m, n_graphs)
 
@@ -230,7 +231,7 @@ def _closed_form_batch(
     the (G, 2^m) sigma array.  ``describe(g)`` names graph g if its value is
     out of range.
     """
-    n_graphs, n_states = len(rows), tables[0][1].shape[1]
+    n_graphs, n_states = len(rows), tables[0][1].shape[0]
     levels = subset_expansion(m)
     widest = max(len(level[1]) for level in levels)
     step = max(1, _GATHER_CAP // (m * n_states + 4 * 2**m + 3 * widest))
@@ -278,7 +279,7 @@ def _dp_batch(rows: np.ndarray, tables: list, m: int) -> np.ndarray:
     a state updates only the sizes that the states so far can fill and the
     states left can still complete to m.
     """
-    n_graphs, n_states = len(rows), tables[0][1].shape[1]
+    n_graphs, n_states = len(rows), tables[0][1].shape[0]
     levels = subset_levels(m)
     widest = max(len(cliques) for cliques, _ in levels)
     step = max(1, _GATHER_CAP // (m * n_states + 2**m + 2 * widest))
