@@ -119,30 +119,29 @@ def restricted_growth_strings(n: int, max_blocks: int) -> Iterator[np.ndarray]:
     is the set partition putting element i in cell a[i] (Knuth, TAOCP 4A,
     section 7.2.1.5).  Rows grow one column at a time with ``np.repeat``; a
     block whose next column would pass ``_RGS_ROWS`` rows is split first,
-    so no block holds more.
+    so no block holds more.  The blocks wait on an explicit stack, the
+    earlier half on top, so no n is too long for Python's recursion limit.
     """
     if n < 1 or max_blocks < 1:
         raise ValueError("n and max_blocks must be positive")
     dtype = np.min_scalar_type(max_blocks)
-
-    def grow(block: np.ndarray, opened: np.ndarray) -> Iterator[np.ndarray]:
+    stack = [(np.zeros((1, 1), dtype=dtype), np.ones(1, dtype=np.intp))]
+    while stack:
+        block, opened = stack.pop()
         if block.shape[1] == n:
             yield block
-            return
+            continue
         # Each row may join any opened cell or, below the bound, open the next.
         width = np.minimum(opened + 1, max_blocks)
         ends = np.cumsum(width)
         if ends[-1] > _RGS_ROWS and len(block) > 1:
             half = len(block) // 2
-            yield from grow(block[:half], opened[:half])
-            yield from grow(block[half:], opened[half:])
-            return
+            stack += [(block[half:], opened[half:]), (block[:half], opened[:half])]
+            continue
         column = np.arange(ends[-1]) - np.repeat(ends - width, width)
         opened = np.maximum(np.repeat(opened, width), column + 1)
         grown = np.column_stack([np.repeat(block, width, axis=0), column.astype(dtype)])
-        yield from grow(grown, opened)
-
-    yield from grow(np.zeros((1, 1), dtype=dtype), np.ones(1, dtype=np.intp))
+        stack.append((grown, opened))
 
 
 def labelling_partition(row: Sequence, ordered: Sequence[Hashable]) -> SetPartition:

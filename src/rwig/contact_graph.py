@@ -150,6 +150,19 @@ def cell_sizes(rows: np.ndarray) -> np.ndarray:
     return sizes.reshape(n_rows, width + 1)[:, 1:]
 
 
+def cell_order(rows: np.ndarray) -> np.ndarray:
+    """Each row's positions grouped by cell, absent (-1) positions first and
+    positions ascending within a cell: the rows' stable argsort, by one plain
+    sort of their distinct keys (cell + 1) x width + position, mod width."""
+    width = rows.shape[1]
+    keys = rows.astype(np.min_scalar_type(-width * (width + 1)))
+    keys += 1
+    keys *= width
+    keys += np.arange(width, dtype=keys.dtype)
+    keys.sort(axis=1)
+    return keys % max(width, 1)
+
+
 # Most rows ``json_blocks`` formats into one block of text.
 _JSON_ROWS = 4096
 
@@ -160,7 +173,6 @@ def json_blocks(
     head: Sequence = (),
     tail: Sequence = (),
     layout=("[", "],[", ",", "]]"),
-    groups: np.ndarray | None = None,
 ) -> Iterator[str]:
     """Yield the text of the rows, ``_JSON_ROWS`` rows to a block.  Each row
     is its ``head`` columns, the JSON text of ``g.to_json_obj()`` for its
@@ -177,10 +189,9 @@ def json_blocks(
     first cell, ``layout[1]`` when it opens a later one and ``layout[2]``
     inside a cell, or nothing when it is absent.
 
-    Labels come in cell order through ``groups``, the rows' stable argsort,
-    which a caller that has it passes; otherwise each block sorts its rows
-    (in their own dtype).  A block is one flat object array of (rows x
-    columns) pieces and one ``"".join``: no text is made per row.
+    Each block puts its rows' labels in cell order by one ``cell_order``.
+    A block is one flat object array of (rows x columns) pieces and one
+    ``"".join``: no text is made per row.
     """
     n_rows, width = rows.shape
     if "\n" not in layout[2]:
@@ -202,10 +213,7 @@ def json_blocks(
     starts = np.arange(len(parts))[:, None] * width
     for lo in range(0, n_rows, _JSON_ROWS):
         chunk = rows[lo : lo + _JSON_ROWS]
-        if groups is None:
-            positions = np.argsort(chunk, axis=1, kind="stable")
-        else:
-            positions = groups[lo : lo + _JSON_ROWS]
+        positions = cell_order(chunk)
         cells = chunk.ravel().take(positions + starts[: len(chunk)])
         present = cells >= 0
         # A present label opens a cell where its cell differs from the

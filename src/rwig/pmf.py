@@ -30,9 +30,8 @@ graph instead of one per partition.  Its accuracy is absolute only, about
 1e-15: its signed terms are far larger than small probabilities, which it
 can return as 0.  Every ``GraphDistribution``, labelled or unlabelled,
 computed, sampled or built from a dict, keeps such rows for its whole life:
-it groups each row's labels by cell once, sorts on that grouping and writes
-from it through ``contact_graph.json_blocks``, its clique histograms count
-the rows' clique sizes, and two distributions over the same rows are
+it is written through ``contact_graph.json_blocks``, its clique histograms
+count the rows' clique sizes, and two distributions over the same rows are
 compared as aligned probability arrays.
 
 In the steady state a graph's probability depends only on its clique sizes
@@ -66,8 +65,8 @@ from .combinatorics import (
     subset_levels,
 )
 from .contact_graph import (
-    ContactGraph, UnlabelledContactGraph, amass, any_labelling, cell_sizes, graph_rows,
-    json_blocks, row_graphs, row_json_objs,
+    ContactGraph, UnlabelledContactGraph, amass, any_labelling, cell_order, cell_sizes,
+    graph_rows, json_blocks, row_graphs, row_json_objs,
 )
 from .markov import StateVector, WalkerEnsemble
 
@@ -374,8 +373,7 @@ class GraphDistribution:
     ``sorted_items`` each once, and ``entries``, the read-only mapping that
     ``probability`` looks up, each once on first read, in row order.  Writing,
     ``total``, the histograms and ``max_deviation`` over equal rows read the
-    arrays; sorting and writing share one grouping of each row's labels by
-    cell, ``_groups``.
+    arrays.
     """
 
     def __init__(
@@ -438,18 +436,6 @@ class GraphDistribution:
         graphs = row_json_objs(self._rows[order], self._labels)
         return [{"graph": g, "p": p} for g, p in zip(graphs, self._probs[order].tolist())]
 
-    @functools.cached_property
-    def _groups(self) -> np.ndarray:
-        """Each row's label positions grouped by cell: the rows' stable
-        argsort, kept in the smallest dtype, which ``_row_order`` keys on
-        and ``write_json`` hands to ``json_blocks``.  A row's keys, cell x
-        width + position, are distinct, so one plain sort of them orders
-        the row as a stable argsort would, about three times as fast."""
-        width = self._rows.shape[1]
-        keys = self._rows.astype(np.min_scalar_type(width * width)) * width
-        keys += np.arange(width, dtype=keys.dtype)
-        return (np.sort(keys, axis=1) % max(width, 1)).astype(np.min_scalar_type(width))
-
     def _row_order(self) -> np.ndarray:
         """Row indices by descending probability, ties in canonical graph
         order: one stable ``np.argsort`` on -p, then one ``np.lexsort`` of
@@ -457,11 +443,10 @@ class GraphDistribution:
         clique count, cells key).  The cells key lists each cell's positions
         in the sorted labels, each position + 1 and each cell followed by a
         terminator 0, so a cell that is a prefix of another sorts first, as
-        in ``ContactGraph.sort_key``.  Unlabelled rows leave the clique count
-        out: their cells key orders them as their clique sizes, largest
-        first, compare.  The count and the key, each column at most the
-        width, are packed into as few int64 words as hold them, most
-        significant column first.
+        in ``ContactGraph.sort_key``; the tied rows' labels come in cell
+        order by ``contact_graph.cell_order``.  Unlabelled rows leave the
+        clique count out: their cells key orders them as their clique sizes,
+        largest first, compare.
         """
         order = np.argsort(-self._probs, kind="stable")
         probs = self._probs[order]
@@ -470,7 +455,8 @@ class GraphDistribution:
         if not runs.any():
             return order
         tied_rows = order[runs]
-        rows, positions = self._rows[tied_rows], self._groups[tied_rows]
+        rows = self._rows[tied_rows]
+        positions = cell_order(rows)
         n_graphs, width = rows.shape
         counts = rows.max(axis=1, initial=0) + 1
         lead = int(self._labels is not None)
@@ -482,16 +468,8 @@ class GraphDistribution:
         slots = np.take_along_axis(rows, positions, axis=1).astype(dtype)
         slots += np.arange(lead, lead + width, dtype=dtype)
         np.put_along_axis(key, slots, positions + 1, axis=1)
-        bits = max(width.bit_length(), 1)
-        words = []
-        for lo in range(0, key.shape[1], 63 // bits):
-            word = np.zeros(n_graphs, np.int64)
-            for column in key.T[lo : lo + 63 // bits]:
-                word <<= bits
-                word |= column
-            words.append(word)
         run = np.cumsum(np.r_[True, ~tied])[runs]
-        order[runs] = tied_rows[np.lexsort((*words[::-1], run))]
+        order[runs] = tied_rows[np.lexsort((*key.T[::-1], run))]
         return order
 
     def write_json(self, fh: IO[str]) -> None:
@@ -499,24 +477,17 @@ class GraphDistribution:
 
         Unlabelled and empty distributions are written by the json module.
         Labelled rows are written in ``_row_order`` by ``json_blocks``, in
-        the ``_INDENTED`` layout, on the shared ``_groups``: per entry the
-        comma before it (an opening bracket for the first), its graph, and
-        its probability by ``float.__repr__``, as the json module writes it.
+        the ``_INDENTED`` layout: per entry the comma before it (an opening
+        bracket for the first), its graph, and its probability by
+        ``float.__repr__``, as the json module writes it.
         """
         if self._labels is None or not len(self._rows):
             fh.write(json.dumps(self.to_json_obj(), indent=2) + "\n")
             return
         order = self._row_order()
-        # Equal probabilities are adjacent in this order, so each run of them
-        # is formatted once.  Runs compare bits: 0.0 and -0.0 print apart.
-        probs = self._probs[order]
-        raw = probs.view(np.int64)
-        runs = np.flatnonzero(np.r_[True, raw[1:] != raw[:-1]])
-        texts = np.array(list(map(repr, probs[runs].tolist())), object)
-        tail = (',\n    "p": ', texts.repeat(np.diff(runs, append=len(probs))), "\n  }")
+        tail = (',\n    "p": ', list(map(repr, self._probs[order].tolist())), "\n  }")
         blocks = json_blocks(
-            self._rows[order], self._labels, (',\n  {\n    "graph": ',), tail, _INDENTED,
-            self._groups[order],
+            self._rows[order], self._labels, (',\n  {\n    "graph": ',), tail, _INDENTED
         )
         # Every entry opens with the comma between entries but the first.
         fh.write("[" + next(blocks)[1:])

@@ -13,6 +13,7 @@ from rwig.contact_graph import (
     ContactGraph,
     UnlabelledContactGraph,
     amass,
+    cell_order,
     cell_sizes,
     enumerate_graphs,
     from_assignment,
@@ -260,8 +261,9 @@ def test_full_distribution_is_independent_of_the_chunk_cap(monkeypatch):
 
 def test_full_distribution_many_walkers_on_one_state():
     # One graph, evaluated without a table over the 2^M walker subsets; 70
-    # walkers are more than a 64-bit word has bits.
-    for m in (40, 70):
+    # walkers are more than a 64-bit word has bits, and its string of 1,000
+    # grows more columns than Python's default recursion limit.
+    for m in (40, 70, 1000):
         ens = uniform_ensemble(m, 1)
         dist = full_distribution(ens, 3)
         assert dist.entries == {ContactGraph.from_cells([ens.labels]): 1.0}
@@ -527,8 +529,8 @@ def test_write_json_breaks_ties_across_blocks(case, monkeypatch):
 
 
 def test_row_order_breaks_ties_on_keys_of_several_words():
-    # 20 walkers on 3 states: the packed tie-break key spans two int64 words,
-    # and most sampled graphs tie on a count of 1 in 200.
+    # 20 walkers on 3 states: the tie-break key has up to 24 columns, and
+    # most sampled graphs tie on a count of 1 in 200.
     dist = empirical_distribution(random_ensemble(20, 3, seed=2), 1, 200, seed=4)
     ranked = sorted(dist.entries.items(), key=lambda kv: (-kv[1], kv[0].sort_key()))
     assert len({p for _, p in ranked}) < len(ranked) / 4
@@ -562,13 +564,19 @@ def test_row_order_sorts_only_tied_runs_by_graph():
 
 
 def test_groups_are_the_rows_stable_argsort():
-    # Keys of 8, 16 and 32 bits: 6, 20 and 300 walkers.
-    for dist in (
-        full_distribution(random_ensemble(6, 4, seed=2), 2),
-        empirical_distribution(random_ensemble(20, 3, seed=2), 1, 200, seed=4),
-        empirical_distribution(random_ensemble(300, 5, seed=1), 3, 50, seed=7),
-    ):
-        assert np.array_equal(dist._groups, np.argsort(dist._rows, axis=1, kind="stable"))
+    # Keys of 8, 16 and 32 bits: 6, 20 and 300 walkers.  The rows of 20 and
+    # 300 walkers come again with about a third of their labels absent (-1),
+    # in int8 and int16, as first_position_rows holds them.
+    rng = np.random.default_rng(5)
+    inputs = [
+        full_distribution(random_ensemble(6, 4, seed=2), 2)._rows,
+        empirical_distribution(random_ensemble(20, 3, seed=2), 1, 200, seed=4)._rows,
+        empirical_distribution(random_ensemble(300, 5, seed=1), 3, 50, seed=7)._rows,
+    ]
+    for rows, dtype in zip(inputs[1:], (np.int8, np.int16)):
+        inputs.append(np.where(rng.random(rows.shape) < 1 / 3, -1, rows).astype(dtype))
+    for rows in inputs:
+        assert np.array_equal(cell_order(rows), np.argsort(rows, axis=1, kind="stable"))
 
 
 def test_full_distribution_writes_without_building_graphs(built_graphs, monkeypatch):

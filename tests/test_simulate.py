@@ -6,6 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import rwig.contact_graph as contact_graph
 import rwig.simulate as simulate
 from rwig.contact_graph import ContactGraph, from_assignment
 from rwig.markov import StateVector, TransitionMatrix, WalkerEnsemble
@@ -329,18 +330,21 @@ def test_sample_sequence_pins_the_stream(seed):
     assert seq == ContactSequence(reference, seed)
 
 
-def test_snapshots_to_jsonl_matches_json_dumps():
+def test_snapshots_to_jsonl_matches_json_dumps(monkeypatch):
     # Graphs over different walkers, one of them empty: each line holds
-    # only its own walkers.
+    # only its own walkers.  The second time round, with one row to a
+    # block, rows with absent walkers straddle blocks.
     pairs = [
         (5, ContactGraph.from_cells([["b", "c"], ["a"]])),
         (7, ContactGraph.from_cells([])),
         (2, ContactGraph.from_cells([["d", "e", "a"], ["c"]])),
         (9, ContactGraph.from_cells([[3, 1], [2]])),
     ]
-    for chosen in (pairs[:3], pairs[3:], pairs[1:2]):
-        assert snapshots_to_jsonl(chosen) == dumps_lines(chosen)
-    assert snapshots_to_jsonl([]) == "\n"
+    for block_rows in (contact_graph._JSON_ROWS, 1):
+        monkeypatch.setattr(contact_graph, "_JSON_ROWS", block_rows)
+        for chosen in (pairs[:3], pairs[3:], pairs[1:2]):
+            assert snapshots_to_jsonl(chosen) == dumps_lines(chosen)
+        assert snapshots_to_jsonl([]) == "\n"
 
 
 def reference_empirical(ensemble, k: int, replicas: int, seed: int) -> Counter:
