@@ -17,7 +17,7 @@ import contextlib
 import json
 import math
 import sys
-from typing import Iterator, TextIO
+from typing import Callable, Iterator, TextIO, TypeVar
 
 import numpy as np
 
@@ -33,6 +33,8 @@ from .markov import (
     load_vector,
     steady_state,
 )
+
+T = TypeVar("T")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -59,6 +61,27 @@ def _write(text: str, path: str | None) -> None:
 def _load_ensemble(path: str) -> WalkerEnsemble:
     with open(path, "r", encoding="utf-8") as fh:
         return ensemble_from_json(json.load(fh))
+
+
+def _read_text(path: str, parse: Callable[[TextIO], T]) -> T:
+    """``parse`` of the text file at ``path``.  utf-8-sig drops a leading
+    byte-order mark, which is not part of the data; a byte that is not
+    UTF-8 raises ValueError naming the file and the first such byte's line."""
+    try:
+        with open(path, "r", encoding="utf-8-sig") as fh:
+            return parse(fh)
+    except UnicodeDecodeError:
+        # surrogateescape reads each such byte as one lone surrogate.
+        with open(path, "r", encoding="utf-8-sig", errors="surrogateescape") as fh:
+            for line_no, line in enumerate(fh, 1):
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError as error:
+                    byte = ord(line[error.start]) - 0xDC00
+                    raise ValueError(
+                        f"{path} line {line_no}: byte {byte:#04x} is not UTF-8"
+                    ) from None
+        raise
 
 
 def _parse_range(text: str, flag: str) -> list[int]:
@@ -186,20 +209,20 @@ def cmd_analyze(args) -> int:
     from . import ingest as ingest_mod
     from . import simulate as simulate_mod
 
-    # utf-8-sig drops a leading byte-order mark, which is not part of the data.
-    with open(args.input, "r", encoding="utf-8-sig") as fh:
-        table = ingest_mod.read_colocation(fh)
+    table = _read_text(args.input, ingest_mod.read_colocation)
     if not table.times:
         raise ValueError(f"{args.input} holds no 't i j' edge line")
     roster = None
     if args.roster:
-        with open(args.roster, "r", encoding="utf-8-sig") as fh:
-            roster = ingest_mod.load_roster(fh)
+        roster = _read_text(args.roster, ingest_mod.load_roster)
     rows = ingest_mod.clique_rows(table)
-    size_hist, count_hist = ingest_mod.row_distributions(rows, table.nodes, roster=roster)
+    # What follows reads only the rows, times and nodes: free the edges.
+    times, nodes = table.times, table.nodes
+    del table
+    size_hist, count_hist = ingest_mod.row_distributions(rows, nodes, roster=roster)
     if args.output:
         _write(
-            simulate_mod.rows_to_jsonl(table.times, rows, table.nodes),
+            simulate_mod.rows_to_jsonl(times, rows, nodes),
             f"{args.output}_graphs.jsonl",
         )
         _write(pmf_mod.histogram_to_csv(size_hist), f"{args.output}_clique_sizes.csv")
@@ -208,7 +231,7 @@ def cmd_analyze(args) -> int:
         )
     else:
         document = {
-            "snapshots": len(table.times),
+            "snapshots": len(times),
             "clique_size_histogram": size_hist,
             "clique_count_histogram": count_hist,
         }

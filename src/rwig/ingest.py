@@ -4,14 +4,18 @@ Input is the plain-text edge-list convention of public co-location
 releases: one "t i j" triple per line, meaning nodes i and j shared a
 location during time bin t.  Node ids are opaque strings.
 
-The parse (``read_colocation``) takes a block of lines at a time and finds
-their fields where ``str.split`` would, on the block's UTF-8 bytes with
-numpy, so it makes no Python object per field: each distinct node id and
-timestamp text of a block is decoded once, from a key of its bytes, and
-the ids and timestamps are each numbered once, by sort, after the last block.
+The parse (``read_colocation``) reads a file as text chunks of about
+``_PARSE_CHARS`` characters, each cut after its last line end, and finds
+their fields where ``str.split`` would, on the chunk's UTF-8 bytes with
+numpy, so it makes no Python object per line or field: each distinct node
+id and timestamp text of a chunk is decoded once, from a key of its bytes,
+and the ids and timestamps are each numbered once, by sort, after the last
+chunk.  Per-chunk positions are kept in the narrowest integers that fit.
 
 Edges stay integer arrays from the parse on (``EdgeTable``): each is a
 bin and two distinct nodes, named by their positions in the sorted node ids.
+Repeated edges are dropped by one in-place sort of one packed int64 key
+per edge, bin * nodes**2 + lo * nodes + hi, which is then decoded.
 One pass (``validate_table``) labels each node of every bin by the least
 of itself and its neighbours and checks all bins at once; a valid dataset
 becomes one row per bin, its cliques numbered by
@@ -96,14 +100,32 @@ class EdgeTable:
         ``nodes`` in bins ``bins[e]``: a pair repeated, in either order, is one
         edge, and the edges are sorted by (bin, lo, hi).  A self pair raises
         ValueError."""
-        lo, hi = np.sort(ends, axis=0)
+        n = len(nodes)
+        lo, hi = np.minimum(*ends), np.maximum(*ends)
         if (lo == hi).any():
             raise ValueError(f"self contact on node {nodes[lo[lo == hi][0]]!r}")
-        # One key per edge, ordered as (bin, lo, hi): pairs ranked first, so
-        # the key stays below (edges) ** 2.
-        pair = _ranks(lo * len(nodes) + hi)
-        keep = np.unique(bins * (pair.max(initial=-1) + 1) + pair, return_index=True)[1]
-        return cls(nodes, times, bins[keep], lo[keep], hi[keep])
+        # One int64 key per edge, ordered as (bin, lo, hi): bin * n**2 + pair,
+        # or, where that could overflow, bin * (distinct pairs) + pair rank.
+        # Each array is dropped once spent, as the parse peaks here.
+        pair = lo * np.int64(n) + hi
+        del lo, hi
+        codes, width = None, n * n
+        if len(times) * width >= _KEY_LIMIT:
+            codes, pair = np.unique(pair, return_inverse=True)
+            width = len(codes)
+        key = bins * np.int64(width)
+        key += pair
+        del pair
+        key.sort()
+        repeat = np.zeros(len(key), bool)
+        np.equal(key[1:], key[:-1], out=repeat[1:])
+        key = key[~repeat]
+        bins, pair = np.divmod(key, width)
+        del key
+        if codes is not None:
+            pair = codes[pair]
+        lo, hi = np.divmod(pair, n)
+        return cls(nodes, times, bins, lo, hi)
 
     def records(self) -> list[SnapshotRecord]:
         """One record per bin, its edges as (id, id) pairs in table order."""
@@ -116,8 +138,16 @@ class EdgeTable:
         ]
 
 
-# Characters of input parsed as one block of lines.
-_PARSE_CHARS = 1 << 20
+# Characters of input read as one block of lines.  A larger block holds
+# larger per-block arrays at once; a smaller one pays numpy's cost per call
+# more often.  On the 380,601-edge benchmark input (2-vCPU host), the peak
+# RSS of `rwig analyze --roster -o` and the parse's time were 65.7 MB /
+# 0.175 s at 2^20 characters, 55.1 MB / 0.184 s at 2^18, 55.3 MB / 0.145 s
+# at 2^16 and 56.0 MB / 0.197 s at 2^14.
+_PARSE_CHARS = 1 << 16
+# ``EdgeTable._of_edges`` keys an edge by bin * n**2 + pair below this bound
+# on (bins) * (nodes)**2, and by pair rank above it.
+_KEY_LIMIT = 1 << 63
 # The bytes that separate fields: the ASCII characters for which
 # ``str.isspace`` holds.
 _SPACE = np.zeros(256, bool)
@@ -133,49 +163,61 @@ _KEEP = np.array([(1 << 64) - (1 << 8 * (8 - n)) for n in range(9)], np.uint64)
 _LEVEL_COST, _SORT_COST = 160, 10
 
 
-def _blocks(lines: Iterable[str]) -> Iterator[list[str]]:
-    """The lines in order, a block ending once it holds ``_PARSE_CHARS``
-    characters.  A file's ``readlines`` builds each block in C (ending it
-    past ``_PARSE_CHARS`` characters); other iterables go line by line."""
-    if hasattr(lines, "readlines"):
-        yield from iter(lambda: lines.readlines(_PARSE_CHARS), [])
+def _blocks(lines: Iterable[str]) -> Iterator[str]:
+    """The text of the lines in order, a block at a time, each line ended by
+    one "\\n" and holding no other.  A file object is read
+    ``_PARSE_CHARS`` characters at a time, each block cut after its last
+    "\\n" (so a longer line waits for its end); any other iterable gives
+    one line per item, its "\\n" becoming " ", and a block ends once it
+    holds ``_PARSE_CHARS`` characters."""
+    if hasattr(lines, "read"):
+        pending: list[str] = []
+        for text in iter(lambda: lines.read(_PARSE_CHARS), ""):
+            cut = text.rfind("\n") + 1
+            if cut:
+                yield "".join(pending) + text[:cut]
+                pending = []
+            pending.append(text[cut:])
+        if any(pending):
+            yield "".join(pending) + "\n"
         return
     block, size = [], 0
     for line in lines:
         block.append(line)
         size += len(line)
         if size >= _PARSE_CHARS:
-            yield block
+            yield _joined(block)
             block, size = [], 0
     if block:
-        yield block
+        yield _joined(block)
 
 
-def _fields(block: list[str]) -> tuple[bytes, np.ndarray, np.ndarray, np.ndarray]:
-    """The fields of each line as ``str.split`` finds them, located in UTF-8.
+def _joined(lines: list[str]) -> str:
+    """The lines as one text, each ended by "\\n" and holding no other."""
+    return "".join(line.replace("\n", " ") + "\n" for line in lines)
 
-    Returns the lines' bytes, each line followed by "\\n", the [start, end)
-    byte span of every field in order, and each line's field count.
-    Non-ASCII whitespace becomes " " before encoding, so an ASCII table
-    finds every separator.
+
+def _fields(text: str) -> tuple[bytes, np.ndarray, np.ndarray, np.ndarray]:
+    """The fields of each line of ``text`` as ``str.split`` finds them,
+    located in UTF-8; "\\n" ends each line, the last one too.
+
+    Returns the text's bytes, the [start, end) byte span of every field in
+    order, and each line's field count.  Non-ASCII whitespace becomes " "
+    before encoding, so an ASCII table finds every separator.
     """
-    text = "\n".join(block) + "\n"
     if text.isascii():
         data = text.encode("ascii")
-        sizes = np.fromiter(map(len, block), np.intp, len(block))
     else:
         spaces = {ord(c): " " for c in set(text) if c.isspace() and not c.isascii()}
-        encoded = [
-            line.translate(spaces).encode("utf-8", "surrogatepass") for line in block
-        ]
-        data = b"\n".join(encoded) + b"\n"
-        sizes = np.fromiter(map(len, encoded), np.intp, len(block))
+        data = text.translate(spaces).encode("utf-8", "surrogatepass")
+    byte = np.frombuffer(data, np.uint8)
     # +1 where a field ends, -1 where one starts.
-    space = _SPACE[np.frombuffer(data, np.uint8)]
-    step = np.diff(space.view(np.int8), prepend=np.int8(1))
+    step = np.diff(_SPACE[byte].view(np.int8), prepend=np.int8(1))
     opens = step == -1
-    line_at = np.zeros(len(block), np.intp)
-    np.cumsum(sizes[:-1] + 1, out=line_at[1:])
+    # A line starts after the "\n" that ends the one before it.
+    line_at = np.flatnonzero(byte == ord("\n"))
+    line_at[1:] = line_at[:-1] + 1
+    line_at[:1] = 0
     counts = np.add.reduceat(opens, line_at, dtype=np.intp)
     return data, np.flatnonzero(opens), np.flatnonzero(step == 1), counts
 
@@ -236,10 +278,12 @@ def _ranks(keys: np.ndarray) -> np.ndarray:
 
 
 def _sorted_index(items: list) -> tuple[tuple, np.ndarray]:
-    """The distinct items, sorted, and the position of each item among them."""
+    """The distinct items, sorted, and the position of each item among
+    them, in the narrowest unsigned integers that hold it."""
     distinct = sorted(set(items))
     at = dict(zip(distinct, range(len(distinct))))
-    return tuple(distinct), np.fromiter(map(at.__getitem__, items), np.intp, len(items))
+    index = np.min_scalar_type(len(distinct))
+    return tuple(distinct), np.fromiter(map(at.__getitem__, items), index, len(items))
 
 
 def _timestamp(text: str) -> int | None:
@@ -252,23 +296,24 @@ def _timestamp(text: str) -> int | None:
 def read_colocation(lines: Iterable[str]) -> EdgeTable:
     """Parse "t i j" lines into one bin per distinct t, ascending.
 
-    Each item of ``lines`` is one line, its fields split as ``str.split``
+    ``lines`` is a text file object, whose "\\n" ends each line, or an
+    iterable of which each item is one line; fields split as ``str.split``
     splits them.  Blank lines are skipped; duplicate (t, i, j) observations
     collapse to one edge, and the edges are sorted by (bin, lo, hi).
-    Malformed lines and self contacts raise with the line number.  Lines
-    are parsed a block of about ``_PARSE_CHARS`` characters at a time, on
-    their UTF-8 bytes (``_fields``); each distinct node id and timestamp
-    text of a block is decoded once, and after the last block
+    Malformed lines and self contacts raise with the line number.  The
+    text is parsed a block of about ``_PARSE_CHARS`` characters at a time
+    (``_blocks``), on its UTF-8 bytes (``_fields``); each distinct node id
+    and timestamp text of a block is decoded once, and after the last block
     ``_sorted_index`` numbers the node ids and the timestamps by sort.
     """
     names: list[str] = []  # each block's distinct node ids, in turn
     values: list[int] = []  # each block's distinct timestamps, in turn
     parts = []
     offset = 0
-    for block in _blocks(lines):
-        data, opens, closes, counts = _fields(block)
+    for text in _blocks(lines):
+        data, opens, closes, counts = _fields(text)
         wrong = np.flatnonzero((counts != 3) & (counts != 0))
-        stop = int(wrong[0]) if len(wrong) else len(block)
+        stop = int(wrong[0]) if len(wrong) else len(counts)
         # The lines before ``stop`` hold three fields each or none.
         lines_at = np.flatnonzero(counts[:stop])
         opens = opens[: 3 * len(lines_at)].reshape(-1, 3).T
@@ -289,19 +334,26 @@ def read_colocation(lines: Iterable[str]) -> EdgeTable:
         if faults:
             k, _, message = min(faults)
             raise ColocationParseError(offset + int(lines_at[k]) + 1, message)
-        if stop < len(block):
+        if stop < len(counts):
             raise ColocationParseError(
                 offset + stop + 1, f"expected 't i j', got {counts[stop]} fields"
             )
-        parts.append((t_at + len(values), pairs + len(names)))
+        # Each block's positions among all blocks' distinct texts, narrow.
+        t_at += len(values)
+        pairs += len(names)
         values += stamps
         names += ids
-        offset += len(block)
+        parts.append((
+            t_at.astype(np.min_scalar_type(len(values))),
+            pairs.astype(np.min_scalar_type(len(names))),
+        ))
+        offset += len(counts)
 
     nodes, node_at = _sorted_index(names)
     times, bin_at = _sorted_index(values)
-    bins = bin_at[np.concatenate([np.empty(0, np.intp)] + [t for t, _ in parts])]
-    ends = node_at[np.concatenate([np.empty((2, 0), np.intp)] + [e for _, e in parts], 1)]
+    bins = bin_at[np.concatenate([np.empty(0, np.uint8)] + [t for t, _ in parts])]
+    ends = node_at[np.concatenate([np.empty((2, 0), np.uint8)] + [e for _, e in parts], 1)]
+    del parts
     return EdgeTable._of_edges(nodes, times, bins, ends)
 
 
@@ -323,12 +375,18 @@ def validate_table(table: EdgeTable) -> np.ndarray | CliqueUnionViolation:
     fails.
     """
     n_bins, width = len(table.times), len(table.nodes)
-    # The (bin, node) cell of each edge's ends, flat; lo < hi.
-    lo, hi = table.bins * width + table.lo, table.bins * width + table.hi
-    label = np.full(n_bins * width, width, np.intp)  # ``width``: absent
+    # The (bin, node) cell of each edge's ends, flat; lo < hi.  Cells and
+    # labels are held in the narrowest integers that fit.
+    lo = table.bins.astype(np.min_scalar_type(-n_bins * width - 1))
+    lo *= width
+    hi = lo + table.hi.astype(lo.dtype)
+    lo += table.lo
+    label = np.full(n_bins * width, width, np.min_scalar_type(width))  # absent
     label[lo] = table.lo
-    np.minimum.at(label, hi, table.lo)
-    degree = np.bincount(np.concatenate([lo, hi]), minlength=len(label))
+    np.minimum.at(label, hi, table.lo.astype(label.dtype))
+    # A degree is below ``width``, so it fits the labels' integers.
+    degree = np.bincount(lo, minlength=len(label)).astype(label.dtype)
+    degree += np.bincount(hi, minlength=len(label)).astype(label.dtype)
     bad = (label[lo] != label[hi]) | (degree[lo] != degree[hi])
     if bad.any():
         return _violation(table, int(table.bins[bad].min()))

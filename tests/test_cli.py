@@ -618,6 +618,26 @@ def test_analyze_ignores_byte_order_marks(tmp_path, capsys):
     assert json.loads(outputs[0][0].out)["clique_count_histogram"] == {"3": 0.5, "4": 0.5}
 
 
+def test_analyze_names_the_line_of_a_byte_that_is_not_utf8(tmp_path, capsys):
+    # The decoder reads ahead in buffers, so its own position says neither
+    # the file nor the line; CRLF and a lone CR each end one line.
+    data, roster = tmp_path / "data.txt", tmp_path / "roster.txt"
+    good = "".join(f"{t} a b\r\n" for t in range(3998)).encode("utf-8")
+    roster.write_bytes(b"a\nb\n")
+    for line, bad in ((4001, b"4000 a \xffb\n"), (4001, b"4000 a b\xc3\n"), (1, b"\xfe")):
+        head = good + b"\r3998 a b\n" if line > 1 else b""
+        data.write_bytes(head + bad + b"4001 a b\n")
+        assert main(["analyze", "--input", str(data), "--roster", str(roster)]) == 1
+        byte = bad.decode("latin-1").strip("0123456789 ab\n")
+        assert capsys.readouterr().err == (
+            f"error: {data} line {line}: byte {ord(byte):#04x} is not UTF-8\n"
+        )
+    data.write_bytes(b"0 a b\n")
+    roster.write_bytes("\ufeffa\nb\n\xe9c\n".encode("utf-8") + b"d\xe9\n")
+    assert main(["analyze", "--input", str(data), "--roster", str(roster)]) == 1
+    assert capsys.readouterr().err == f"error: {roster} line 4: byte 0xe9 is not UTF-8\n"
+
+
 def test_bench_csv_output(tmp_path, capsys):
     prefix = tmp_path / "bench"
     code = main(

@@ -56,6 +56,38 @@ def test_parse_deduplicates_and_normalizes_pairs():
     assert records[0].edges == (("a", "b"),)
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_ranked_pair_key_gives_the_packed_key_table(monkeypatch, seed):
+    # Past _KEY_LIMIT an edge is keyed by its bin and its pair's rank; the
+    # table is the one the packed key gives, repeated pairs in either order
+    # collapsing to one edge.
+    rng = np.random.default_rng(seed)
+    names = [f"n{k}" for k in rng.permutation(12)]
+    records = []
+    for t in rng.choice(1000, 30, replace=False).tolist():
+        ends = rng.integers(0, 12, (rng.integers(0, 20), 2)).tolist()
+        pairs = [(names[i], names[j]) for i, j in ends if i != j]
+        records.append(SnapshotRecord(t, tuple(pairs + [(j, i) for i, j in pairs[::2]])))
+    text = "".join(f"{r.timestamp} {i} {j}\n" for r in records for i, j in r.edges)
+    expected = sorted(
+        {(r.timestamp, min(pair), max(pair)) for r in records for pair in r.edges}
+    )
+    tables = {}
+    for limit in (1 << 63, 0):
+        monkeypatch.setattr(ingest, "_KEY_LIMIT", limit)
+        tables[limit] = EdgeTable.of_records(records), ingest.read_colocation(io.StringIO(text))
+    for packed, ranked in zip(tables[1 << 63], tables[0]):
+        assert (ranked.nodes, ranked.times) == (packed.nodes, packed.times)
+        for name in ("bins", "lo", "hi"):
+            got, want = getattr(ranked, name), getattr(packed, name)
+            assert (got.dtype, got.tolist()) == (want.dtype, want.tolist())
+    parsed = tables[0][1]
+    edges = zip(parsed.bins.tolist(), parsed.lo.tolist(), parsed.hi.tolist())
+    assert [(parsed.times[b], parsed.nodes[i], parsed.nodes[j]) for b, i, j in edges] == (
+        expected
+    )
+
+
 def test_parse_rejects_self_contact():
     with pytest.raises(ColocationParseError, match="line 1.*self contact"):
         parse("0 a a\n")
@@ -431,30 +463,46 @@ SHARED_LONG_ID = [f"{t % 7} n{t % 50} m{t % 30}\n" for t in range(80_000)] + [
 ]
 
 
+def open_text(path):
+    """The file as ``rwig analyze`` opens it; surrogateescape lets the lone
+    surrogate of IDS round-trip through the file."""
+    return open(path, "r", encoding="utf-8-sig", errors="surrogateescape")
+
+
 @settings(max_examples=400, deadline=None)
 @given(
     lines=st.lists(good_lines(), max_size=30),
     faults=st.lists(st.tuples(st.integers(0, 30), bad_lines()), max_size=2),
     block=st.sampled_from([1, 2, 7, 13, 64, 1 << 20]),
+    bom=st.booleans(),
 )
-@example(lines=SHARED_LONG_ID, faults=[], block=1 << 20)
-def test_parse_agrees_with_line_by_line_split(lines, faults, block):
+@example(lines=SHARED_LONG_ID, faults=[], block=1 << 20, bom=False)
+@example(lines=SHARED_LONG_ID[-4:], faults=[], block=1 << 16, bom=True)
+def test_parse_agrees_with_line_by_line_split(tmp_path_factory, lines, faults, block, bom):
     for at, line in faults:
         lines.insert(at, line)
-    # The items as given, and the pieces str.splitlines cuts from their text.
-    for items in (lines, "".join(lines).splitlines(True)):
+    # Their text as a file, read in chunks: "\n", "\r\n" and "\r" end its
+    # lines, and a chunk can end inside a line or between "\r" and "\n".
+    path = tmp_path_factory.getbasetemp() / "edges.txt"
+    path.write_bytes(("\ufeff" * bom + "".join(lines)).encode("utf-8", "surrogateescape"))
+    with open_text(path) as fh:
+        file_lines = fh.readlines()
+    # The items as given, the pieces str.splitlines cuts from their text,
+    # and the lines of the file.
+    for items in (lines, "".join(lines).splitlines(True), file_lines):
         try:
             expected = split_parse(items)
         except ColocationParseError as error:
             expected = error
-        with mock.patch.object(ingest, "_PARSE_CHARS", block):
+        with mock.patch.object(ingest, "_PARSE_CHARS", block), open_text(path) as fh:
+            source = fh if items is file_lines else iter(items)
             if isinstance(expected, ColocationParseError):
                 with pytest.raises(ColocationParseError) as raised:
-                    ingest.read_colocation(iter(items))
+                    ingest.read_colocation(source)
                 assert str(raised.value) == str(expected)
                 assert raised.value.line_no == expected.line_no
                 continue
-            table = ingest.read_colocation(iter(items))
+            table = ingest.read_colocation(source)
         assert table.nodes == tuple(sorted({w for _, i, j in expected for w in (i, j)}))
         assert table.times == tuple(sorted({t for t, _, _ in expected}))
         got = zip(table.bins.tolist(), table.lo.tolist(), table.hi.tolist())
@@ -472,7 +520,7 @@ def test_parse_agrees_with_line_by_line_split(lines, faults, block):
 @given(st.lists(st.lists(st.sampled_from(IDS + TIMES), max_size=4), max_size=12), st.data())
 def test_fields_decode_each_distinct_text_once_in_str_order(lines, data):
     block = [spaced(data.draw, fields) if fields else "" for fields in lines]
-    buffer, starts, ends, counts = ingest._fields(block)
+    buffer, starts, ends, counts = ingest._fields(ingest._joined(block))
     assert counts.tolist() == [len(line.split()) for line in block]
     words = [word for line in block for word in line.split()]
     # Fields past the first word are ranked all by their remaining bytes
@@ -489,7 +537,7 @@ def test_distinct_sorts_the_fields_left_where_walking_costs_more():
     # Many 16-byte ids walk their second word; ids that share a long prefix
     # rank by their remaining bytes, alone when short ids sit beside them.
     def sorted_fields(block):
-        data, starts, ends, _ = ingest._fields(block)
+        data, starts, ends, _ = ingest._fields(ingest._joined(block))
         sizes = []
 
         def ranks(keys):
