@@ -142,8 +142,7 @@ def cmd_enumerate(args) -> int:
         labels = sorted(default_labels(args.walkers))
         blocks = restricted_growth_strings(args.walkers, min(args.walkers, args.states))
         with _output(args.output) as fh:
-            for block in blocks:
-                fh.writelines(json_blocks(block, labels, tail=("\n",)))
+            fh.writelines(json_blocks(blocks, labels, tail=("\n",)))
     return 0
 
 
@@ -200,8 +199,10 @@ def cmd_sample(args) -> int:
     from . import simulate as simulate_mod
 
     ensemble = _load_ensemble(args.ensemble)
-    seq = simulate_mod.sample_sequence(ensemble, args.horizon, args.seed)
-    _write(simulate_mod.sequence_to_jsonl(seq), args.output)
+    # Bad arguments raise here, before the output file is opened.
+    blocks = simulate_mod.sample_jsonl(ensemble, args.horizon, args.seed)
+    with _output(args.output) as fh:
+        fh.writelines(blocks)
     return 0
 
 
@@ -221,10 +222,8 @@ def cmd_analyze(args) -> int:
     del table
     size_hist, count_hist = ingest_mod.row_distributions(rows, nodes, roster=roster)
     if args.output:
-        _write(
-            simulate_mod.rows_to_jsonl(times, rows, nodes),
-            f"{args.output}_graphs.jsonl",
-        )
+        with _output(f"{args.output}_graphs.jsonl") as fh:
+            fh.writelines(simulate_mod.jsonl_blocks(times, rows, nodes))
         _write(pmf_mod.histogram_to_csv(size_hist), f"{args.output}_clique_sizes.csv")
         _write(
             pmf_mod.histogram_to_csv(count_hist), f"{args.output}_clique_counts.csv"

@@ -9,6 +9,7 @@ each ``"".join``, for every command that writes rows.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Iterator, Mapping, Sequence
@@ -168,17 +169,20 @@ _JSON_ROWS = 4096
 
 
 def json_blocks(
-    rows: np.ndarray,
+    rows: np.ndarray | Iterable[np.ndarray],
     labels: Sequence[Hashable],
     head: Sequence = (),
     tail: Sequence = (),
     layout=("[", "],[", ",", "]]"),
 ) -> Iterator[str]:
-    """Yield the text of the rows, ``_JSON_ROWS`` rows to a block.  Each row
-    is its ``head`` columns, the JSON text of ``g.to_json_obj()`` for its
-    graph g as ``row_json_objs`` reads it (by default as ``json.dumps(...,
-    separators=(",", ":"))`` writes it), then its ``tail`` columns.  A column
-    is one string for every row or a sequence of one string per row.
+    """Yield the text of the rows, ``_JSON_ROWS`` rows to a block.  ``rows``
+    is one array of rows over ``labels``, or an iterable of such arrays that
+    are formatted in turn as they come.  Each row is its ``head`` columns,
+    the JSON text of ``g.to_json_obj()`` for its graph g as
+    ``row_json_objs`` reads it (by default as ``json.dumps(...,
+    separators=(",", ":"))`` writes it), then its ``tail`` columns.  A
+    column is one string for every row or an iterable of one string per
+    row, read in row order.
 
     Each label is encoded once: as ``json.dumps(w, separators=(",", ":"))``,
     or, when ``layout[2]`` breaks the line, as ``json.dumps(w, indent=2)`` with
@@ -193,7 +197,7 @@ def json_blocks(
     A block is one flat object array of (rows x columns) pieces and one
     ``"".join``: no text is made per row.
     """
-    n_rows, width = rows.shape
+    width = len(labels)
     if "\n" not in layout[2]:
         codes = [json.dumps(w, separators=(",", ":")) for w in labels]
     else:
@@ -203,18 +207,12 @@ def json_blocks(
     opening = (layout[2], "[" + layout[0], layout[1])
     pieces = np.array([""] * width + [p + c for p in opening for c in codes], object)
     graph = len(head)
-    parts = np.empty((min(n_rows, _JSON_ROWS), graph + width + 1 + len(tail)), object)
-    per_row = []
-    for j, column in [*enumerate(head), *enumerate(tail, graph + width + 1)]:
-        if isinstance(column, str):
-            parts[:, j] = column
-        else:
-            per_row.append((j, column))
-    starts = np.arange(len(parts))[:, None] * width
-    for lo in range(0, n_rows, _JSON_ROWS):
-        chunk = rows[lo : lo + _JSON_ROWS]
+    columns = [*enumerate(head), *enumerate(tail, graph + width + 1)]
+    per_row = [(j, iter(column)) for j, column in columns if not isinstance(column, str)]
+    blocks = [rows] if isinstance(rows, np.ndarray) else rows
+    for chunk in (b[lo : lo + _JSON_ROWS] for b in blocks for lo in range(0, len(b), _JSON_ROWS)):
         positions = cell_order(chunk)
-        cells = chunk.ravel().take(positions + starts[: len(chunk)])
+        cells = chunk.ravel().take(positions + np.arange(len(chunk))[:, None] * width)
         present = cells >= 0
         # A present label opens a cell where its cell differs from the
         # label's before it, and a later cell if that label is present too.
@@ -225,9 +223,12 @@ def json_blocks(
         kind[:, 1:] += opens[:, 1:] & present[:, :-1]
         kind *= width
         kind += positions
-        block = parts[: len(chunk)]
+        block = np.empty((len(chunk), graph + width + 1 + len(tail)), object)
+        for j, column in columns:
+            if isinstance(column, str):
+                block[:, j] = column
         for j, column in per_row:
-            block[:, j] = column[lo : lo + _JSON_ROWS]
+            block[:, j] = list(itertools.islice(column, len(chunk)))
         block[:, graph : graph + width] = pieces[kind]
         block[:, graph + width] = np.where(present.any(axis=1), layout[3], "[]")
         yield "".join(block.ravel().tolist())

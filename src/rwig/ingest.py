@@ -13,14 +13,16 @@ and the ids and timestamps are each numbered once, by sort, after the last
 chunk.  Per-chunk positions are kept in the narrowest integers that fit.
 
 Edges stay integer arrays from the parse on (``EdgeTable``): each is a
-bin and two distinct nodes, named by their positions in the sorted node ids.
-Repeated edges are dropped by one in-place sort of one packed int64 key
-per edge, bin * nodes**2 + lo * nodes + hi, which is then decoded.
-One pass (``validate_table``) labels each node of every bin by the least
-of itself and its neighbours and checks all bins at once; a valid dataset
-becomes one row per bin, its cliques numbered by
+bin and two distinct nodes, named by their positions in the sorted node
+ids, held in the narrowest unsigned integers that fit.  Repeated edges are
+dropped by one in-place sort of one packed key per edge, bin * nodes**2 +
+lo * nodes + hi, in the narrowest unsigned integers that hold bins *
+nodes**2, which is then decoded.  One pass (``validate_table``) labels
+each node of every bin by the least of itself and its neighbours and
+checks the bins a chunk of about ``_PARSE_CHARS`` (bin, node) cells at a
+time; a valid dataset becomes one row per bin, its cliques numbered by
 ``combinatorics.first_position_rows`` from the labels, -1 at absent nodes,
-which ``simulate.rows_to_jsonl`` writes and ``row_distributions`` counts.
+which ``simulate.jsonl_blocks`` writes and ``row_distributions`` counts.
 ``SnapshotRecord`` and ``ContactGraph`` objects are built only on request.
 """
 
@@ -73,7 +75,10 @@ class EdgeTable:
 
     Edge e joins ``nodes[lo[e]]`` and ``nodes[hi[e]]`` (lo < hi) in bin
     ``bins[e]``, whose timestamp is ``times[bins[e]]``.  ``nodes`` is sorted,
-    so positions compare as the ids do; edges are distinct, by (bin, lo, hi).
+    so positions compare as the ids do; edges are distinct and sorted by
+    (bin, lo, hi).  ``bins`` is held in the narrowest unsigned integers
+    that hold every bin, ``lo`` and ``hi`` in those that hold every node
+    position.
     """
 
     nodes: tuple[str, ...]
@@ -104,28 +109,38 @@ class EdgeTable:
         lo, hi = np.minimum(*ends), np.maximum(*ends)
         if (lo == hi).any():
             raise ValueError(f"self contact on node {nodes[lo[lo == hi][0]]!r}")
-        # One int64 key per edge, ordered as (bin, lo, hi): bin * n**2 + pair,
-        # or, where that could overflow, bin * (distinct pairs) + pair rank.
-        # Each array is dropped once spent, as the parse peaks here.
-        pair = lo * np.int64(n) + hi
+        # One key per edge, ordered as (bin, lo, hi): bin * n**2 + pair, or,
+        # where that could pass _KEY_LIMIT, bin * (distinct pairs) + pair
+        # rank; each in the narrowest unsigned integers that hold it.  Each
+        # array is dropped once spent, as the parse peaks here.
+        pair = lo.astype(np.min_scalar_type(n * n))
+        pair *= n
+        pair += hi
         del lo, hi
         codes, width = None, n * n
         if len(times) * width >= _KEY_LIMIT:
             codes, pair = np.unique(pair, return_inverse=True)
             width = len(codes)
-        key = bins * np.int64(width)
+            pair = pair.astype(np.min_scalar_type(width))
+        key = bins.astype(np.min_scalar_type(len(times) * width))
+        key *= width
         key += pair
         del pair
         key.sort()
         repeat = np.zeros(len(key), bool)
         np.equal(key[1:], key[:-1], out=repeat[1:])
         key = key[~repeat]
-        bins, pair = np.divmod(key, width)
+        # Decoded in place where it can be, each part narrowed once found.
+        pair = key % width
+        key //= width
+        bins = key.astype(np.min_scalar_type(max(len(times) - 1, 0)))
         del key
         if codes is not None:
             pair = codes[pair]
-        lo, hi = np.divmod(pair, n)
-        return cls(nodes, times, bins, lo, hi)
+        positions = np.min_scalar_type(max(n - 1, 0))
+        lo = (pair // n).astype(positions)
+        pair %= n
+        return cls(nodes, times, bins, lo, pair.astype(positions))
 
     def records(self) -> list[SnapshotRecord]:
         """One record per bin, its edges as (id, id) pairs in table order."""
@@ -138,12 +153,14 @@ class EdgeTable:
         ]
 
 
-# Characters of input read as one block of lines.  A larger block holds
-# larger per-block arrays at once; a smaller one pays numpy's cost per call
-# more often.  On the 380,601-edge benchmark input (2-vCPU host), the peak
-# RSS of `rwig analyze --roster -o` and the parse's time were 65.7 MB /
-# 0.175 s at 2^20 characters, 55.1 MB / 0.184 s at 2^18, 55.3 MB / 0.145 s
-# at 2^16 and 56.0 MB / 0.197 s at 2^14.
+# Characters of input read as one block of lines, and (bin, node) cells
+# that ``validate_table`` checks as one chunk.  A larger block holds larger
+# per-block arrays at once; a smaller one pays numpy's cost per call more
+# often.  On the 380,601-edge benchmark input (2-vCPU host), the peak RSS
+# of `rwig analyze --roster -o`, spawned from a 13 MB process, and the
+# parse's time were 64.3 MB / 0.150 s at 2^20 characters, 47.9 MB / 0.135 s
+# at 2^18, 42.5 MB / 0.120 s at 2^16 and 42.1 MB / 0.164 s at 2^14
+# (medians of 7 runs).
 _PARSE_CHARS = 1 << 16
 # ``EdgeTable._of_edges`` keys an edge by bin * n**2 + pair below this bound
 # on (bins) * (nodes)**2, and by pair rank above it.
@@ -351,8 +368,9 @@ def read_colocation(lines: Iterable[str]) -> EdgeTable:
 
     nodes, node_at = _sorted_index(names)
     times, bin_at = _sorted_index(values)
-    bins = bin_at[np.concatenate([np.empty(0, np.uint8)] + [t for t, _ in parts])]
-    ends = node_at[np.concatenate([np.empty((2, 0), np.uint8)] + [e for _, e in parts], 1)]
+    # Gathered a block at a time: a gather's index is made intp first.
+    bins = np.concatenate([bin_at[:0]] + [bin_at[t] for t, _ in parts])
+    ends = np.concatenate([node_at[:0].reshape(2, 0)] + [node_at[e] for _, e in parts], 1)
     del parts
     return EdgeTable._of_edges(nodes, times, bins, ends)
 
@@ -372,26 +390,34 @@ def validate_table(table: EdgeTable) -> np.ndarray | CliqueUnionViolation:
     then its clique's smallest node.  Returns one row per bin over
     ``table.nodes``, numbered by ``first_position_rows``, -1 at the nodes
     absent from the bin; otherwise ``_violation`` of the first bin that
-    fails.
+    fails.  The bins are checked in chunks of ``_PARSE_CHARS`` // nodes
+    (at least one), in order, so no working array spans the whole table.
     """
     n_bins, width = len(table.times), len(table.nodes)
-    # The (bin, node) cell of each edge's ends, flat; lo < hi.  Cells and
-    # labels are held in the narrowest integers that fit.
-    lo = table.bins.astype(np.min_scalar_type(-n_bins * width - 1))
-    lo *= width
-    hi = lo + table.hi.astype(lo.dtype)
-    lo += table.lo
-    label = np.full(n_bins * width, width, np.min_scalar_type(width))  # absent
-    label[lo] = table.lo
-    np.minimum.at(label, hi, table.lo.astype(label.dtype))
-    # A degree is below ``width``, so it fits the labels' integers.
-    degree = np.bincount(lo, minlength=len(label)).astype(label.dtype)
-    degree += np.bincount(hi, minlength=len(label)).astype(label.dtype)
-    bad = (label[lo] != label[hi]) | (degree[lo] != degree[hi])
-    if bad.any():
-        return _violation(table, int(table.bins[bad].min()))
-    # A clique's label is its smallest node: its first position in the row.
-    return first_position_rows(label.reshape(n_bins, width))
+    rows = np.empty((n_bins, width), np.min_scalar_type(-width - 1))
+    # Every array below holds a chunk's cells or its edges; both ends of an
+    # edge lie in its bin's chunk.
+    chunk = max(1, _PARSE_CHARS // max(width, 1))
+    cuts = np.searchsorted(table.bins, range(0, n_bins + chunk, chunk)).tolist()
+    for first, a, b in zip(range(0, n_bins, chunk), cuts, cuts[1:]):
+        # The (bin, node) cell of each edge's ends, flat in the chunk; lo < hi.
+        lo = (table.bins[a:b] - first).astype(np.intp)
+        lo *= width
+        hi = lo + table.hi[a:b]
+        lo += table.lo[a:b]
+        n_rows = min(chunk, n_bins - first)
+        size = n_rows * width
+        label = np.full(size, width, np.min_scalar_type(width))  # absent
+        label[lo] = table.lo[a:b]
+        np.minimum.at(label, hi, table.lo[a:b])
+        degree = np.bincount(lo, minlength=size)
+        degree += np.bincount(hi, minlength=size)
+        bad = (label[lo] != label[hi]) | (degree[lo] != degree[hi])
+        if bad.any():
+            return _violation(table, int(table.bins[a:b][bad].min()))
+        # A clique's label is its smallest node: its first position in the row.
+        rows[first : first + chunk] = first_position_rows(label.reshape(n_rows, width))
+    return rows
 
 
 def _violation(table: EdgeTable, b: int) -> CliqueUnionViolation:

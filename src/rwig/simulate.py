@@ -18,12 +18,17 @@ most ``_TABLE_CELLS`` and it holds at most ``_WALK_ELEMENTS`` entries;
 otherwise each step gathers the walkers' rows, as every step of an
 empirical distribution does.
 
-A sampled sequence stays an array from the walk to its JSON lines: the
-walkers' states at every step, renamed into one restricted growth string
-per snapshot, without a sort, by ``combinatorics.first_appearance_rows``,
-and written by ``contact_graph.json_blocks``.  Equality, hashing and the
-clique histograms read the rows too; its ``ContactGraph`` snapshots are
-built only when a caller reads them.
+A sampled sequence stays an array from the walk to its JSON lines.  The
+walk goes in blocks of min(``contact_graph._JSON_ROWS``, ``_WALK_ELEMENTS``
+// M) steps (``_walk_blocks``), each continuing from the last states of
+the one before: the walkers' states at each step of a block are renamed
+into one restricted growth string per snapshot, without a sort, by
+``combinatorics.first_appearance_rows``.  ``sample_sequence`` joins the
+blocks' rows; ``sample_jsonl``, which ``rwig sample`` writes, formats each
+block by ``contact_graph.json_blocks`` as soon as it is renamed, so the
+command holds one block of the walk at a time.  A sequence's equality,
+hashing and clique histograms read its rows too; its ``ContactGraph``
+snapshots are built only when a caller reads them.
 
 An empirical distribution walks its replicas together, as one (R, M) state
 array per step.  It builds no generator: ``_replica_uniforms`` runs numpy's
@@ -37,6 +42,7 @@ holds more than ``_WALK_ELEMENTS`` numbers.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 import numbers
@@ -44,6 +50,7 @@ from typing import Hashable, Iterable, Iterator, Sequence
 
 import numpy as np
 
+from . import contact_graph
 from .combinatorics import first_appearance_rows
 from .contact_graph import ContactGraph, cell_sizes, graph_rows, json_blocks, row_graphs
 from .markov import WalkerEnsemble
@@ -180,7 +187,8 @@ def _step_table(cum_policy: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
 
 def _table_walk(cum0: np.ndarray, step_table: tuple, uniforms: np.ndarray) -> np.ndarray:
     """The walkers' state indices at every time of one walk, as
-    ``_walk_states`` gives them for the same (T, M) uniforms: one
+    ``_walk_states`` gives them for the same (T, M) uniforms and the same
+    cumulative vectors ``cum0`` that the first uniforms draw from: one
     ``searchsorted`` per walker finds the intervals of all its steps, and
     each step is one lookup in the ``_step_table``."""
     breaks, table = step_table
@@ -197,30 +205,68 @@ def _table_walk(cum0: np.ndarray, step_table: tuple, uniforms: np.ndarray) -> np
     return states
 
 
+def _walk_blocks(ensemble: WalkerEnsemble, horizon: int, seed: int) -> Iterator[np.ndarray]:
+    """Yield the walkers' state indices at times 0, 1, ..., horizon, in
+    (b, M) blocks of b = min(``_JSON_ROWS``, ``_WALK_ELEMENTS`` // M) times.
+
+    A block's uniforms are the next (b, M) doubles of ``default_rng(seed)``,
+    so the walk draws the same doubles in the same order as one M-vector
+    per step.  The first block's first uniforms draw from the walkers'
+    initial vectors, and every later block's from their policy rows at the
+    last states of the block before; all other uniforms take policy steps,
+    from a ``_step_table`` when one is built, which gives the gather's
+    states exactly.
+    """
+    rng = np.random.default_rng(seed)
+    m = ensemble.n_walkers
+    steps = max(1, min(contact_graph._JSON_ROWS, _WALK_ELEMENTS // m))
+    cum, cum_policy = _walk_tables(ensemble)
+    step_table = _step_table(cum_policy)
+    for lo in range(0, horizon + 1, steps):
+        uniforms = rng.random((min(steps, horizon + 1 - lo), m))
+        if step_table is None:
+            walk = _walk_states(cum, cum_policy, uniforms)
+            states = np.fromiter(walk, np.dtype((np.intp, m)), len(uniforms))
+        else:
+            states = _table_walk(cum, step_table, uniforms)
+        cum = cum_policy[np.arange(m), states[-1]]
+        yield states
+
+
+def _sample_rows(
+    ensemble: WalkerEnsemble, horizon: int, seed: int
+) -> tuple[tuple[Hashable, ...], Iterator[np.ndarray]]:
+    """The sorted labels, and the rows of ``first_appearance_rows`` over
+    them, renamed a block of ``_walk_blocks`` at a time.  The arguments are
+    checked at the call, before any block is walked."""
+    _check_integer("seed", seed, 0)
+    _check_integer("horizon", horizon, 0)
+    labels = tuple(sorted(ensemble.labels))
+    columns = [ensemble.index[w] for w in labels]
+    blocks = _walk_blocks(ensemble, horizon, seed)
+    return labels, (first_appearance_rows(states[:, columns]) for states in blocks)
+
+
 def sample_sequence(ensemble: WalkerEnsemble, horizon: int, seed: int) -> ContactSequence:
     """Sample a contact-graph sequence of length horizon + 1.
 
     Initial states are drawn from each walker's initial vector (callers
     wanting fixed starts pass basis vectors), then each walker takes
     ``horizon`` independent policy steps.  Deterministic given the seed:
-    the uniforms are one (horizon + 1, M) block, the same doubles in the
-    same order as one M-vector per step.  The walk takes its steps from a
-    ``_step_table`` when one is built.
+    the uniforms are the same doubles in the same order as one M-vector per
+    step, drawn and walked a block of steps at a time (``_walk_blocks``).
     """
-    _check_integer("seed", seed, 0)
-    _check_integer("horizon", horizon, 0)
-    rng = np.random.default_rng(seed)
-    labels = tuple(sorted(ensemble.labels))
-    uniforms = rng.random((horizon + 1, ensemble.n_walkers))
-    cum0, cum_policy = _walk_tables(ensemble)
-    step_table = _step_table(cum_policy)
-    if step_table is None:
-        walk = _walk_states(cum0, cum_policy, uniforms)
-        states = np.fromiter(walk, np.dtype((np.intp, ensemble.n_walkers)), horizon + 1)
-    else:
-        states = _table_walk(cum0, step_table, uniforms)
-    columns = [ensemble.index[w] for w in labels]
-    return ContactSequence._of_rows(first_appearance_rows(states[:, columns]), labels, seed)
+    labels, blocks = _sample_rows(ensemble, horizon, seed)
+    return ContactSequence._of_rows(np.concatenate(list(blocks)), labels, seed)
+
+
+def sample_jsonl(ensemble: WalkerEnsemble, horizon: int, seed: int) -> Iterator[str]:
+    """The text of ``sequence_to_jsonl(sample_sequence(...))`` in blocks,
+    each made once its steps are walked, so no more than one block of the
+    walk is held at once.  Bad arguments raise at the call, before any
+    block is walked."""
+    labels, blocks = _sample_rows(ensemble, horizon, seed)
+    return jsonl_blocks(itertools.count(), blocks, labels)
 
 
 # SeedSequence's hash constants (numpy NEP 19; bit_generator.pyx) and
@@ -431,8 +477,17 @@ def rows_to_jsonl(
     ``first_position_rows`` over the sorted ``labels``, as
     ``json.dumps(..., separators=(",", ":"))`` writes it, by ``json_blocks``;
     no rows are one empty line."""
-    head = ('{"t":', list(map(str, times)), ',"graph":')
-    return "".join(json_blocks(rows, labels, head, ("}\n",))) or "\n"
+    return "".join(jsonl_blocks(times, rows, labels)) or "\n"
+
+
+def jsonl_blocks(
+    times: Iterable[int], rows: np.ndarray | Iterable[np.ndarray], labels: Sequence[Hashable]
+) -> Iterator[str]:
+    """The text of ``rows_to_jsonl`` in the blocks of ``json_blocks``, for
+    a caller that writes each block as it comes; ``rows`` may be an
+    iterable of arrays and ``times`` an iterator, as ``json_blocks`` reads
+    them.  No rows give no block."""
+    return json_blocks(rows, labels, ('{"t":', map(str, times), ',"graph":'), ("}\n",))
 
 
 def snapshots_to_jsonl(snapshots: Iterable[tuple[int, ContactGraph]]) -> str:

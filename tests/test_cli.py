@@ -509,6 +509,33 @@ def test_sample_rejects_negative_seed(uniform2, capsys):
     assert "seed must be a non-negative integer, got -1" in captured.err
 
 
+def test_failed_runs_leave_no_output_file(uniform2, tmp_path, capsys):
+    # Arguments, the ensemble and every bin are checked before an output
+    # file is opened, so a run that exits 1 writes no part of one.
+    malformed = tmp_path / "malformed.json"
+    malformed.write_text('{"walkers": []}')
+    out = tmp_path / "run.jsonl"
+    for flags in (
+        ["--ensemble", uniform2, "--horizon", "-1"],
+        ["--ensemble", uniform2, "--horizon", "3", "--seed", "-1"],
+        ["--ensemble", str(malformed), "--horizon", "3"],
+    ):
+        assert main(["sample", *flags, "-o", str(out)]) == 1
+        assert not out.exists()
+    edges, roster = tmp_path / "edges.txt", tmp_path / "roster.txt"
+    roster.write_text("a\nb\nc\n")
+    prefix = tmp_path / "r"
+    # A second bin that is no union of cliques, with or without a roster,
+    # and a node off the roster.
+    bad_bin, off_roster = "0 a b\n1 a b\n1 b c\n", "0 a b\n1 a d\n"
+    listed = ["--roster", str(roster)]
+    for text, extra in [(bad_bin, []), (bad_bin, listed), (off_roster, listed)]:
+        edges.write_text(text)
+        assert main(["analyze", "--input", str(edges), *extra, "-o", str(prefix)]) == 1
+        assert list(tmp_path.glob("r_*")) == []
+    assert capsys.readouterr().out == ""
+
+
 def test_analyze_valid_and_invalid(tmp_path, capsys):
     good = tmp_path / "good.txt"
     good.write_text("0 a b\n0 a c\n0 b c\n")

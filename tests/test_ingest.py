@@ -68,24 +68,100 @@ def test_ranked_pair_key_gives_the_packed_key_table(monkeypatch, seed):
         ends = rng.integers(0, 12, (rng.integers(0, 20), 2)).tolist()
         pairs = [(names[i], names[j]) for i, j in ends if i != j]
         records.append(SnapshotRecord(t, tuple(pairs + [(j, i) for i, j in pairs[::2]])))
-    text = "".join(f"{r.timestamp} {i} {j}\n" for r in records for i, j in r.edges)
     expected = sorted(
         {(r.timestamp, min(pair), max(pair)) for r in records for pair in r.edges}
     )
-    tables = {}
-    for limit in (1 << 63, 0):
-        monkeypatch.setattr(ingest, "_KEY_LIMIT", limit)
-        tables[limit] = EdgeTable.of_records(records), ingest.read_colocation(io.StringIO(text))
-    for packed, ranked in zip(tables[1 << 63], tables[0]):
-        assert (ranked.nodes, ranked.times) == (packed.nodes, packed.times)
-        for name in ("bins", "lo", "hi"):
-            got, want = getattr(ranked, name), getattr(packed, name)
-            assert (got.dtype, got.tolist()) == (want.dtype, want.tolist())
-    parsed = tables[0][1]
+    parsed = tables_of(records, monkeypatch)[1]
     edges = zip(parsed.bins.tolist(), parsed.lo.tolist(), parsed.hi.tolist())
     assert [(parsed.times[b], parsed.nodes[i], parsed.nodes[j]) for b, i, j in edges] == (
         expected
     )
+
+
+def tables_of(records, monkeypatch) -> list[EdgeTable]:
+    """The table of ``records`` from the records and from their text.  The
+    ranked pair key gives the same tables as the packed key."""
+    text = records_to_text(records)
+    tables = {}
+    for limit in (ingest._KEY_LIMIT, 0):
+        monkeypatch.setattr(ingest, "_KEY_LIMIT", limit)
+        tables[limit] = EdgeTable.of_records(records), ingest.read_colocation(io.StringIO(text))
+    monkeypatch.undo()
+    for packed, ranked in zip(*tables.values()):
+        assert (ranked.nodes, ranked.times) == (packed.nodes, packed.times)
+        for name in ("bins", "lo", "hi"):
+            got, want = getattr(ranked, name), getattr(packed, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+    return list(tables[ingest._KEY_LIMIT])
+
+
+def check_narrow_table(records, monkeypatch, bins_type, positions_type, chunks=(1, 2, 3)):
+    # Each table holds its bins and node positions in the narrowest unsigned
+    # integers, reads back as the sorted records, and validates as the
+    # per-record search does (searched once per distinct bin), also
+    # ``chunks`` bins at a time.
+    searched = {}
+    for r in records:
+        if r.edges not in searched:
+            searched[r.edges] = bfs_validate(r)
+        if isinstance(searched[r.edges], CliqueUnionViolation):
+            expected = bfs_validate(r)
+            break
+    else:
+        rows, nodes = graph_rows(searched[r.edges] for r in records)
+        expected = (nodes, rows.tolist())
+    sorted_records = [
+        SnapshotRecord(r.timestamp, tuple(sorted({tuple(sorted(p)) for p in r.edges})))
+        for r in records
+    ]
+    for table in tables_of(records, monkeypatch):
+        assert (table.bins.dtype, table.lo.dtype, table.hi.dtype) == (
+            np.dtype(bins_type), np.dtype(positions_type), np.dtype(positions_type)
+        )
+        assert table.records() == sorted_records
+        for bins in (None, *chunks):
+            if bins is not None:
+                monkeypatch.setattr(ingest, "_PARSE_CHARS", bins * len(table.nodes))
+            result = validate_table(table)
+            if isinstance(result, np.ndarray):
+                result = (table.nodes, result.tolist())
+            assert result == expected
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("n, positions", [(255, np.uint8), (256, np.uint8), (257, np.uint16)])
+def test_node_positions_fill_the_narrowest_integers(n, positions, monkeypatch):
+    # Node k is the k-th id in sorted order; the last of 256 is 255, the
+    # largest a uint8 holds.  Bin 0 pairs off the nodes, bin 1 joins the
+    # last three, and bin 2, which fails, lacks one pair of them.
+    ids = [f"n{k:03d}" for k in range(n)]
+    top = ids[-3:]
+    records = [
+        SnapshotRecord(0, tuple(zip(ids[1::2], ids[::2]))),
+        SnapshotRecord(1, tuple(combinations(reversed(top), 2)) + ((ids[0], ids[1]),)),
+    ]
+    check_narrow_table(records, monkeypatch, np.uint8, positions)
+    bad = records + [SnapshotRecord(2, ((top[0], top[1]), (top[2], top[1])))]
+    check_narrow_table(bad, monkeypatch, np.uint8, positions)
+    with pytest.raises(ValueError) as raised:
+        snapshot_graphs(bad)
+    assert str(raised.value) == (
+        f"snapshot at t=2 is not a union of cliques: {top} missing 1 pair(s)"
+    )
+
+
+@pytest.mark.parametrize("n_bins", [65_535, 65_536])
+def test_bins_fill_the_narrowest_integers(n_bins, monkeypatch):
+    # The last bin is 65,534 or 65,535, which a uint16 still holds.  Each
+    # bin holds one pair of three nodes, the last their triangle, or, the
+    # second time, a path that lacks one pair.  Bins are validated 21,845
+    # at a time.
+    pairs = [("a", "b"), ("c", "b"), ("a", "c")]
+    records = [SnapshotRecord(3 * t, (pairs[t % 3],)) for t in range(n_bins - 1)]
+    for last in (pairs, pairs[:2]):
+        records.append(SnapshotRecord(3 * n_bins, tuple(last)))
+        check_narrow_table(records, monkeypatch, np.uint16, np.uint8, chunks=())
+        records.pop()
 
 
 def test_parse_rejects_self_contact():
@@ -304,16 +380,24 @@ def test_batch_validation_agrees_with_bfs(records):
     expected = [bfs_validate(r) for r in records]
     for record, want in zip(records, expected):
         assert validate_clique_union(record) == want
-    # All records in one batch: the graphs, or the first violation.
+    # All records in one batch: the graphs, or the first violation.  Bins
+    # are validated _PARSE_CHARS // nodes at a time: so also one, two and
+    # three at a time.
     violations = [v for v in expected if isinstance(v, CliqueUnionViolation)]
     table = EdgeTable.of_records(records)
+    width = max(len(table.nodes), 1)
+    for chars in (ingest._PARSE_CHARS, width, 2 * width, 3 * width):
+        with mock.patch.object(ingest, "_PARSE_CHARS", chars):
+            result = validate_table(table)
+        if violations:
+            assert result == violations[0]
+        else:
+            # The rows number each bin's cliques 0, 1, ... by smallest node.
+            rows, nodes = graph_rows(expected)
+            assert (nodes, result.tolist()) == (table.nodes, rows.tolist())
     if not violations:
         assert snapshot_graphs(records) == expected
-        # The rows number each bin's cliques 0, 1, ... by smallest node.
-        rows, nodes = graph_rows(expected)
-        assert (nodes, validate_table(table).tolist()) == (table.nodes, rows.tolist())
         return
-    assert validate_table(table) == violations[0]
     parts = "; ".join(
         f"{list(c.nodes)} missing {c.missing_pairs} pair(s)"
         for c in violations[0].components

@@ -41,7 +41,7 @@ from rwig.pmf import (
     unlabelled_steady_state_pmf_bruteforce,
 )
 from rwig.combinatorics import set_partitions
-from rwig.simulate import empirical_distribution, rows_to_jsonl
+from rwig.simulate import empirical_distribution, jsonl_blocks, rows_to_jsonl
 
 from conftest import (
     dict_count_histogram,
@@ -461,10 +461,15 @@ def test_row_writers_escape_labels_in_both_layouts(chunks, monkeypatch):
             compact = [json.dumps(g, separators=(",", ":")) + "\n" for g in graphs]
             assert "".join(json_blocks(rows, labels, tail=("\n",))) == "".join(compact)
             times = range(10, 10 + len(rows))
-            assert rows_to_jsonl(times, rows, labels) == "".join(
+            lines = "".join(
                 json.dumps({"t": t, "graph": g}, separators=(",", ":")) + "\n"
                 for t, g in zip(times, graphs)
             )
+            assert rows_to_jsonl(times, rows, labels) == lines
+            # The rows as pieces that come one by one, split again into
+            # blocks, their per-row column read across the pieces.
+            pieces = iter(np.split(rows, [1, 5]))
+            assert "".join(jsonl_blocks(iter(times), pieces, labels)) == lines
 
 
 def tie_cases() -> dict:

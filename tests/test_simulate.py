@@ -9,7 +9,7 @@ import pytest
 import rwig.contact_graph as contact_graph
 import rwig.simulate as simulate
 from rwig.contact_graph import ContactGraph, from_assignment
-from rwig.markov import StateVector, TransitionMatrix, WalkerEnsemble
+from rwig.markov import StateVector, TransitionMatrix, WalkerEnsemble, ensemble_to_json
 from rwig.pmf import full_distribution
 from rwig.simulate import (
     ContactSequence,
@@ -311,6 +311,50 @@ def test_walk_matches_per_step_reference(m, n, seed, short, monkeypatch):
     assert seq == ContactSequence(reference_walk(ensemble, 50, seed), seed)
 
 
+@pytest.mark.parametrize(
+    "route, cap",
+    [("table", "_JSON_ROWS"), ("gather", "_JSON_ROWS"), ("gather", "_WALK_ELEMENTS")],
+)
+def test_sample_writes_the_sequence_a_block_at_a_time(route, cap, tmp_path, monkeypatch):
+    # Blocks of b = 4 steps, set by either cap: horizons 0 and 1 fit in a
+    # part of one block, b - 1, b and b + 1 end around a block's end, and
+    # 2b + 3 spans three blocks.  Each block continues the walk from the
+    # one before, and `rwig sample -o` writes each as soon as it is walked.
+    from rwig.cli import main
+
+    ensemble, b = coarse_ensemble(5, 3, 8), 4
+    if cap == "_JSON_ROWS":
+        monkeypatch.setattr(contact_graph, "_JSON_ROWS", b)
+    else:
+        monkeypatch.setattr(simulate, "_WALK_ELEMENTS", 5 * b)
+    if route == "gather":
+        monkeypatch.setattr(simulate, "_TABLE_CELLS", 0)
+    assert (simulate._step_table(simulate._walk_tables(ensemble)[1]) is None) == (
+        route == "gather"
+    )
+    path = tmp_path / "ensemble.json"
+    path.write_text(json.dumps(ensemble_to_json(ensemble)), encoding="utf-8")
+    real_rows, blocks = simulate.first_appearance_rows, []
+
+    def rows_of_block(states):
+        blocks.append(len(states))
+        return real_rows(states)
+
+    monkeypatch.setattr(simulate, "first_appearance_rows", rows_of_block)
+    for horizon in (0, 1, b - 1, b, b + 1, 2 * b + 3):
+        seed = 31 + horizon
+        blocks.clear()
+        seq = sample_sequence(ensemble, horizon, seed)
+        assert seq == ContactSequence(reference_walk(ensemble, horizon, seed), seed)
+        sizes = [b] * ((horizon + 1) // b) + [(horizon + 1) % b] * ((horizon + 1) % b > 0)
+        assert blocks == sizes
+        out = tmp_path / f"h{horizon}.jsonl"
+        argv = ["--ensemble", str(path), "--horizon", str(horizon), "--seed", str(seed)]
+        assert main(["sample", *argv, "-o", str(out)]) == 0
+        assert out.read_bytes() == sequence_to_jsonl(seq).encode("utf-8")
+        assert blocks == sizes * 2
+
+
 def dumps_lines(pairs) -> str:
     return "".join(
         json.dumps({"t": t, "graph": g.to_json_obj()}, separators=(",", ":")) + "\n"
@@ -470,5 +514,7 @@ def test_empirical_rejects_bad_arguments(bad, message):
     ],
 )
 def test_sample_sequence_rejects_bad_arguments(horizon, seed, message):
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        sample_sequence(uniform_ensemble(2, 2), horizon, seed)
+    # The streamed writer raises at the call, before it walks a block.
+    for sampler in (sample_sequence, simulate.sample_jsonl):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            sampler(uniform_ensemble(2, 2), horizon, seed)
