@@ -2,6 +2,7 @@ import io
 import itertools
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -818,6 +819,49 @@ def test_steady_state_relative_accuracy():
         assert abs(fast - reference) <= 1e-12 * reference
 
 
+@pytest.mark.parametrize("n", [150, 171, 300])
+def test_steady_state_all_singletons_stay_exact(n):
+    # n walkers on n uniform states, all apart: n!/n^n, a value whose
+    # factorial fix-up once underflowed to 0.0 (n = 150) or overflowed (171).
+    exact = float(Fraction(math.factorial(n), n**n))
+    s = StateVector.uniform(n)
+    labelled = labelled_steady_state_pmf((1,) * n, s)
+    unlabelled = unlabelled_steady_state_pmf(UnlabelledContactGraph.from_sizes((1,) * n), s)
+    for p in (labelled, unlabelled):
+        assert abs(p - exact) <= 1e-13 * exact
+
+
+def test_steady_distribution_relative_accuracy():
+    s = table3_vector("s96", 15)
+    dist = unlabelled_steady_state_distribution(11, s)
+    checked = 0
+    for u, p in dist.entries.items():
+        if u.n_cliques <= 4:
+            reference = unlabelled_steady_state_pmf_bruteforce(u, s)
+            assert abs(p - reference) <= 1e-12 * reference
+            checked += 1
+    assert checked == sum(q.n_parts <= 4 for q in integer_partitions(11))
+    # Nine ninths sum to 1 + 2^-52: dust above one comes back as exactly 1.0.
+    ninths = StateVector(np.full(9, 1 / 9))
+    assert unlabelled_steady_state_distribution(1, ninths)._probs.tolist() == [1.0]
+
+
+@pytest.mark.parametrize("n_states", [2, 5])
+def test_steady_distribution_rows_are_the_dict_layout(n_states):
+    # Rows pour walkers 1..M into cliques of non-increasing size, as a dict
+    # of UnlabelledContactGraph keys is converted, so --cross-check compares
+    # aligned arrays.
+    s = table3_vector("s33", n_states)
+    for m in range(1, 9):
+        dist = unlabelled_steady_state_distribution(m, s)
+        rebuilt = GraphDistribution(dict(dist.entries))
+        assert np.array_equal(dist._rows, rebuilt._rows)
+        assert dist._labels is rebuilt._labels is None
+    dist = unlabelled_steady_state_distribution(6, table3_vector("multimodal", 5))
+    row = dist._rows[list(dist.entries).index(UnlabelledContactGraph.from_sizes([3, 2, 1]))]
+    assert row.tolist() == [0, 0, 0, 1, 1, 2]
+
+
 def test_unlabelled_distribution_matches_assignment_oracle():
     # Oracle: enumerate all N^M joint assignments of walkers sharing the
     # steady vector and bin by clique-size multiset.
@@ -842,10 +886,12 @@ def test_labelled_steady_state_edge_cases(monkeypatch):
     # Nine ninths sum to 1.0000000000000002, which is dust above one and
     # comes back as exactly 1.0.
     seen = []
-    real = pmf_module._clamp
-    monkeypatch.setattr(pmf_module, "_clamp", lambda p, what: seen.append(p) or real(p, what))
+    real = pmf_module._in_range
+    monkeypatch.setattr(
+        pmf_module, "_in_range", lambda p, what: seen.append(p.tolist()) or real(p, what)
+    )
     assert labelled_steady_state_pmf([1], StateVector(np.full(9, 1 / 9))) == 1.0
-    assert seen == [1.0000000000000002]
+    assert seen == [[1.0000000000000002]]
 
 
 def test_labelled_steady_state_sums_over_classes():
