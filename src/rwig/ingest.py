@@ -165,10 +165,6 @@ _PARSE_CHARS = 1 << 16
 # ``EdgeTable._of_edges`` keys an edge by bin * n**2 + pair below this bound
 # on (bins) * (nodes)**2, and by pair rank above it.
 _KEY_LIMIT = 1 << 63
-# The bytes that separate fields: the ASCII characters for which
-# ``str.isspace`` holds.
-_SPACE = np.zeros(256, bool)
-_SPACE[[c for c in range(128) if chr(c).isspace()]] = True
 # _KEEP[n] keeps the first n bytes of a big-endian word.
 _KEEP = np.array([(1 << 64) - (1 << 8 * (8 - n)) for n in range(9)], np.uint64)
 
@@ -220,7 +216,7 @@ def _fields(text: str) -> tuple[bytes, np.ndarray, np.ndarray, np.ndarray]:
 
     Returns the text's bytes, the [start, end) byte span of every field in
     order, and each line's field count.  Non-ASCII whitespace becomes " "
-    before encoding, so an ASCII table finds every separator.
+    before encoding, so a test of ASCII bytes finds every separator.
     """
     if text.isascii():
         data = text.encode("ascii")
@@ -228,8 +224,11 @@ def _fields(text: str) -> tuple[bytes, np.ndarray, np.ndarray, np.ndarray]:
         spaces = {ord(c): " " for c in set(text) if c.isspace() and not c.isascii()}
         data = text.translate(spaces).encode("utf-8", "surrogatepass")
     byte = np.frombuffer(data, np.uint8)
+    # The ASCII characters for which str.isspace holds are the bytes 9-13
+    # and 28-32; below a run's start the uint8 difference wraps past 4.
+    space = (byte - np.uint8(9) <= 4) | (byte - np.uint8(28) <= 4)
     # +1 where a field ends, -1 where one starts.
-    step = np.diff(_SPACE[byte].view(np.int8), prepend=np.int8(1))
+    step = np.diff(space.view(np.int8), prepend=np.int8(1))
     opens = step == -1
     # A line starts after the "\n" that ends the one before it.
     line_at = np.flatnonzero(byte == ord("\n"))

@@ -63,6 +63,7 @@ from typing import IO, Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .combinatorics import (
+    IntegerPartition,
     contact_graph_count,
     expansion_weight,
     integer_partitions,
@@ -610,6 +611,19 @@ def labelled_steady_state_pmf(clique_sizes: Iterable[int], s_tilde: StateVector)
     return float(_in_range(_placements(keys, s_tilde.probs)[-1:], lambda _: what)[0])
 
 
+def _multiplicity(q: IntegerPartition) -> float:
+    """``multiplicity(q)`` as a float, or a ValueError that names q when the
+    count passes the float range."""
+    count = multiplicity(q)
+    try:
+        return float(count)
+    except OverflowError:
+        raise ValueError(
+            f"multiplicity of clique sizes {list(q.parts)} passes the float range "
+            f"(about 1e{int(math.log10(count))})"
+        ) from None
+
+
 def unlabelled_steady_state_pmf(u: UnlabelledContactGraph, s_tilde: StateVector) -> float:
     """Steady-state probability of an unlabelled contact graph.
 
@@ -619,7 +633,7 @@ def unlabelled_steady_state_pmf(u: UnlabelledContactGraph, s_tilde: StateVector)
     """
     if u.n_cliques > s_tilde.n_states:
         raise ValueError(f"{u.n_cliques} cliques cannot occupy {s_tilde.n_states} states")
-    p = multiplicity(u.clique_sizes) * labelled_steady_state_pmf(u.clique_sizes.parts, s_tilde)
+    p = _multiplicity(u.clique_sizes) * labelled_steady_state_pmf(u.clique_sizes.parts, s_tilde)
     what = f"unlabelled steady-state probability of {u.to_json_obj()}"
     return float(_in_range(np.array([p]), lambda _: what)[0])
 
@@ -663,7 +677,7 @@ def unlabelled_steady_state_distribution(
     keys = [()] + [q.parts for level in levels for q in level]
     top = levels[-1]
     probs = _placements(keys, s_tilde.probs)[-len(top) :]
-    probs *= np.fromiter(map(multiplicity, top), float, len(top))
+    probs *= np.fromiter(map(_multiplicity, top), float, len(top))
     rows = np.array([np.repeat(np.arange(q.n_parts), q.parts) for q in top])
     _in_range(probs, lambda i: f"unlabelled steady-state probability of {list(top[i].parts)}")
     return GraphDistribution._of_rows(rows, probs, None, None, None)

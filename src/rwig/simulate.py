@@ -8,15 +8,16 @@ whenever s ^ s' equals r ^ r' for two replica indices (with 8 replicas,
 seeds 0 to 7 draw the same eight streams and give identical empirical
 distributions).
 
-A sampled sequence's walker steps, inverse-CDF draws from their policy
-rows, come from an exact next-state table (``_step_table``): one
-``searchsorted`` per walker over all its uniforms puts each in an interval
-between the sorted cumulative values of the walker's rows, and each step
-is then one lookup of (walker, interval, state), giving the same states as
-comparing the uniform with the row.  The table is built when M N is at
-most ``_TABLE_CELLS`` and it holds at most ``_WALK_ELEMENTS`` entries;
-otherwise each step gathers the walkers' rows, as every step of an
-empirical distribution does.
+Walker steps, inverse-CDF draws from their policy rows, come from an
+exact next-state table (``_step_table``) whenever one is built, in a
+sampled sequence and in an empirical distribution alike.  ``_intervals``
+puts a whole array of uniforms in the intervals between the sorted
+distinct cumulative values of their walkers' rows, by one bucket lookup
+and a correction past the values it skips, and each step is then one
+lookup of (walker, interval, state), giving the same states as comparing
+the uniform with the row.  The table is built when M N is at most
+``_TABLE_CELLS`` and it holds at most ``_WALK_ELEMENTS`` entries;
+otherwise each step gathers the walkers' rows.
 
 A sampled sequence stays an array from the walk to its JSON lines.  The
 walk goes in blocks of min(``contact_graph._JSON_ROWS``, ``_WALK_ELEMENTS``
@@ -33,10 +34,11 @@ snapshots are built only when a caller reads them.
 An empirical distribution walks its replicas together, as one (R, M) state
 array per step.  It builds no generator: ``_replica_uniforms`` runs numpy's
 seeding (``SeedSequence``) and bit generator (``PCG64``) on arrays, every
-replica of a chunk at once, and gives each replica the same doubles that
-its own ``default_rng`` would.  The final states become rows the same way
-and are counted as rows; replicas go in chunks so that no array of the walk
-holds more than ``_WALK_ELEMENTS`` numbers.
+replica of a chunk at once from the seed's words and the replica indices',
+and gives each replica the same doubles that its own ``default_rng``
+would.  The final states become rows the same way and are counted as rows;
+replicas go in chunks so that no array of the walk, the step table's or
+the gather's, holds more than ``_WALK_ELEMENTS`` numbers.
 """
 
 from __future__ import annotations
@@ -144,64 +146,127 @@ def _walk_tables(ensemble: WalkerEnsemble) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _walk_states(
-    cum0: np.ndarray, cum_policy: np.ndarray, uniforms: Iterable[np.ndarray]
+    cum0: np.ndarray,
+    cum_policy: np.ndarray,
+    uniforms: Iterable[np.ndarray],
+    lookup: tuple | None = None,
 ) -> Iterator[np.ndarray]:
     """Yield the walkers' state indices at times 0, 1, ..., one time per
     array of uniforms: the first draws the initial states, each later one a
     policy step.  An array is M uniforms for one walk, or (R, M) for R
-    replicas walking at once; the states have its shape."""
+    replicas walking at once; the states have its shape.  A policy step is
+    one ``_intervals`` call and one lookup in ``lookup``, a ``_step_table``,
+    when one is given, and otherwise gathers the walkers' rows."""
     uniforms = iter(uniforms)
     states = _draw(cum0, next(uniforms))
     yield states
     rows_index = np.arange(cum0.shape[0])
     for u in uniforms:
-        rows = cum_policy[rows_index, states]
-        states = _draw(rows, u)
+        if lookup is None:
+            states = _draw(cum_policy[rows_index, states], u)
+        else:
+            at = _intervals(lookup, u)
+            at *= cum0.shape[1]
+            at += states
+            states = lookup[2].take(at)
         yield states
 
 
-def _step_table(cum_policy: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """Every policy step of the walk as one lookup: (breaks, table), or
-    None past ``_TABLE_CELLS`` values or ``_WALK_ELEMENTS`` entries.
+def _step_table(cum_policy: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """Every policy step of the walk as one lookup: (breaks, buckets,
+    table), or None past ``_TABLE_CELLS`` values or ``_WALK_ELEMENTS``
+    entries.
 
-    ``breaks[w]`` holds the cumulative values of walker w's rows without
-    each row's last column, sorted: L = N(N - 1) of them.  A uniform u
-    lies in interval k = ``searchsorted(breaks[w], u, "right")``, so k is 0,
-    L or the end of a run of equal breaks, and no row value lies in
+    ``breaks[w]`` holds the distinct cumulative values of walker w's rows
+    without each row's last column, sorted, then +inf: D + 1 in all, D the
+    most any walker has.  A uniform u lies in interval k =
+    ``searchsorted(breaks[w], u, "right")``, so no row value lies in
     (breaks[w][k - 1], u].  ``_draw``'s state from row s, the count of that
     row's values <= u (clipping to N - 1 is dropping the last column), is
-    then ``table[w, k, s]``, the count of row s among the first k sorted
-    values.  The (M, L + 1, N) table comes flat.
+    then ``table[w, k, s]``, the count of row s's values among the first k
+    breaks.  The breaks and the (M, D + 1, N) table come flat.
+
+    ``buckets`` (M x B) holds the flat position w (D + 1) + k of the
+    interval of b / B, for B the least power of two of at least 16 D (1
+    for D = 0), or the most that keeps M B within ``_WALK_ELEMENTS``; it
+    holds its bitwise complement where a break lies in the bucket, past
+    b / B.  At most one bucket in sixteen holds a break, so most uniforms
+    find their interval in their bucket alone (``_intervals``).
     """
     m, n, _ = cum_policy.shape
     if m * n > _TABLE_CELLS or m * (n * (n - 1) + 1) * n > _WALK_ELEMENTS:
         return None
     values = cum_policy[:, :, :-1].reshape(m, -1)
     order = np.argsort(values, axis=1)
-    # One count per sorted value, at its row; the table sums them.
-    table = np.zeros((m, values.shape[1] + 1, n), np.intp)
-    rows = order // max(n - 1, 1)
-    table[np.arange(m)[:, None], np.arange(1, values.shape[1] + 1), rows] = 1
-    return np.take_along_axis(values, order, 1), table.cumsum(axis=1).ravel()
+    values = np.take_along_axis(values, order, 1)
+    # Each sorted value's break: a new one where it differs from the last.
+    new = np.ones(values.shape, bool)
+    new[:, 1:] = values[:, 1:] != values[:, :-1]
+    rank = np.cumsum(new, axis=1)
+    d = int(rank.max(initial=0))
+    breaks = np.full((m, d + 1), np.inf)
+    breaks[np.nonzero(new)[0], rank[new] - 1] = values[new]
+    # One count per value, at its row and its break; the table sums them.
+    cells = (np.arange(m)[:, None] * (d + 1) + rank) * n + order // max(n - 1, 1)
+    table = np.bincount(cells.ravel(), minlength=m * (d + 1) * n)
+    table = table.reshape(m, d + 1, n).cumsum(axis=1).ravel()
+    # Bucket b holds the breaks x with b / B < x <= (b + 1) / B, those
+    # with ceil(x B) = b + 1 (exact, B being a power of two); the last holds
+    # every finite break past its lower edge, and +inf goes past it.
+    n_buckets = 1 << min(max(16 * d - 1, 0).bit_length(), (_WALK_ELEMENTS // m).bit_length() - 1)
+    slot = np.minimum(np.ceil(breaks * n_buckets), n_buckets)
+    slot[np.isinf(breaks)] = n_buckets + 1
+    slot += np.arange(m)[:, None] * (n_buckets + 2)
+    counts = np.bincount(slot.astype(np.intp).ravel(), minlength=m * (n_buckets + 2))
+    counts = counts.reshape(m, n_buckets + 2)
+    buckets = counts[:, :-2].cumsum(axis=1) + np.arange(m)[:, None] * (d + 1)
+    return breaks.ravel(), np.where(counts[:, 1:-1] > 0, ~buckets, buckets), table
 
 
-def _table_walk(cum0: np.ndarray, step_table: tuple, uniforms: np.ndarray) -> np.ndarray:
+def _intervals(lookup: tuple, u: np.ndarray) -> np.ndarray:
+    """The flat position w (D + 1) + ``searchsorted(breaks[w], u, "right")``
+    of each uniform's interval in a ``_step_table`` lookup, for an (..., M)
+    array of uniforms u >= 0 with u B below 2**63 (walker w's in the last
+    axis w).
+
+    The bucket of u, floor(u B) (exact, B a power of two; the last bucket
+    for u >= 1), gives the interval of its lower edge.  Only the uniforms
+    whose bucket holds a break then step past the breaks between that edge
+    and themselves, one array step per break, over only the uniforms that
+    still have one to pass.
+    """
+    breaks, buckets, _ = lookup
+    m, n_buckets = buckets.shape
+    at = np.multiply(u, n_buckets, out=np.empty(u.shape, np.intp), casting="unsafe")
+    np.minimum(at, n_buckets - 1, out=at)
+    at += np.arange(0, m * n_buckets, n_buckets)
+    # Each bucket's value takes the place of its own index, which it reads
+    # first.  The indices are in range, so mode "wrap" only spares the copy
+    # of ``out`` that the default mode makes.
+    buckets.take(at, out=at, mode="wrap")
+    flat_at, flat_u = at.reshape(-1), u.reshape(-1)
+    past = np.flatnonzero(flat_at < 0)
+    flat_at[past] = ~flat_at[past]
+    while past.size:
+        past = past[breaks.take(flat_at[past]) <= flat_u[past]]
+        flat_at[past] += 1
+    return at
+
+
+def _table_walk(cum0: np.ndarray, lookup: tuple, uniforms: np.ndarray) -> np.ndarray:
     """The walkers' state indices at every time of one walk, as
     ``_walk_states`` gives them for the same (T, M) uniforms and the same
     cumulative vectors ``cum0`` that the first uniforms draw from: one
-    ``searchsorted`` per walker finds the intervals of all its steps, and
-    each step is one lookup in the ``_step_table``."""
-    breaks, table = step_table
-    m, n = cum0.shape
-    states = np.empty(uniforms.shape, np.intp)
+    ``_intervals`` call finds the intervals of all the steps, and each step
+    is one lookup in the ``_step_table``."""
+    take = lookup[2].take
+    states = _intervals(lookup, uniforms)
+    states *= cum0.shape[1]
     states[0] = _draw(cum0, uniforms[0])
-    for w in range(m):
-        states[1:, w] = np.searchsorted(breaks[w], uniforms[1:, w], "right")
-    # The flat position of (w, k, 0) in the table.
-    states[1:] += np.arange(m) * (breaks.shape[1] + 1)
-    states[1:] *= n
-    for t in range(1, len(states)):
-        states[t] = table[states[t] + states[t - 1]]
+    at = np.empty(cum0.shape[0], np.intp)
+    for before, row in zip(states, states[1:]):
+        np.add(row, before, out=at)
+        take(at, out=row, mode="wrap")
     return states
 
 
@@ -221,15 +286,17 @@ def _walk_blocks(ensemble: WalkerEnsemble, horizon: int, seed: int) -> Iterator[
     m = ensemble.n_walkers
     steps = max(1, min(contact_graph._JSON_ROWS, _WALK_ELEMENTS // m))
     cum, cum_policy = _walk_tables(ensemble)
-    step_table = _step_table(cum_policy)
+    lookup = _step_table(cum_policy)
     for lo in range(0, horizon + 1, steps):
         uniforms = rng.random((min(steps, horizon + 1 - lo), m))
-        if step_table is None:
+        if lookup is None:
             walk = _walk_states(cum, cum_policy, uniforms)
             states = np.fromiter(walk, np.dtype((np.intp, m)), len(uniforms))
         else:
-            states = _table_walk(cum, step_table, uniforms)
+            states = _table_walk(cum, lookup, uniforms)
         cum = cum_policy[np.arange(m), states[-1]]
+        # Not held while the block is renamed and written.
+        del uniforms
         yield states
 
 
@@ -286,41 +353,67 @@ def _halves(values: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
     )
 
 
-def _mul128(a_hi, a_lo, b_hi, b_lo) -> tuple[np.ndarray, np.ndarray]:
-    """(a * b) mod 2**128 on (high, low) uint64 halves.  The high half of
-    a_lo * b_lo is taken from 32-bit limbs, whose products fit in 64 bits."""
+def _mul128(a_hi, a_lo, b_hi, b_lo, out=None) -> tuple[np.ndarray, np.ndarray]:
+    """(a * b) mod 2**128 on (high, low) uint64 halves, written into ``out``
+    (five uint64 arrays of the broadcast shape: the high half, the low half
+    and three for scratch) or into new arrays.  The high half of a_lo * b_lo
+    is taken from 32-bit limbs, whose products fit in 64 bits."""
+    if out is None:
+        shape = np.broadcast_shapes(*map(np.shape, (a_hi, a_lo, b_hi, b_lo)))
+        out = [np.empty(shape, np.uint64) for _ in range(5)]
+    hi, lo, t, u, v = out
     a0, a1 = a_lo & _MASK32, a_lo >> 32
     b0, b1 = b_lo & _MASK32, b_lo >> 32
-    t = a0 * b0
-    u = a1 * b0 + (t >> 32)
-    v = a0 * b1 + (u & _MASK32)
-    hi = a1 * b1 + (u >> 32) + (v >> 32) + a_lo * b_hi + a_hi * b_lo
-    return hi, a_lo * b_lo
+    np.multiply(a0, b0, out=t)
+    t >>= 32
+    np.multiply(a1, b0, out=u)
+    u += t
+    np.bitwise_and(u, _MASK32, out=t)
+    np.multiply(a0, b1, out=v)
+    v += t
+    np.multiply(a1, b1, out=hi)
+    u >>= 32
+    hi += u
+    v >>= 32
+    hi += v
+    np.multiply(a_lo, b_hi, out=t)
+    hi += t
+    np.multiply(a_hi, b_lo, out=t)
+    hi += t
+    np.multiply(a_lo, b_lo, out=lo)
+    return hi, lo
 
 
 def _add128(a_hi, a_lo, b_hi, b_lo) -> tuple[np.ndarray, np.ndarray]:
-    lo = a_lo + b_lo
-    return a_hi + b_hi + (lo < b_lo), lo
+    """a + b mod 2**128 on (high, low) uint64 halves, in place in a."""
+    a_lo += b_lo
+    a_hi += b_hi
+    a_hi += a_lo < b_lo
+    return a_hi, a_lo
 
 
-def _pcg64_states(seeds: Sequence[int]) -> tuple[np.ndarray, ...]:
+def _pcg64_states(seed: int, replicas: range) -> tuple[np.ndarray, ...]:
     """The PCG64 state (high, low) and increment (high, low) of
-    ``default_rng(seed)`` for each seed, as uint64 arrays.
+    ``default_rng(replica_seed(seed, r))`` for each replica r, as uint64
+    arrays.
 
-    Each seed is split into uint32 words, padded with zero words to at
-    least four.  SeedSequence fills its pool of four from the hash of each
-    of the first four words, hashing a missing word as zero, so the padding
-    changes nothing; a word past the fourth takes its extra mixing rounds
-    only in the replicas whose seed has it.  The pool gives four uint64
+    The seed is split into uint32 words, padded with zero words to at least
+    four, and each replica's words are the seed's xor the two words of r
+    (below 2**64).  SeedSequence fills its pool of four from the hash of
+    each of the first four words, hashing a missing word as zero, so the
+    padding changes nothing; a word past the fourth is the seed's alone, so
+    every replica takes its extra mixing rounds.  The pool gives four uint64
     words (``generate_state``); PCG64 takes the first two as its initial
     state and the last two as its stream, and steps twice
     (``pcg_setseq_128_srandom_r``).
     """
-    seeds = [int(s) for s in seeds]
-    n_words = max(4, -(-max(s.bit_length() for s in seeds) // 32))
-    data = b"".join(s.to_bytes(4 * n_words, "little") for s in seeds)
-    words = np.frombuffer(data, "<u4").reshape(len(seeds), n_words).T
-    present = np.logical_or.accumulate(words[::-1] != 0)[::-1]
+    seed = int(seed)
+    n_words = max(4, -(-seed.bit_length() // 32))
+    r = np.arange(replicas.start, replicas.stop, replicas.step, np.uint64)
+    words = np.frombuffer(seed.to_bytes(4 * n_words, "little"), "<u4").astype(np.uint32)
+    words = np.repeat(words[:, None], len(r), axis=1)
+    words[0] ^= (r & _MASK32).astype(np.uint32)
+    words[1] ^= (r >> 32).astype(np.uint32)
     const = _INIT_A
 
     def hashmix(value):
@@ -339,9 +432,9 @@ def _pcg64_states(seeds: Sequence[int]) -> tuple[np.ndarray, ...]:
         for dst in range(4):
             if src != dst:
                 pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for w in range(4, n_words):
+    for word in words[4:]:
         for dst in range(4):
-            pool[dst] = np.where(present[w], mix(pool[dst], hashmix(words[w])), pool[dst])
+            pool[dst] = mix(pool[dst], hashmix(word))
     const = _INIT_B
     state = []
     for i in range(8):
@@ -351,25 +444,25 @@ def _pcg64_states(seeds: Sequence[int]) -> tuple[np.ndarray, ...]:
         state.append((value ^ value >> 16).astype(np.uint64))
     s_hi, s_lo, q_hi, q_lo = (state[i] | state[i + 1] << 32 for i in range(0, 8, 2))
     inc = (q_hi << 1 | q_lo >> 63, q_lo << 1 | 1)
-    hi, lo = _add128(*inc, s_hi, s_lo)
+    hi, lo = _add128(s_hi, s_lo, *inc)
     return *_add128(*_mul128(hi, lo, *_halves([_PCG_MULT])), *inc), *inc
 
 
-def _replica_uniforms(
-    seeds: Sequence[int], steps: int, width: int
-) -> Iterator[np.ndarray]:
-    """Yield ``steps`` (R, width) arrays: row r of each is the next ``width``
-    doubles of ``default_rng(seeds[r])``, so each replica draws the same
-    doubles, in the same order, as one ``random(width)`` per step.
+def _replica_uniforms(seed: int, replicas: range, steps: int, width: int) -> Iterator[np.ndarray]:
+    """Yield ``steps`` (R, width) arrays: row i of each is the next ``width``
+    doubles of ``default_rng(replica_seed(seed, r))`` for the i-th replica r
+    of ``replicas``, so each replica draws the same doubles, in the same
+    order, as one ``random(width)`` per step.
 
     No generator is built.  From each replica's PCG64 state x, one step of
     the LCG is x * MULT + inc, so the state j steps on is x * MULT**j +
     inc * (1 + MULT + ... + MULT**(j-1)), mod 2**128; one array step gives
-    j = 1 .. width for every replica at once.  Each state's double is its
-    XSL-RR output (high ^ low, rotated right by the top six bits) shifted
-    right by 11 and scaled by 2**-53, as ``Generator.random`` does.
+    j = 1 .. width for every replica at once, in arrays allocated once.
+    Each state's double is its XSL-RR output (high ^ low, rotated right by
+    the top six bits) shifted right by 11 and scaled by 2**-53, as
+    ``Generator.random`` does.
     """
-    hi, lo, inc_hi, inc_lo = _pcg64_states(seeds)
+    hi, lo, inc_hi, inc_lo = _pcg64_states(seed, replicas)
     powers, sums, power, total = [], [], 1, 0
     for _ in range(width):
         total = (total + power) % (1 << 128)
@@ -378,11 +471,20 @@ def _replica_uniforms(
         sums.append(total)
     a_hi, a_lo = _halves(powers)
     c_hi, c_lo = _mul128(inc_hi[:, None], inc_lo[:, None], *_halves(sums))
+    work = [np.empty(c_hi.shape, np.uint64) for _ in range(5)]
+    x_hi, x_lo, x, rot, right = work
     for _ in range(steps):
-        x_hi, x_lo = _add128(*_mul128(hi[:, None], lo[:, None], a_hi, a_lo), c_hi, c_lo)
-        hi, lo = x_hi[:, -1], x_lo[:, -1]
-        x, rot = x_hi ^ x_lo, x_hi >> 58
-        yield ((x >> rot | x << (64 - rot & 63)) >> 11) * 2.0**-53
+        _add128(*_mul128(hi[:, None], lo[:, None], a_hi, a_lo, work), c_hi, c_lo)
+        hi, lo = x_hi[:, -1].copy(), x_lo[:, -1].copy()
+        np.bitwise_xor(x_hi, x_lo, out=x)
+        np.right_shift(x_hi, 58, out=rot)
+        np.right_shift(x, rot, out=right)
+        np.subtract(64, rot, out=rot)
+        rot &= 63
+        x <<= rot
+        x |= right
+        x >>= 11
+        yield x * 2.0**-53
 
 
 def empirical_distribution(
@@ -393,10 +495,12 @@ def empirical_distribution(
     Replica r draws k + 1 vectors of M uniforms, the stream of
     ``default_rng(replica_seed(seed, r))``; the replicas walk together as
     one (R, M) state array, on one (R, M) array of uniforms per step from
-    ``_replica_uniforms``.  They go in chunks small enough that a chunk's
-    per-step working set, its walkers' cumulative policy rows (R x M x N),
-    holds at most ``_WALK_ELEMENTS`` numbers; the uniforms come one step at
-    a time, so k does not bound the chunk.  Each final state row is renamed
+    ``_replica_uniforms``, each step one ``_intervals`` call and one lookup
+    in the ``_step_table`` when one is built.  They go in chunks small
+    enough that the gather's per-step working set, a chunk's walkers'
+    cumulative policy rows (R x M x N), would hold at most
+    ``_WALK_ELEMENTS`` numbers; the uniforms come one step at a time, so k
+    does not bound the chunk.  Each final state row is renamed
     by ``first_appearance_rows`` over the sorted labels, and the rows are
     counted after one ``np.lexsort``, so the distinct rows come in
     lexicographic order.  Each probability is a graph's integer count over
@@ -406,15 +510,16 @@ def empirical_distribution(
     _check_integer("seed", seed, 0)
     _check_integer("replicas", replicas, 1)
     _check_integer("k", k, 0)
-    tables = _walk_tables(ensemble)
+    cum0, cum_policy = _walk_tables(ensemble)
+    lookup = _step_table(cum_policy)
     m, n = ensemble.n_walkers, ensemble.n_states
     labels = tuple(sorted(ensemble.labels))
     columns = [ensemble.index[w] for w in labels]
     step = max(1, _WALK_ELEMENTS // (m * n))
     chunks = []
     for lo in range(0, replicas, step):
-        seeds = [replica_seed(seed, r) for r in range(lo, min(lo + step, replicas))]
-        for states in _walk_states(*tables, _replica_uniforms(seeds, k + 1, m)):
+        uniforms = _replica_uniforms(seed, range(lo, min(lo + step, replicas)), k + 1, m)
+        for states in _walk_states(cum0, cum_policy, uniforms, lookup):
             pass
         chunks.append(first_appearance_rows(states[:, columns]))
     rows = np.concatenate(chunks)

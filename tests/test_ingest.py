@@ -496,11 +496,12 @@ def split_parse(lines):
 GAPS = [" ", "  ", "\t", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\xa0",
         "\u2028", "\u3000", " \u3000\t"]
 # Ids of one to more than eight UTF-8 bytes; some differ only by a zero
-# byte, and one holds a lone surrogate (as surrogateescape decoding makes).
+# byte, two are control bytes that are not spaces, and one holds a lone
+# surrogate (as surrogateescape decoding makes).
 IDS = ["a", "b", "a1", "Z", "abcdefgh", "abcdefgh\x00", "abcdefghi", "abcdefghj",
        "node_id_number_17", "node_id_number_18", "node_id_17_number", "node_id_18_numbe",
        "\x00", "a\x00", "a\x00b", "\xe9", "\u8282\u70b9", "\xfc" * 5, "\U0001d518x",
-       "\xf8\x00\xf8\x00\xf8", "\udce9x"]
+       "\xf8\x00\xf8\x00\xf8", "\udce9x", "\x01", "\x1b"]
 TIMES = ["0", "1", "+1", "01", "1_0", "-2", str(2**70), "\u0663", "0000000000000000007"]
 BAD_TIMES = ["t0", "1.5", "_1", "1__0", "0x10", "\xe9", "1\x00"]
 # Line ends, including none and ends that str.splitlines knows besides "\n".
@@ -615,6 +616,13 @@ def test_fields_decode_each_distinct_text_once_in_str_order(lines, data):
             texts, at = ingest._distinct(buffer, starts, ends)
         assert texts == sorted(set(words))
         assert [texts[k] for k in at.tolist()] == words
+
+
+def test_fields_split_at_exactly_the_ascii_spaces():
+    # Every ASCII character but the line end, between two fields.
+    for c in map(chr, range(128)):
+        if c != "\n":
+            assert ingest._fields(f"a{c}b\n")[3].tolist() == [len(f"a{c}b".split())]
 
 
 def test_distinct_sorts_the_fields_left_where_walking_costs_more():

@@ -2,6 +2,7 @@ import io
 import itertools
 import json
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -829,6 +830,15 @@ def test_steady_state_all_singletons_stay_exact(n):
     unlabelled = unlabelled_steady_state_pmf(UnlabelledContactGraph.from_sizes((1,) * n), s)
     for p in (labelled, unlabelled):
         assert abs(p - exact) <= 1e-13 * exact
+
+
+def test_steady_state_multiplicity_past_the_float_range_names_the_sizes():
+    # 160 pairs have about 1e331 labellings; the labelled value beside it
+    # underflows, and no float holds the count.
+    u = UnlabelledContactGraph.from_sizes((2,) * 160)
+    message = f"multiplicity of clique sizes {[2] * 160} passes the float range (about 1e331)"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        unlabelled_steady_state_pmf(u, StateVector.uniform(200))
 
 
 def test_steady_distribution_relative_accuracy():

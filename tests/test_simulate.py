@@ -26,7 +26,7 @@ from rwig.simulate import (
     snapshots_to_jsonl,
 )
 
-from conftest import random_ensemble, uniform_ensemble
+from conftest import random_ensemble, rank_one_policy, table3_vector, uniform_ensemble
 
 
 def test_deterministic_ensemble_gives_constant_sequence():
@@ -253,12 +253,13 @@ def coarse_ensemble(m: int, n: int, seed: int) -> WalkerEnsemble:
 
 def edge_uniforms(ensemble, shape: tuple[int, ...], seed: int) -> np.ndarray:
     """Uniforms of the given (..., M) shape, half of them drawn from each
-    walker's cumulative values, their neighbouring doubles and 0.0."""
+    walker's cumulative values, their neighbouring doubles, 0.0 and values
+    of at least 1."""
     rng = np.random.default_rng(seed)
     u = rng.random(shape)
     for w, (_, s0, policy) in enumerate(ensemble.walkers):
         cum = np.concatenate([np.cumsum(s0.probs), np.cumsum(policy.entries, axis=1).ravel()])
-        edges = np.concatenate([cum, np.nextafter(cum, 0), np.nextafter(cum, 2), [0.0]])
+        edges = np.concatenate([cum, np.nextafter(cum, 0), np.nextafter(cum, 2), [0.0, 1.0, 1.5]])
         pick = rng.random(shape[:-1]) < 0.5
         u[..., w][pick] = rng.choice(edges, size=int(pick.sum()))
     return u
@@ -296,19 +297,83 @@ def test_walk_matches_per_step_reference(m, n, seed, short, monkeypatch):
     u = edge_uniforms(ensemble, (times, replicas, m), seed)
     expected = np.stack([reference_states(ensemble, u[:, r]) for r in range(replicas)], 1)
 
-    def gather(uniforms):
-        return np.array(list(simulate._walk_states(cum0, cum_policy, uniforms)))
+    def walk(uniforms, lookup=None):
+        return np.array(list(simulate._walk_states(cum0, cum_policy, uniforms, lookup)))
 
-    # The gather walks the replicas together and one at a time; the table
-    # walks one at a time.
-    np.testing.assert_array_equal(gather(u), expected)
+    # The gather and the table walk the replicas together, a step at a
+    # time as empirical_distribution does, and one replica at a time; the
+    # table also walks a replica's steps at once, as rwig sample does.
+    np.testing.assert_array_equal(walk(u), expected)
+    if table:
+        np.testing.assert_array_equal(walk(u, step_table), expected)
     for r in range(replicas):
-        np.testing.assert_array_equal(gather(u[:, r]), expected[:, r])
+        np.testing.assert_array_equal(walk(u[:, r]), expected[:, r])
         if table:
-            walk = simulate._table_walk(cum0, step_table, u[:, r])
-            np.testing.assert_array_equal(walk, expected[:, r])
+            np.testing.assert_array_equal(walk(u[:, r], step_table), expected[:, r])
+            tabled = simulate._table_walk(cum0, step_table, u[:, r])
+            np.testing.assert_array_equal(tabled, expected[:, r])
     seq = sample_sequence(ensemble, 50, seed)
     assert seq == ContactSequence(reference_walk(ensemble, 50, seed), seed)
+
+
+def crowded_ensemble(n: int) -> WalkerEnsemble:
+    """Two walkers whose cumulative values crowd into a few buckets of the
+    step table: a rank-one policy on criterion 7's s96 vector, whose every
+    value repeats N times below 0.04, and rows of many tiny entries beside
+    one large one, first or last, whose values crowd near 0 and near 1."""
+    start = StateVector(np.full(n, 1 / n))
+    tiny = np.full((n, n), 1e-12)
+    tiny[np.arange(n), np.arange(n) % 2 * (n - 1)] = 1 - (n - 1) * 1e-12
+    rank_one = rank_one_policy(table3_vector("s96", n))
+    return WalkerEnsemble([("a", start, rank_one), ("b", start, TransitionMatrix(tiny))])
+
+
+@pytest.mark.parametrize("n", [2, 3, 15, 40])
+def test_intervals_pass_crowded_breaks_exactly(n):
+    # The rank-one walker has N - 1 distinct breaks, each N times a row
+    # value.  Uniforms sit on and beside every value, on every bucket's
+    # lower edge, at 0.0 and at 1 and past it.
+    ensemble = crowded_ensemble(n)
+    cum0, cum_policy = simulate._walk_tables(ensemble)
+    lookup = simulate._step_table(cum_policy)
+    breaks, buckets, _ = lookup
+    m, n_buckets = buckets.shape
+    breaks = breaks.reshape(m, -1)
+    assert np.isfinite(breaks[0]).sum() == n - 1
+    edges = np.arange(n_buckets + 1) / n_buckets
+    u = np.concatenate([edge_uniforms(ensemble, (500, m), n), np.stack([edges] * m, 1)])
+    at = simulate._intervals(lookup, u)
+    for w in range(m):
+        expected = np.searchsorted(breaks[w], u[:, w], "right")
+        np.testing.assert_array_equal(at[:, w] - w * breaks.shape[1], expected)
+    # The walk through those intervals is the per-step reference walk.
+    expected = reference_states(ensemble, u)
+    np.testing.assert_array_equal(simulate._table_walk(cum0, lookup, u), expected)
+    walk = simulate._walk_states(cum0, cum_policy, u[:, None], lookup)
+    np.testing.assert_array_equal(np.array(list(walk))[:, 0], expected)
+
+
+@pytest.mark.parametrize("table", [True, False])
+def test_empirical_walks_the_step_table_when_one_is_built(table, monkeypatch):
+    # Each policy step is one interval lookup on the table's route and one
+    # gather of the walkers' rows otherwise; the initial draw is _draw's.
+    ensemble = coarse_ensemble(4, 3, 6)
+    if not table:
+        monkeypatch.setattr(simulate, "_TABLE_CELLS", 0)
+    calls = Counter()
+
+    def counted(name):
+        real = getattr(simulate, name)
+        monkeypatch.setattr(simulate, name, lambda *a: calls.update([name]) or real(*a))
+
+    names = ("_step_table", "_intervals", "_draw")
+    for name in names:
+        counted(name)
+    k, replicas, seed = 5, 40, 3
+    dist = empirical_distribution(ensemble, k, replicas, seed)
+    assert [calls[name] for name in names] == [1, k, 1] if table else [1, 0, k + 1]
+    counts = reference_empirical(ensemble, k, replicas, seed)
+    assert dict(dist.entries) == {g: c / replicas for g, c in counts.items()}
 
 
 @pytest.mark.parametrize(
@@ -422,6 +487,10 @@ def relabelled(ensemble, labels) -> WalkerEnsemble:
 def test_empirical_matches_per_replica_reference(
     ensemble, k, replicas, cap, chunks, monkeypatch
 ):
+    # The step table is built before the cap shrinks, so that the table's
+    # route and the gather's walk the same chunks.
+    lookup = simulate._step_table(simulate._walk_tables(ensemble)[1])
+    assert lookup is not None
     if cap is not None:
         monkeypatch.setattr(simulate, "_WALK_ELEMENTS", cap)
     real_rows, real_draw = simulate.first_appearance_rows, simulate._draw
@@ -438,12 +507,16 @@ def test_empirical_matches_per_replica_reference(
     monkeypatch.setattr(simulate, "first_appearance_rows", rows_of_chunk)
     monkeypatch.setattr(simulate, "_draw", draw)
     seed = 1000 + replicas
-    dist = empirical_distribution(ensemble, k, replicas, seed)
-    assert seen == chunks
-    assert max(drawn) <= (cap or simulate._WALK_ELEMENTS)
     counts = reference_empirical(ensemble, k, replicas, seed)
     expected = {g: c / replicas for g, c in counts.items()}
-    assert dict(dist.entries) == expected
+    for route in (lookup, None):
+        monkeypatch.setattr(simulate, "_step_table", lambda _, route=route: route)
+        seen.clear()
+        drawn.clear()
+        dist = empirical_distribution(ensemble, k, replicas, seed)
+        assert seen == chunks
+        assert max(drawn) <= (cap or simulate._WALK_ELEMENTS)
+        assert dict(dist.entries) == expected
     # The distinct rows in lexicographic order, as np.unique gives them.
     np.testing.assert_array_equal(dist._rows, np.unique(dist._rows, axis=0))
     assert (dist.time, dist.ensemble) == (k, ensemble)
@@ -462,16 +535,22 @@ def test_empirical_matches_per_replica_reference(
 
 
 def test_replica_uniforms_are_default_rng_streams():
-    # Seeds of one to ten uint32 words in one call, so only some replicas
-    # take SeedSequence's mixing rounds for words past the fourth.
+    # Seeds of one to ten uint32 words, so some take SeedSequence's mixing
+    # rounds for words past the fourth, xor replica indices of one and two
+    # words: across 2**32, the int64 range and near 2**64.
     rng = np.random.default_rng(12)
     seeds = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**128 - 1, 2**128, 2**200 + 3]
     seeds += [int(rng.integers(2**63)) << bits for bits in (0, 40, 90, 250)]
+    ranges = [range(0, 5), range(7, 19, 4), range(2**32 - 2, 2**32 + 2)]
+    ranges += [range(2**63 - 1, 2**63 + 1), range(2**64 - 3, 2**64 - 1)]
     steps, width = 6, 7
-    drawn = list(simulate._replica_uniforms(seeds, steps, width))
-    assert [u.shape for u in drawn] == [(len(seeds), width)] * steps
-    expected = [np.random.default_rng(s).random(steps * width) for s in seeds]
-    np.testing.assert_array_equal(np.hstack(drawn), np.stack(expected))
+    for seed in seeds:
+        for replicas in ranges:
+            drawn = list(simulate._replica_uniforms(seed, replicas, steps, width))
+            assert [u.shape for u in drawn] == [(len(replicas), width)] * steps
+            streams = [replica_seed(seed, r) for r in replicas]
+            expected = [np.random.default_rng(s).random(steps * width) for s in streams]
+            np.testing.assert_array_equal(np.hstack(drawn), np.stack(expected))
 
 
 @pytest.mark.parametrize("seed", [np.int64(1003), 2**130 + 5])
