@@ -15,9 +15,8 @@ puts a whole array of uniforms in the intervals between the sorted
 distinct cumulative values of their walkers' rows, by one bucket lookup
 and a correction past the values it skips, and each step is then one
 lookup of (walker, interval, state), giving the same states as comparing
-the uniform with the row.  The table is built when M N is at most
-``_TABLE_CELLS`` and it holds at most ``_WALK_ELEMENTS`` entries;
-otherwise each step gathers the walkers' rows.
+the uniform with the row.  The table is built whenever it holds at most
+``_WALK_ELEMENTS`` entries; otherwise each step gathers the walkers' rows.
 
 A sampled sequence stays an array from the walk to its JSON lines.  The
 walk goes in blocks of min(``contact_graph._JSON_ROWS``, ``_WALK_ELEMENTS``
@@ -113,11 +112,6 @@ class ContactSequence:
 # (R x M x N).
 _WALK_ELEMENTS = 1 << 18
 
-# Most cumulative values (M x N) one step gathers where the step table
-# replaces the gather.  Past it the gather is about as fast as the table
-# walk, whose per-walker search reads a column of the row-major uniforms.
-_TABLE_CELLS = 1 << 11
-
 
 def replica_seed(seed: int, replica: int) -> int:
     """Stream-splitting rule for replica RNGs."""
@@ -174,8 +168,8 @@ def _walk_states(
 
 def _step_table(cum_policy: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     """Every policy step of the walk as one lookup: (breaks, buckets,
-    table), or None past ``_TABLE_CELLS`` values or ``_WALK_ELEMENTS``
-    entries.
+    table), or None when the table's M (N (N - 1) + 1) N entries would
+    be more than ``_WALK_ELEMENTS``.
 
     ``breaks[w]`` holds the distinct cumulative values of walker w's rows
     without each row's last column, sorted, then +inf: D + 1 in all, D the
@@ -190,11 +184,13 @@ def _step_table(cum_policy: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
     interval of b / B, for B the least power of two of at least 16 D (1
     for D = 0), or the most that keeps M B within ``_WALK_ELEMENTS``; it
     holds its bitwise complement where a break lies in the bucket, past
-    b / B.  At most one bucket in sixteen holds a break, so most uniforms
-    find their interval in their bucket alone (``_intervals``).
+    b / B.  Uncapped, at most one bucket in sixteen holds a break, so most
+    uniforms find their interval in their bucket alone (``_intervals``);
+    the cap leaves fewer at large M (four per walker at M = 40,000, N =
+    2), where a uniform steps past at most the D breaks of its walker.
     """
     m, n, _ = cum_policy.shape
-    if m * n > _TABLE_CELLS or m * (n * (n - 1) + 1) * n > _WALK_ELEMENTS:
+    if m * (n * (n - 1) + 1) * n > _WALK_ELEMENTS:
         return None
     values = cum_policy[:, :, :-1].reshape(m, -1)
     order = np.argsort(values, axis=1)
@@ -217,10 +213,12 @@ def _step_table(cum_policy: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
     slot = np.minimum(np.ceil(breaks * n_buckets), n_buckets)
     slot[np.isinf(breaks)] = n_buckets + 1
     slot += np.arange(m)[:, None] * (n_buckets + 2)
+    # Summed in place across walkers, walker w's counts start from the
+    # w (D + 1) breaks before it; a bucket holds a break where the sum grows.
     counts = np.bincount(slot.astype(np.intp).ravel(), minlength=m * (n_buckets + 2))
-    counts = counts.reshape(m, n_buckets + 2)
-    buckets = counts[:, :-2].cumsum(axis=1) + np.arange(m)[:, None] * (d + 1)
-    return breaks.ravel(), np.where(counts[:, 1:-1] > 0, ~buckets, buckets), table
+    sums = counts.cumsum(out=counts).reshape(m, n_buckets + 2)
+    low = sums[:, :-2]
+    return breaks.ravel(), np.invert(low, out=low.copy(), where=sums[:, 1:-1] > low), table
 
 
 def _intervals(lookup: tuple, u: np.ndarray) -> np.ndarray:

@@ -277,18 +277,16 @@ def reference_states(ensemble, uniforms: np.ndarray) -> np.ndarray:
     return np.array(out)
 
 
-@pytest.mark.parametrize("short", [None, "_WALK_ELEMENTS", "_TABLE_CELLS"])
+@pytest.mark.parametrize("short", [None, "_WALK_ELEMENTS"])
 @pytest.mark.parametrize(
     "m, n, seed", [(3, 1, 0), (4, 2, 1), (4, 3, 2), (6, 4, 3), (2, 6, 4), (40, 2, 5)]
 )
 def test_walk_matches_per_step_reference(m, n, seed, short, monkeypatch):
-    # The step table holds M (N (N - 1) + 1) N entries for M N states:
-    # caps of exactly those build it, one less on either keeps the
-    # per-step gather.
+    # The step table holds M (N (N - 1) + 1) N entries: a cap of exactly
+    # that builds it, one less keeps the per-step gather.
     ensemble = coarse_ensemble(m, n, seed)
-    caps = {"_WALK_ELEMENTS": m * (n * (n - 1) + 1) * n, "_TABLE_CELLS": m * n}
-    for name, cap in caps.items():
-        monkeypatch.setattr(simulate, name, cap - (name == short))
+    cap = m * (n * (n - 1) + 1) * n
+    monkeypatch.setattr(simulate, "_WALK_ELEMENTS", cap - (short is not None))
     table = short is None
     cum0, cum_policy = simulate._walk_tables(ensemble)
     step_table = simulate._step_table(cum_policy)
@@ -353,13 +351,107 @@ def test_intervals_pass_crowded_breaks_exactly(n):
     np.testing.assert_array_equal(np.array(list(walk))[:, 0], expected)
 
 
+def cumulative_rows(m: int, n: int, seed: int) -> np.ndarray:
+    """Cumulative policy rows (M x N x N) without an ensemble: half the
+    walkers' rows in multiples of 1/8, whose values fall on the edges of
+    few buckets, and half from flat Dirichlet."""
+    rng = np.random.default_rng(seed)
+    rows = rng.dirichlet(np.ones(n), size=(m, n))
+    eighths = rng.multinomial(8, np.ones(n) / n, size=(m, n)) / 8
+    rows[: m // 2] = eighths[: m // 2]
+    return np.cumsum(rows, axis=2)
+
+
+@pytest.mark.parametrize(
+    "m, n, table",
+    [
+        (43690, 2, True),
+        (43691, 2, False),
+        (700, 3, True),
+        (300, 8, True),
+        (1000, 6, True),
+        (1000, 7, False),
+        (20, 23, True),
+        (20, 24, False),
+        (100, 15, False),
+    ],
+)
+def test_step_table_is_built_exactly_when_it_fits(m, n, table):
+    # Whatever M N is: the table holds M (N (N - 1) + 1) N entries at most.
+    assert (m * (n * (n - 1) + 1) * n <= simulate._WALK_ELEMENTS) == table
+    lookup = simulate._step_table(cumulative_rows(m, n, m + n))
+    assert (lookup is not None) == table
+    if table:
+        assert max(a.size for a in lookup) <= simulate._WALK_ELEMENTS
+
+
+@pytest.mark.parametrize("m, n", [(700, 3), (300, 8)])
+def test_walks_past_two_thousand_walker_states_take_the_table(m, n, monkeypatch):
+    # M N > 2,048 with a table that fits: the sampler and the replicas walk
+    # through it, and give the per-step reference's graphs.
+    ensemble, seed = random_ensemble(m, n, seed=m), 5
+    assert m * n > 2048
+    assert simulate._step_table(simulate._walk_tables(ensemble)[1]) is not None
+    calls = Counter()
+    real = simulate._intervals
+    monkeypatch.setattr(simulate, "_intervals", lambda *a: calls.update([1]) or real(*a))
+    seq = sample_sequence(ensemble, 4, seed)
+    assert seq == ContactSequence(reference_walk(ensemble, 4, seed), seed)
+    k, replicas = 2, 12
+    dist = empirical_distribution(ensemble, k, replicas, seed)
+    counts = reference_empirical(ensemble, k, replicas, seed)
+    assert dict(dist.entries) == {g: c / replicas for g, c in counts.items()}
+    # One lookup for the sampler's block and one per policy step of the replicas.
+    assert calls[1] == 1 + k
+
+
+def test_intervals_in_few_buckets():
+    # The largest M whose table fits at N = 2: the cap leaves four buckets
+    # to a walker with up to two breaks.
+    m, n = 43690, 2
+    cum_policy = cumulative_rows(m, n, 11)
+    cum0 = cum_policy[:, 0]
+    lookup = simulate._step_table(cum_policy)
+    breaks, buckets, table = lookup
+    assert buckets.shape == (m, 4)
+    assert max(breaks.size, buckets.size, table.size) <= simulate._WALK_ELEMENTS
+    breaks = breaks.reshape(m, -1)
+    # Bucket b of walker w holds w (D + 1) + the count of breaks <= b / 4,
+    # complemented where a break x has b / 4 < x <= (b + 1) / 4 (any x past
+    # b / 4 for the last bucket).  Every walker has such a bucket, and over
+    # a third of all buckets are (uncapped, one in sixteen at most).
+    x, edge = breaks[:, None, :], np.arange(4)[:, None] / 4
+    below = (x <= edge).sum(axis=2) + np.arange(m)[:, None] * breaks.shape[1]
+    inside = (x > edge) & ((x <= edge + 0.25) | (edge == 0.75)) & np.isfinite(x)
+    np.testing.assert_array_equal(buckets, np.where(inside.any(axis=2), ~below, below))
+    assert (buckets < 0).any(axis=1).all() and (buckets < 0).mean() > 1 / 3
+    # Uniforms on every bucket's lower edge, at 0.0 and at 1, and on and
+    # beside every break.
+    finite = np.where(np.isfinite(breaks), breaks, 0.5).T
+    u = np.concatenate(
+        [
+            np.repeat([[0.0], [0.25], [0.5], [0.75], [1.0]], m, axis=1),
+            finite,
+            np.nextafter(finite, 0),
+            np.nextafter(finite, 2),
+            np.random.default_rng(12).random((4, m)),
+        ]
+    )
+    at = simulate._intervals(lookup, u)
+    for w in range(m):
+        expected = np.searchsorted(breaks[w], u[:, w], "right")
+        np.testing.assert_array_equal(at[:, w] - w * breaks.shape[1], expected)
+    gathered = np.array(list(simulate._walk_states(cum0, cum_policy, u)))
+    np.testing.assert_array_equal(simulate._table_walk(cum0, lookup, u), gathered)
+
+
 @pytest.mark.parametrize("table", [True, False])
 def test_empirical_walks_the_step_table_when_one_is_built(table, monkeypatch):
     # Each policy step is one interval lookup on the table's route and one
     # gather of the walkers' rows otherwise; the initial draw is _draw's.
     ensemble = coarse_ensemble(4, 3, 6)
     if not table:
-        monkeypatch.setattr(simulate, "_TABLE_CELLS", 0)
+        monkeypatch.setattr(simulate, "_step_table", lambda _: None)
     calls = Counter()
 
     def counted(name):
@@ -393,7 +485,7 @@ def test_sample_writes_the_sequence_a_block_at_a_time(route, cap, tmp_path, monk
     else:
         monkeypatch.setattr(simulate, "_WALK_ELEMENTS", 5 * b)
     if route == "gather":
-        monkeypatch.setattr(simulate, "_TABLE_CELLS", 0)
+        monkeypatch.setattr(simulate, "_step_table", lambda _: None)
     assert (simulate._step_table(simulate._walk_tables(ensemble)[1]) is None) == (
         route == "gather"
     )
