@@ -16,7 +16,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .markov import StateVector, TransitionMatrix, WalkerEnsemble
-from .pmf import full_distribution, max_deviation
 
 # Diagonal cells below this M = N take milliseconds, so their speedup ratios
 # are timing noise and the soft check ignores them.
@@ -80,6 +79,9 @@ def benchmark_grid(
     two routes disagree beyond 1e-9 anywhere, since a speedup of a wrong
     answer is meaningless.
     """
+    # Imported here: building a random ensemble compiles no exact engine.
+    from .pmf import full_distribution, max_deviation
+
     if iterations < 3:
         raise ValueError("iterations must be at least 3")
     cells = []

@@ -75,7 +75,7 @@ from .combinatorics import (
 )
 from .contact_graph import (
     ContactGraph, UnlabelledContactGraph, amass, any_labelling, cell_order, cell_sizes,
-    graph_rows, json_blocks, row_graphs, row_json_objs,
+    _JSON_ROWS, graph_rows, json_blocks, row_graphs, row_json_objs,
 )
 from .markov import StateVector, WalkerEnsemble
 
@@ -481,14 +481,22 @@ class GraphDistribution:
         Unlabelled and empty distributions are written by the json module.
         Labelled rows are written in ``_row_order`` by ``json_blocks``, in
         the ``_INDENTED`` layout: per entry the comma before it (an opening
-        bracket for the first), its graph, and its probability by
-        ``float.__repr__``, as the json module writes it.
+        bracket for the first), its graph, and its probability as the json
+        module writes it, ``float.__repr__`` or NaN, Infinity, -Infinity.
+        The probabilities' texts come from ``floatrepr.json_reprs``, one
+        block of ``_JSON_ROWS`` at a time.
         """
         if self._labels is None or not len(self._rows):
             fh.write(json.dumps(self.to_json_obj(), indent=2) + "\n")
             return
+        from .floatrepr import json_reprs
+
         order = self._row_order()
-        tail = (',\n    "p": ', list(map(repr, self._probs[order].tolist())), "\n  }")
+        probs = self._probs[order]
+        texts = itertools.chain.from_iterable(
+            json_reprs(probs[lo : lo + _JSON_ROWS]) for lo in range(0, len(probs), _JSON_ROWS)
+        )
+        tail = (',\n    "p": ', texts, "\n  }")
         blocks = json_blocks(
             self._rows[order], self._labels, (',\n  {\n    "graph": ',), tail, _INDENTED
         )

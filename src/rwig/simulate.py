@@ -135,8 +135,7 @@ def _draw(cum_rows: np.ndarray, u: np.ndarray) -> np.ndarray:
 def _walk_tables(ensemble: WalkerEnsemble) -> tuple[np.ndarray, np.ndarray]:
     """Cumulative initial vectors (M x N) and policy rows (M x N x N)."""
     cum0 = np.cumsum(np.stack([s0.probs for _, s0, _ in ensemble.walkers]), axis=1)
-    cum_policy = [np.cumsum(policy.entries, axis=1) for _, _, policy in ensemble.walkers]
-    return cum0, np.stack(cum_policy)
+    return cum0, np.cumsum(np.stack([policy.entries for _, _, policy in ensemble.walkers]), axis=2)
 
 
 def _walk_states(

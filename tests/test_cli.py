@@ -76,6 +76,26 @@ def test_pmf_two_uniform_walkers(uniform2, tmp_path, capsys):
     assert sorted(e["p"] for e in entries) == [0.5, 0.5]
 
 
+def _loaded_modules(args):
+    """The rwig modules that ``python -m rwig.cli`` with ``args`` loads in a
+    fresh interpreter."""
+    src = str(Path(rwig.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    script = (
+        "import runpy, sys\n"
+        f"sys.argv = {['rwig', *args]!r}\n"
+        "try:\n"
+        "    runpy.run_module('rwig.cli', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exc:\n"
+        "    assert not exc.code, exc.code\n"
+        "print(*sorted(m for m in sys.modules if m.startswith('rwig')))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    return set(done.stdout.split())
+
+
 def test_pmf_imports_only_what_it_runs(tmp_path):
     # ``python -m rwig.cli pmf`` and ``steady`` in a fresh interpreter, which
     # then lists the rwig modules it loaded.
@@ -88,25 +108,30 @@ def test_pmf_imports_only_what_it_runs(tmp_path):
         (["steady", "--vector", str(vec), "--walkers", "3", "-o", str(tmp_path / "s")],
          tmp_path / "s_distribution.json", 2),
     )
-    src = str(Path(rwig.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src}
     for args, output, entries in runs:
-        script = (
-            "import runpy, sys\n"
-            f"sys.argv = {['rwig', *args]!r}\n"
-            "try:\n"
-            "    runpy.run_module('rwig.cli', run_name='__main__', alter_sys=True)\n"
-            "except SystemExit as exc:\n"
-            "    assert not exc.code, exc.code\n"
-            "print(*sorted(m for m in sys.modules if m.startswith('rwig')))\n"
-        )
-        done = subprocess.run(
-            [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
-        )
-        loaded = set(done.stdout.split())
+        loaded = _loaded_modules(args)
         assert {"rwig.combinatorics", "rwig.contact_graph", "rwig.markov", "rwig.pmf"} <= loaded
         assert not loaded & {"rwig.ingest", "rwig.simulate", "rwig.bench"}
         assert len(json.loads(output.read_text())) == entries
+
+
+def test_only_labelled_writes_load_the_repr_kernel(tmp_path):
+    # rwig.floatrepr is imported by the labelled branch of write_json alone.
+    ens = write_ensemble(tmp_path / "ens.json", uniform_ensemble(3, 2))
+    vec = tmp_path / "vec.csv"
+    vec.write_text("0.5 0.5\n")
+    fixture = str(Path(__file__).parent / "fixtures" / "cliques.txt")
+    assert "rwig.floatrepr" in _loaded_modules(
+        ["pmf", "--ensemble", ens, "--time", "1", "-o", str(tmp_path / "p.json")]
+    )
+    for args in (
+        ["steady", "--vector", str(vec), "--walkers", "3", "-o", str(tmp_path / "s")],
+        ["steady", "--vector", str(vec), "--walkers", "3"],
+        ["sample", "--ensemble", ens, "--horizon", "5", "--seed", "1",
+         "-o", str(tmp_path / "seq.jsonl")],
+        ["analyze", "--input", fixture, "-o", str(tmp_path / "a")],
+    ):
+        assert "rwig.floatrepr" not in _loaded_modules(args), args
 
 
 def test_package_resolves_its_names_lazily():
@@ -705,9 +730,9 @@ def test_bench_without_output_writes_csv_to_stdout(capsys):
 
 
 def test_bench_routes_disagreeing_exits_two(capsys, monkeypatch):
-    import rwig.bench as bench_mod
+    import rwig.pmf as pmf_mod
 
-    real = bench_mod.full_distribution
+    real = pmf_mod.full_distribution
 
     def skewed(ensemble, k, method):
         dist = real(ensemble, k, method=method)
@@ -717,7 +742,7 @@ def test_bench_routes_disagreeing_exits_two(capsys, monkeypatch):
         entries[next(iter(entries))] += 1e-6
         return GraphDistribution(entries)
 
-    monkeypatch.setattr(bench_mod, "full_distribution", skewed)
+    monkeypatch.setattr(pmf_mod, "full_distribution", skewed)
     argv = ["bench", "--m-range", "2", "--n-range", "2", "--iterations", "3"]
     assert main(argv) == 2
     captured = capsys.readouterr()

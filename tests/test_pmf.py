@@ -429,7 +429,17 @@ def test_write_json_matches_json_dumps():
         [(w, s0, p) for w, (_, s0, p) in zip(tuples, random_ensemble(4, 3, seed=8).walkers)]
     )
     arrays = full_distribution(ens, 2)
-    for dist in (labelled, integers, steady, computed, arrays, GraphDistribution({})):
+    # Values that the json module spells NaN, Infinity and -Infinity.
+    nonfinite = GraphDistribution(
+        {
+            ContactGraph.from_cells([[1, 2], [3]]): float("nan"),
+            ContactGraph.from_cells([[1], [2], [3]]): 0.5,
+            ContactGraph.from_cells([[1, 3], [2]]): float("inf"),
+            ContactGraph.from_cells([[1, 2, 3]]): -float("inf"),
+        }
+    )
+    dists = (labelled, integers, steady, computed, arrays, nonfinite, GraphDistribution({}))
+    for dist in dists:
         buf = io.StringIO()
         dist.write_json(buf)
         assert buf.getvalue() == json.dumps(dist.to_json_obj(), indent=2) + "\n"
