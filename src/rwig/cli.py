@@ -27,6 +27,7 @@ from .contact_graph import default_labels, json_blocks
 from .markov import (
     StateVector,
     SteadyStateError,
+    TransitionMatrix,
     WalkerEnsemble,
     ensemble_from_json,
     load_matrix,
@@ -106,15 +107,16 @@ def _steady_vector_from_args(args) -> StateVector:
         return load_vector(args.vector)
     if args.policy is not None:
         policy = load_matrix(args.policy)
-        return steady_state(policy, tol=args.tol, max_iters=args.max_iters)
-    ensemble = _load_ensemble(args.ensemble)
-    first = ensemble.walkers[0][2]
-    for label, _, policy in ensemble.walkers[1:]:
-        if not np.array_equal(policy.entries, first.entries):
+    else:
+        ensemble = _load_ensemble(args.ensemble)
+        differs = (ensemble.policies != ensemble.policies[0]).any(axis=(1, 2))
+        if differs.any():
+            label = ensemble.labels[differs.argmax()]
             raise ValueError(
                 f"steady-state analysis needs a common policy; walker {label!r} differs"
             )
-    return steady_state(first, tol=args.tol, max_iters=args.max_iters)
+        policy = TransitionMatrix(ensemble.policies[0])
+    return steady_state(policy, tol=args.tol, max_iters=args.max_iters)
 
 
 def _check_oracle(dist, reference, tol: float) -> None:

@@ -156,22 +156,24 @@ def validate_policy(policy: TransitionMatrix, adjacency) -> list[tuple[int, int]
     return [(int(i), int(j)) for i, j in zip(*np.nonzero(bad))]
 
 
+def _steps(probs: np.ndarray, policies: np.ndarray, k: int) -> np.ndarray:
+    """``probs @ policies`` k times: (N,) @ (N, N), or (M, 1, N) @ (M, N, N)."""
+    if k < 0:
+        raise ValueError("k must be non-negative")
+    for _ in range(k):
+        probs = probs @ policies
+    return probs
+
+
 def propagate(s0: StateVector, policy: TransitionMatrix, k: int) -> StateVector:
     """Distribution after k steps, s0 applied to the policy k times.
 
     Uses iterated vector-matrix products; the k-th matrix power is never
     materialized.
     """
-    if k < 0:
-        raise ValueError("k must be non-negative")
     if s0.n_states != policy.n_states:
         raise ValueError("state vector and policy dimensions differ")
-    if k == 0:
-        return s0
-    probs = s0.probs
-    for _ in range(k):
-        probs = probs @ policy.entries
-    return StateVector._wrap(probs)
+    return s0 if k == 0 else StateVector._wrap(_steps(s0.probs, policy.entries, k))
 
 
 def steady_state(
@@ -206,7 +208,11 @@ class WalkerEnsemble:
     """An ordered collection of walkers sharing one underlying state space.
 
     Each walker is a (label, initial StateVector, TransitionMatrix) triple;
-    list order defines the canonical walker indexing.
+    list order defines the canonical walker indexing.  The constructor
+    stacks them once, in that order, into read-only arrays: ``starts``
+    (M x N), the initial vectors, and ``policies`` (M x N x N), one policy
+    per walker even where walkers share one.  Array consumers read these,
+    not ``walkers``.
     """
 
     def __init__(self, walkers: Sequence[tuple[str, StateVector, TransitionMatrix]]):
@@ -222,6 +228,8 @@ class WalkerEnsemble:
                 raise ValueError(f"walker labels must be distinct: {label!r} is repeated")
             index[label] = len(index)
         self.walkers = walkers
+        self.starts = _readonly([s0.probs for _, s0, _ in walkers])
+        self.policies = _readonly([policy.entries for _, _, policy in walkers])
         self.n_states = n
         self.labels = tuple(index)
         self.index = index
@@ -234,6 +242,9 @@ class WalkerEnsemble:
         policy: TransitionMatrix,
     ) -> "WalkerEnsemble":
         """All walkers follow the same policy (possibly distinct starts)."""
+        labels = tuple(labels)
+        if len(labels) != len(initial):
+            raise ValueError(f"{len(labels)} labels but {len(initial)} initial vectors")
         return cls([(l, s0, policy) for l, s0 in zip(labels, initial)])
 
     @property
@@ -242,9 +253,7 @@ class WalkerEnsemble:
 
     def state_matrix(self, k: int) -> np.ndarray:
         """M x N matrix whose row j is walker j's distribution after k steps."""
-        return np.stack(
-            [propagate(s0, policy, k).probs for _, s0, policy in self.walkers]
-        )
+        return _steps(self.starts[:, None], self.policies, k)[:, 0]
 
     def __repr__(self) -> str:
         return f"WalkerEnsemble(M={self.n_walkers}, N={self.n_states})"

@@ -8,8 +8,10 @@ whenever s ^ s' equals r ^ r' for two replica indices (with 8 replicas,
 seeds 0 to 7 draw the same eight streams and give identical empirical
 distributions).
 
-Walker steps, inverse-CDF draws from their policy rows, come from an
-exact next-state table (``_step_table``) whenever one is built, in a
+Walks read the ensemble's stacked arrays, the cumulative sums of its
+``starts`` (M x N) and ``policies`` (M x N x N), and never its per-walker
+objects.  Walker steps, inverse-CDF draws from their policy rows, come
+from an exact next-state table (``_step_table``) whenever one is built, in a
 sampled sequence and in an empirical distribution alike.  ``_intervals``
 puts a whole array of uniforms in the intervals between the sorted
 distinct cumulative values of their walkers' rows, by one bucket lookup
@@ -130,12 +132,6 @@ def _draw(cum_rows: np.ndarray, u: np.ndarray) -> np.ndarray:
     # Rows (..., M, N) broadcast against uniforms (..., M).
     idx = (cum_rows <= u[..., None]).sum(axis=-1)
     return np.minimum(idx, cum_rows.shape[-1] - 1)
-
-
-def _walk_tables(ensemble: WalkerEnsemble) -> tuple[np.ndarray, np.ndarray]:
-    """Cumulative initial vectors (M x N) and policy rows (M x N x N)."""
-    cum0 = np.cumsum(np.stack([s0.probs for _, s0, _ in ensemble.walkers]), axis=1)
-    return cum0, np.cumsum(np.stack([policy.entries for _, _, policy in ensemble.walkers]), axis=2)
 
 
 def _walk_states(
@@ -282,7 +278,7 @@ def _walk_blocks(ensemble: WalkerEnsemble, horizon: int, seed: int) -> Iterator[
     rng = np.random.default_rng(seed)
     m = ensemble.n_walkers
     steps = max(1, min(contact_graph._JSON_ROWS, _WALK_ELEMENTS // m))
-    cum, cum_policy = _walk_tables(ensemble)
+    cum, cum_policy = np.cumsum(ensemble.starts, 1), np.cumsum(ensemble.policies, 2)
     lookup = _step_table(cum_policy)
     for lo in range(0, horizon + 1, steps):
         uniforms = rng.random((min(steps, horizon + 1 - lo), m))
@@ -507,7 +503,7 @@ def empirical_distribution(
     _check_integer("seed", seed, 0)
     _check_integer("replicas", replicas, 1)
     _check_integer("k", k, 0)
-    cum0, cum_policy = _walk_tables(ensemble)
+    cum0, cum_policy = np.cumsum(ensemble.starts, 1), np.cumsum(ensemble.policies, 2)
     lookup = _step_table(cum_policy)
     m, n = ensemble.n_walkers, ensemble.n_states
     labels = tuple(sorted(ensemble.labels))

@@ -514,6 +514,13 @@ def test_steady_requires_common_policy(tmp_path, capsys):
     path = write_ensemble(tmp_path / "mixed.json", ens)
     assert main(["steady", "--ensemble", path, "--walkers", "2"]) == 1
     assert "common policy" in capsys.readouterr().err
+    # The first walker whose policy differs is named, not a later one.
+    shared, other = (w[2] for w in random_ensemble(2, 3, seed=6).walkers)
+    policies = (shared, shared, other, other)
+    walkers = [(w, StateVector.basis(3, 0), p) for w, p in zip("abcd", policies)]
+    path = write_ensemble(tmp_path / "late.json", WalkerEnsemble(walkers))
+    assert main(["steady", "--ensemble", path, "--walkers", "4"]) == 1
+    assert "common policy; walker 'c' differs" in capsys.readouterr().err
 
 
 def test_sample_is_reproducible(uniform2, tmp_path):

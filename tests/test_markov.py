@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rwig.bench import random_ensemble
 from rwig.markov import (
     StateVector,
     SteadyStateError,
@@ -248,6 +249,27 @@ def test_ensemble_state_matrix():
     assert ens.state_matrix(1).tolist() == [[0, 1], [1, 0]]
     assert ens.labels == ("a", "b")
     assert ens.index == {"a": 0, "b": 1}
+
+
+@pytest.mark.parametrize(
+    "m, n, k", [(1, 1, 3), (20, 10, 50), (7, 33, 20), (5, 64, 10), (1000, 8, 200), (5000, 2, 50)]
+)
+def test_state_matrix_is_stacked_propagate_bit_for_bit(m, n, k):
+    ens = random_ensemble(m, n, seed=m + n)
+    expected = np.stack([propagate(s0, policy, k).probs for _, s0, policy in ens.walkers])
+    assert np.array_equal(ens.state_matrix(k), expected)
+    assert np.array_equal(ens.state_matrix(0), ens.starts)
+    with pytest.raises(ValueError, match="k must be non-negative"):
+        ens.state_matrix(-1)
+    for stacked in (ens.starts, ens.policies):
+        with pytest.raises(ValueError, match="read-only"):
+            stacked[0] = 0.0
+
+
+def test_common_policy_needs_one_start_per_label():
+    p = TransitionMatrix([[0.5, 0.5], [0.5, 0.5]])
+    with pytest.raises(ValueError, match="3 labels but 1 initial vectors"):
+        WalkerEnsemble.common_policy(["a", "b", "c"], [StateVector.basis(2, 0)], p)
 
 
 # --- file formats ---------------------------------------------------------------

@@ -288,7 +288,7 @@ def test_walk_matches_per_step_reference(m, n, seed, short, monkeypatch):
     cap = m * (n * (n - 1) + 1) * n
     monkeypatch.setattr(simulate, "_WALK_ELEMENTS", cap - (short is not None))
     table = short is None
-    cum0, cum_policy = simulate._walk_tables(ensemble)
+    cum0, cum_policy = np.cumsum(ensemble.starts, 1), np.cumsum(ensemble.policies, 2)
     step_table = simulate._step_table(cum_policy)
     assert (step_table is not None) == table
     times, replicas = 30, 5
@@ -332,7 +332,7 @@ def test_intervals_pass_crowded_breaks_exactly(n):
     # value.  Uniforms sit on and beside every value, on every bucket's
     # lower edge, at 0.0 and at 1 and past it.
     ensemble = crowded_ensemble(n)
-    cum0, cum_policy = simulate._walk_tables(ensemble)
+    cum0, cum_policy = np.cumsum(ensemble.starts, 1), np.cumsum(ensemble.policies, 2)
     lookup = simulate._step_table(cum_policy)
     breaks, buckets, _ = lookup
     m, n_buckets = buckets.shape
@@ -391,7 +391,7 @@ def test_walks_past_two_thousand_walker_states_take_the_table(m, n, monkeypatch)
     # through it, and give the per-step reference's graphs.
     ensemble, seed = random_ensemble(m, n, seed=m), 5
     assert m * n > 2048
-    assert simulate._step_table(simulate._walk_tables(ensemble)[1]) is not None
+    assert simulate._step_table(np.cumsum(ensemble.policies, 2)) is not None
     calls = Counter()
     real = simulate._intervals
     monkeypatch.setattr(simulate, "_intervals", lambda *a: calls.update([1]) or real(*a))
@@ -486,7 +486,7 @@ def test_sample_writes_the_sequence_a_block_at_a_time(route, cap, tmp_path, monk
         monkeypatch.setattr(simulate, "_WALK_ELEMENTS", 5 * b)
     if route == "gather":
         monkeypatch.setattr(simulate, "_step_table", lambda _: None)
-    assert (simulate._step_table(simulate._walk_tables(ensemble)[1]) is None) == (
+    assert (simulate._step_table(np.cumsum(ensemble.policies, 2)) is None) == (
         route == "gather"
     )
     path = tmp_path / "ensemble.json"
@@ -581,7 +581,7 @@ def test_empirical_matches_per_replica_reference(
 ):
     # The step table is built before the cap shrinks, so that the table's
     # route and the gather's walk the same chunks.
-    lookup = simulate._step_table(simulate._walk_tables(ensemble)[1])
+    lookup = simulate._step_table(np.cumsum(ensemble.policies, 2))
     assert lookup is not None
     if cap is not None:
         monkeypatch.setattr(simulate, "_WALK_ELEMENTS", cap)
