@@ -324,7 +324,8 @@ def _text_numbers(fields: list[str], where: str) -> list[float]:
 
 def matrix_from_csv(text: str) -> TransitionMatrix:
     """One row per non-empty CSV line.  A field that is not a number, or a
-    row longer or shorter than the first, raises ValueError naming its line."""
+    row longer or shorter than the first, raises ValueError naming its line,
+    and a CSV without rows raises one saying so."""
     reader = csv.reader(io.StringIO(text))
     rows, first = [], None
     for fields in reader:
@@ -335,6 +336,8 @@ def matrix_from_csv(text: str) -> TransitionMatrix:
             if len(fields) != first[1]:
                 wanted = f"but line {first[0]} has {first[1]}"
                 raise ValueError(f"{where}: {len(fields)} field(s), {wanted}")
+    if not rows:
+        raise ValueError("transition matrix CSV has no rows")
     return TransitionMatrix(rows)
 
 

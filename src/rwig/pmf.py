@@ -731,13 +731,23 @@ def histogram_to_csv(hist: dict[int, float]) -> str:
 
 
 def histogram_from_csv(text: str) -> dict[int, float]:
-    lines = [l for l in text.splitlines() if l.strip()]
-    if not lines or lines[0] != "value,probability":
+    """The histogram that ``histogram_to_csv`` writes.  A row that is not an
+    integer value and a probability, or that repeats a value, raises
+    ValueError naming its line."""
+    lines = [(i, l) for i, l in enumerate(text.splitlines(), 1) if l.strip()]
+    if not lines or lines[0][1] != "value,probability":
         raise ValueError("histogram CSV must start with 'value,probability'")
     hist = {}
-    for line in lines[1:]:
-        value, p = line.split(",")
-        hist[int(value)] = float(p)
+    for i, line in lines[1:]:
+        where = f"histogram CSV line {i}"
+        try:
+            value, p = line.split(",")
+            value, p = int(value), float(p)
+        except ValueError:
+            raise ValueError(f"{where}: {line!r} is not a value and a probability") from None
+        if value in hist:
+            raise ValueError(f"{where}: value {value} is given twice")
+        hist[value] = p
     return hist
 
 

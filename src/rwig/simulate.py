@@ -10,21 +10,22 @@ distributions).
 
 Walks read the ensemble's stacked arrays, the cumulative sums of its
 ``starts`` (M x N) and ``policies`` (M x N x N), and never its per-walker
-objects.  Walker steps, inverse-CDF draws from their policy rows, come
-from an exact next-state table (``_step_table``) whenever one is built, in a
-sampled sequence and in an empirical distribution alike.  ``_intervals``
-puts a whole array of uniforms in the intervals between the sorted
-distinct cumulative values of their walkers' rows, by one bucket lookup
-and a correction past the values it skips, and each step is then one
-lookup of (walker, interval, state), giving the same states as comparing
-the uniform with the row.  The table is built whenever it holds at most
-``_WALK_ELEMENTS`` entries; otherwise each step gathers the walkers' rows.
+objects.  One loop, ``_walk``, takes every walker step (an inverse-CDF draw
+from the walker's policy row) for sampled sequences and empirical
+distributions alike, over blocks of uniforms that each carry on from the
+last states of the block before.  When the exact next-state table
+(``_step_table``) holds at most ``_WALK_ELEMENTS`` entries, a block is one
+``_intervals`` call, which puts each uniform in the intervals between its
+walker's sorted distinct cumulative values by one bucket lookup and a
+correction past the values it skips, then one lookup of (walker, interval,
+state) per step: the states that comparing each uniform with its row
+gives.  Otherwise each step gathers the walkers' rows.
 
-A sampled sequence stays an array from the walk to its JSON lines.  The
-walk goes in blocks of min(``contact_graph._JSON_ROWS``, ``_WALK_ELEMENTS``
-// M) steps (``_walk_blocks``), each continuing from the last states of
-the one before: the walkers' states at each step of a block are renamed
-into one restricted growth string per snapshot, without a sort, by
+A sampled sequence stays an array from the walk to its JSON lines.
+``_sample_rows`` draws its uniforms from ``default_rng(seed)`` in blocks of
+min(``contact_graph._JSON_ROWS``, ``_WALK_ELEMENTS`` // M) steps, and the
+walkers' states at each step of a block are renamed into one restricted
+growth string per snapshot, without a sort, by
 ``combinatorics.first_appearance_rows``.  ``sample_sequence`` joins the
 blocks' rows; ``sample_jsonl``, which ``rwig sample`` writes, formats each
 block by ``contact_graph.json_blocks`` as soon as it is renamed, so the
@@ -32,14 +33,15 @@ command holds one block of the walk at a time.  A sequence's equality,
 hashing and clique histograms read its rows too; its ``ContactGraph``
 snapshots are built only when a caller reads them.
 
-An empirical distribution walks its replicas together, as one (R, M) state
-array per step.  It builds no generator: ``_replica_uniforms`` runs numpy's
-seeding (``SeedSequence``) and bit generator (``PCG64``) on arrays, every
-replica of a chunk at once from the seed's words and the replica indices',
-and gives each replica the same doubles that its own ``default_rng``
-would.  The final states become rows the same way and are counted as rows;
-replicas go in chunks so that no array of the walk, the step table's or
-the gather's, holds more than ``_WALK_ELEMENTS`` numbers.
+An empirical distribution walks its replicas together, one (R, M) state
+array per step, each step a block of its own.  It builds no generator:
+``_replica_uniforms`` runs numpy's seeding (``SeedSequence``) and bit
+generator (``PCG64``) on arrays, every replica of a chunk at once from the
+seed's words and the replica indices', and gives each replica the same
+doubles that its own ``default_rng`` would.  The final states become rows
+the same way and are counted as rows; replicas go in chunks so that no
+array of the walk, the step table's or the gather's, holds more than
+``_WALK_ELEMENTS`` numbers.
 """
 
 from __future__ import annotations
@@ -134,30 +136,43 @@ def _draw(cum_rows: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.minimum(idx, cum_rows.shape[-1] - 1)
 
 
-def _walk_states(
-    cum0: np.ndarray,
-    cum_policy: np.ndarray,
-    uniforms: Iterable[np.ndarray],
-    lookup: tuple | None = None,
+def _walk(
+    cum0: np.ndarray, cum_policy: np.ndarray, lookup: tuple | None, blocks: Iterable[np.ndarray]
 ) -> Iterator[np.ndarray]:
-    """Yield the walkers' state indices at times 0, 1, ..., one time per
-    array of uniforms: the first draws the initial states, each later one a
-    policy step.  An array is M uniforms for one walk, or (R, M) for R
-    replicas walking at once; the states have its shape.  A policy step is
-    one ``_intervals`` call and one lookup in ``lookup``, a ``_step_table``,
-    when one is given, and otherwise gathers the walkers' rows."""
-    uniforms = iter(uniforms)
-    states = _draw(cum0, next(uniforms))
-    yield states
-    rows_index = np.arange(cum0.shape[0])
-    for u in uniforms:
-        if lookup is None:
-            states = _draw(cum_policy[rows_index, states], u)
+    """Yield the walkers' state indices for each block of uniforms, in the
+    block's shape: (T, M) for one walk, or (T, R, M) for R replicas walking
+    together.  The first row of the first block draws the initial states
+    from ``cum0``; every later row takes a policy step from the row before
+    it, in its own block or at the end of the one before.
+
+    With ``lookup``, a ``_step_table``, a block is one ``_intervals`` call
+    and then one lookup per step; without, each step gathers the walkers'
+    rows of ``cum_policy`` and draws from them.  A block's uniforms are not
+    held once its states are yielded; its last row of states is read again
+    by the next block's first step.
+    """
+    walkers = np.arange(cum0.shape[0])
+    before = None
+    for u in blocks:
+        # Rows from ``first`` on are policy steps; a block without one
+        # looks up no intervals.
+        first = int(before is None)
+        if lookup is None or len(u) == first:
+            states = np.empty(u.shape, np.intp)
         else:
-            at = _intervals(lookup, u)
-            at *= cum0.shape[1]
-            at += states
-            states = lookup[2].take(at)
+            states = _intervals(lookup, u)
+            states *= cum0.shape[1]
+        if first:
+            before = states[0] = _draw(cum0, u[0])
+        for t in range(first, len(u)):
+            row = states[t]
+            if lookup is None:
+                row[...] = _draw(cum_policy[walkers, before], u[t])
+            else:
+                row += before
+                lookup[2].take(row, out=row, mode="wrap")
+            before = row
+        del u
         yield states
 
 
@@ -246,64 +261,26 @@ def _intervals(lookup: tuple, u: np.ndarray) -> np.ndarray:
     return at
 
 
-def _table_walk(cum0: np.ndarray, lookup: tuple, uniforms: np.ndarray) -> np.ndarray:
-    """The walkers' state indices at every time of one walk, as
-    ``_walk_states`` gives them for the same (T, M) uniforms and the same
-    cumulative vectors ``cum0`` that the first uniforms draw from: one
-    ``_intervals`` call finds the intervals of all the steps, and each step
-    is one lookup in the ``_step_table``."""
-    take = lookup[2].take
-    states = _intervals(lookup, uniforms)
-    states *= cum0.shape[1]
-    states[0] = _draw(cum0, uniforms[0])
-    at = np.empty(cum0.shape[0], np.intp)
-    for before, row in zip(states, states[1:]):
-        np.add(row, before, out=at)
-        take(at, out=row, mode="wrap")
-    return states
-
-
-def _walk_blocks(ensemble: WalkerEnsemble, horizon: int, seed: int) -> Iterator[np.ndarray]:
-    """Yield the walkers' state indices at times 0, 1, ..., horizon, in
-    (b, M) blocks of b = min(``_JSON_ROWS``, ``_WALK_ELEMENTS`` // M) times.
-
-    A block's uniforms are the next (b, M) doubles of ``default_rng(seed)``,
-    so the walk draws the same doubles in the same order as one M-vector
-    per step.  The first block's first uniforms draw from the walkers'
-    initial vectors, and every later block's from their policy rows at the
-    last states of the block before; all other uniforms take policy steps,
-    from a ``_step_table`` when one is built, which gives the gather's
-    states exactly.
-    """
-    rng = np.random.default_rng(seed)
-    m = ensemble.n_walkers
-    steps = max(1, min(contact_graph._JSON_ROWS, _WALK_ELEMENTS // m))
-    cum, cum_policy = np.cumsum(ensemble.starts, 1), np.cumsum(ensemble.policies, 2)
-    lookup = _step_table(cum_policy)
-    for lo in range(0, horizon + 1, steps):
-        uniforms = rng.random((min(steps, horizon + 1 - lo), m))
-        if lookup is None:
-            walk = _walk_states(cum, cum_policy, uniforms)
-            states = np.fromiter(walk, np.dtype((np.intp, m)), len(uniforms))
-        else:
-            states = _table_walk(cum, lookup, uniforms)
-        cum = cum_policy[np.arange(m), states[-1]]
-        # Not held while the block is renamed and written.
-        del uniforms
-        yield states
-
-
 def _sample_rows(
     ensemble: WalkerEnsemble, horizon: int, seed: int
 ) -> tuple[tuple[Hashable, ...], Iterator[np.ndarray]]:
     """The sorted labels, and the rows of ``first_appearance_rows`` over
-    them, renamed a block of ``_walk_blocks`` at a time.  The arguments are
-    checked at the call, before any block is walked."""
+    them, renamed a block of b = min(``_JSON_ROWS``, ``_WALK_ELEMENTS`` // M)
+    steps at a time.  A block's uniforms are the next (b, M) doubles of
+    ``default_rng(seed)``, so the walk draws the same doubles in the same
+    order as one M-vector per step.  The arguments are checked at the call,
+    before any block is walked."""
     _check_integer("seed", seed, 0)
     _check_integer("horizon", horizon, 0)
     labels = tuple(sorted(ensemble.labels))
     columns = [ensemble.index[w] for w in labels]
-    blocks = _walk_blocks(ensemble, horizon, seed)
+    rng, m = np.random.default_rng(seed), ensemble.n_walkers
+    steps = max(1, min(contact_graph._JSON_ROWS, _WALK_ELEMENTS // m))
+    uniforms = (
+        rng.random((min(steps, horizon + 1 - lo), m)) for lo in range(0, horizon + 1, steps)
+    )
+    cum0, cum_policy = np.cumsum(ensemble.starts, 1), np.cumsum(ensemble.policies, 2)
+    blocks = _walk(cum0, cum_policy, _step_table(cum_policy), uniforms)
     return labels, (first_appearance_rows(states[:, columns]) for states in blocks)
 
 
@@ -314,7 +291,7 @@ def sample_sequence(ensemble: WalkerEnsemble, horizon: int, seed: int) -> Contac
     wanting fixed starts pass basis vectors), then each walker takes
     ``horizon`` independent policy steps.  Deterministic given the seed:
     the uniforms are the same doubles in the same order as one M-vector per
-    step, drawn and walked a block of steps at a time (``_walk_blocks``).
+    step, drawn and walked a block of steps at a time (``_sample_rows``).
     """
     labels, blocks = _sample_rows(ensemble, horizon, seed)
     return ContactSequence._of_rows(np.concatenate(list(blocks)), labels, seed)
@@ -488,14 +465,14 @@ def empirical_distribution(
     Replica r draws k + 1 vectors of M uniforms, the stream of
     ``default_rng(replica_seed(seed, r))``; the replicas walk together as
     one (R, M) state array, on one (R, M) array of uniforms per step from
-    ``_replica_uniforms``, each step one ``_intervals`` call and one lookup
-    in the ``_step_table`` when one is built.  They go in chunks small
-    enough that the gather's per-step working set, a chunk's walkers'
-    cumulative policy rows (R x M x N), would hold at most
-    ``_WALK_ELEMENTS`` numbers; the uniforms come one step at a time, so k
-    does not bound the chunk.  Each final state row is renamed
-    by ``first_appearance_rows`` over the sorted labels, and the rows are
-    counted after one ``np.lexsort``, so the distinct rows come in
+    ``_replica_uniforms``, each step a block of ``_walk``: one
+    ``_intervals`` call and one lookup in the ``_step_table`` when one is
+    built.  They go in chunks small enough that the gather's per-step
+    working set, a chunk's walkers' cumulative policy rows (R x M x N),
+    would hold at most ``_WALK_ELEMENTS`` numbers; the uniforms come one
+    step at a time, so k does not bound the chunk.  Each final state row is
+    renamed by ``first_appearance_rows`` over the sorted labels, and the
+    rows are counted after one ``np.lexsort``, so the distinct rows come in
     lexicographic order.  Each probability is a graph's integer count over
     ``replicas``, so equal counts tie exactly and are written in canonical
     graph order.
@@ -512,9 +489,9 @@ def empirical_distribution(
     chunks = []
     for lo in range(0, replicas, step):
         uniforms = _replica_uniforms(seed, range(lo, min(lo + step, replicas)), k + 1, m)
-        for states in _walk_states(cum0, cum_policy, uniforms, lookup):
+        for states in _walk(cum0, cum_policy, lookup, (u[None] for u in uniforms)):
             pass
-        chunks.append(first_appearance_rows(states[:, columns]))
+        chunks.append(first_appearance_rows(states[-1][:, columns]))
     rows = np.concatenate(chunks)
     rows = rows[np.lexsort(rows.T[::-1])]
     starts = np.flatnonzero(np.r_[True, (rows[1:] != rows[:-1]).any(axis=1)])

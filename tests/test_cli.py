@@ -379,6 +379,9 @@ def test_text_policy_and_vector_faults_are_named(tmp_path, capsys):
         ("--policy", "0.5,abc\n0.5,0.5\n",
          "transition matrix CSV line 1, field 2: 'abc' is not a number"),
         ("--policy", "0.5,0.5\n0.5,\n", "transition matrix CSV line 2, field 2: '' is not a number"),
+        # An empty CSV, or one of blank lines only, has no rows to be square.
+        ("--policy", "", "transition matrix CSV has no rows"),
+        ("--policy", "\n\n", "transition matrix CSV has no rows"),
         ("--vector", "abc 1\n", "steady vector line 1, field 1: 'abc' is not a number"),
         ("--vector", "0.5 0.25\n0.25,x\n", "steady vector line 2, field 2: 'x' is not a number"),
     )

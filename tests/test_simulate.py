@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import re
@@ -212,6 +213,24 @@ def test_histogram_csv_roundtrip():
     assert histogram_from_csv(text) == hist
 
 
+@pytest.mark.parametrize(
+    "rows, named",
+    [
+        ("2,0.5,1\n", "line 2: '2,0.5,1' is not a value and a probability"),
+        ("\nx,0.5\n", "line 3: 'x,0.5' is not a value and a probability"),
+        ("2\n", "line 2: '2' is not a value and a probability"),
+        ("2,half\n", "line 2: '2,half' is not a value and a probability"),
+        ("2,0.5\n3,0.25\n\n2,0.25\n", "line 5: value 2 is given twice"),
+    ],
+)
+def test_histogram_csv_names_the_faulty_line(rows, named):
+    # Blank lines count toward the line numbers; a repeated value is refused,
+    # not overwritten.
+    with pytest.raises(ValueError) as excinfo:
+        histogram_from_csv("value,probability\n" + rows)
+    assert str(excinfo.value) == f"histogram CSV {named}"
+
+
 def draw(probs, u) -> int:
     """Inverse-CDF draw from one row: its count of cumulative values <= u,
     at most the last state."""
@@ -277,6 +296,11 @@ def reference_states(ensemble, uniforms: np.ndarray) -> np.ndarray:
     return np.array(out)
 
 
+def walked(cum0, cum_policy, lookup, blocks) -> np.ndarray:
+    """The states of ``simulate._walk`` over ``blocks``, joined."""
+    return np.concatenate(list(simulate._walk(cum0, cum_policy, lookup, blocks)))
+
+
 @pytest.mark.parametrize("short", [None, "_WALK_ELEMENTS"])
 @pytest.mark.parametrize(
     "m, n, seed", [(3, 1, 0), (4, 2, 1), (4, 3, 2), (6, 4, 3), (2, 6, 4), (40, 2, 5)]
@@ -294,22 +318,22 @@ def test_walk_matches_per_step_reference(m, n, seed, short, monkeypatch):
     times, replicas = 30, 5
     u = edge_uniforms(ensemble, (times, replicas, m), seed)
     expected = np.stack([reference_states(ensemble, u[:, r]) for r in range(replicas)], 1)
+    walks = [(u, expected)] + [(u[:, r], expected[:, r]) for r in range(replicas)]
 
-    def walk(uniforms, lookup=None):
-        return np.array(list(simulate._walk_states(cum0, cum_policy, uniforms, lookup)))
-
-    # The gather and the table walk the replicas together, a step at a
-    # time as empirical_distribution does, and one replica at a time; the
-    # table also walks a replica's steps at once, as rwig sample does.
-    np.testing.assert_array_equal(walk(u), expected)
-    if table:
-        np.testing.assert_array_equal(walk(u, step_table), expected)
-    for r in range(replicas):
-        np.testing.assert_array_equal(walk(u[:, r]), expected[:, r])
-        if table:
-            np.testing.assert_array_equal(walk(u[:, r], step_table), expected[:, r])
-            tabled = simulate._table_walk(cum0, step_table, u[:, r])
-            np.testing.assert_array_equal(tabled, expected[:, r])
+    # The gather and the table walk the replicas together and one replica
+    # at a time: a step to a block, as empirical_distribution does, and the
+    # whole walk as one block; split into blocks of 1, 2 and the rest of
+    # the steps, each block carries on from the last states of the one
+    # before, as rwig sample's blocks do.
+    for lookup in [None, step_table] if table else [None]:
+        for uniforms, want in walks:
+            np.testing.assert_array_equal(
+                walked(cum0, cum_policy, lookup, np.split(uniforms, range(1, times))), want
+            )
+            whole = walked(cum0, cum_policy, lookup, [uniforms])
+            np.testing.assert_array_equal(whole, want)
+            split = walked(cum0, cum_policy, lookup, np.split(uniforms, [1, 3]))
+            np.testing.assert_array_equal(split, whole)
     seq = sample_sequence(ensemble, 50, seed)
     assert seq == ContactSequence(reference_walk(ensemble, 50, seed), seed)
 
@@ -346,9 +370,9 @@ def test_intervals_pass_crowded_breaks_exactly(n):
         np.testing.assert_array_equal(at[:, w] - w * breaks.shape[1], expected)
     # The walk through those intervals is the per-step reference walk.
     expected = reference_states(ensemble, u)
-    np.testing.assert_array_equal(simulate._table_walk(cum0, lookup, u), expected)
-    walk = simulate._walk_states(cum0, cum_policy, u[:, None], lookup)
-    np.testing.assert_array_equal(np.array(list(walk))[:, 0], expected)
+    np.testing.assert_array_equal(walked(cum0, cum_policy, lookup, [u]), expected)
+    steps = walked(cum0, cum_policy, lookup, u[:, None, None])
+    np.testing.assert_array_equal(steps[:, 0], expected)
 
 
 def cumulative_rows(m: int, n: int, seed: int) -> np.ndarray:
@@ -441,8 +465,8 @@ def test_intervals_in_few_buckets():
     for w in range(m):
         expected = np.searchsorted(breaks[w], u[:, w], "right")
         np.testing.assert_array_equal(at[:, w] - w * breaks.shape[1], expected)
-    gathered = np.array(list(simulate._walk_states(cum0, cum_policy, u)))
-    np.testing.assert_array_equal(simulate._table_walk(cum0, lookup, u), gathered)
+    gathered = walked(cum0, cum_policy, None, u[:, None])
+    np.testing.assert_array_equal(walked(cum0, cum_policy, lookup, [u]), gathered)
 
 
 @pytest.mark.parametrize("table", [True, False])
@@ -510,6 +534,28 @@ def test_sample_writes_the_sequence_a_block_at_a_time(route, cap, tmp_path, monk
         assert main(["sample", *argv, "-o", str(out)]) == 0
         assert out.read_bytes() == sequence_to_jsonl(seq).encode("utf-8")
         assert blocks == sizes * 2
+
+
+def test_gather_route_pins_its_streams(tmp_path):
+    # 600 walkers of 8 states would need a step table of 273,600 entries,
+    # more than _WALK_ELEMENTS, so both walks gather the walkers' rows at
+    # every step.  The digests were taken before the walk loops were joined.
+    from rwig.cli import main
+
+    ensemble = random_ensemble(600, 8, 1)
+    assert simulate._step_table(np.cumsum(ensemble.policies, 2)) is None
+    path, out = tmp_path / "gather.json", tmp_path / "gather.jsonl"
+    path.write_text(json.dumps(ensemble_to_json(ensemble)), encoding="utf-8")
+    argv = ["--ensemble", str(path), "--horizon", "300", "--seed", "7", "-o", str(out)]
+    assert main(["sample", *argv]) == 0
+    buf = io.StringIO()
+    empirical_distribution(ensemble, 3, 50, 7).write_json(buf)
+    texts = (out.read_bytes(), buf.getvalue().encode("utf-8"))
+    digests = [hashlib.sha256(data).hexdigest() for data in texts]
+    assert digests == [
+        "f00750df35f2998bccf3fa2fa708646e9036ded3455909c82c968702752c7c82",
+        "8783b8806db0f28e6e857ddec9b796687e3de23e658aebb502b9dfa2938924c8",
+    ]
 
 
 def dumps_lines(pairs) -> str:
